@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test"
 cargo test --workspace --offline -q
 
+echo "== perfbench self-test (every workload's correctness replay, tiny inputs)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke (serial vs parallel identity + report schema)"
 smoke_json="$(mktemp -t bench_smoke.XXXXXX.json)"
 smoke_ckt="$(mktemp -t whatif_smoke.XXXXXX.ckt)"

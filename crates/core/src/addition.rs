@@ -27,12 +27,9 @@ use dna_netlist::NetId;
 use dna_waveform::Envelope;
 
 use crate::dominance::{irredundant_with_discard, DominanceDirection};
-use crate::engine::{
-    sweep_victims, sweep_victims_subset, Curtailment, NetLists, Prepared, SweepOutput, SweepTotals,
-    VictimCounters, VictimLists,
-};
+use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::enumeration::{
-    self, DeferredPruneCertificate, PruneKind, RoundRank, ANCHOR_TRIES, CULL_MARGIN,
+    DeferredPruneCertificate, PruneKind, RoundRank, ANCHOR_TRIES, CULL_MARGIN,
 };
 use crate::sched::Slots;
 use crate::{arena, faultsim, Candidate, CouplingSet, TopKError};
@@ -98,29 +95,9 @@ struct Event {
     set: CouplingSet,
 }
 
-/// The enumeration sweep on its own: builds every victim's irredundant
-/// lists on the work-stealing scheduler (a victim reads only strict-fanin
-/// slots). With `seeds`, only the flagged dirty victims are recomputed and
-/// the rest are served from the cached lists/counters — the what-if
-/// incremental path.
-pub(crate) fn sweep(
-    p: &Prepared<'_>,
-    k: usize,
-    seeds: Option<(&[NetLists], &[VictimCounters], &[bool])>,
-) -> Result<SweepOutput, TopKError> {
-    let per_victim = per_victim_fn(p, k);
-    match seeds {
-        None => sweep_victims(p, per_victim),
-        Some((lists, counters, dirty)) => {
-            sweep_victims_subset(p, lists, counters, dirty, per_victim)
-        }
-    }
-}
-
-/// The per-victim enumeration as a standalone closure, for drivers that
-/// schedule victims themselves (the batch engine interleaves several
-/// scenarios' victims through one scheduler). The closure's `allowance`
-/// argument is the victim's pre-partitioned budget share.
+/// The per-victim enumeration as a closure for the scenario sweep
+/// ([`crate::engine::sweep`]). The closure's `allowance` argument is the
+/// victim's pre-partitioned budget share.
 pub(crate) fn per_victim_fn<'a>(
     p: &'a Prepared<'_>,
     k: usize,
@@ -175,8 +152,7 @@ fn victim_lists(
     // not forced, and this victim's delay-noise fault hook disarmed — a
     // culled event never computes a delay noise, so a corruption the hook
     // wants observed must reach the materializing path.
-    let culling =
-        p.config.dominance_pruning && !enumeration::eager_mode() && !faultsim::nan_victim_armed(v);
+    let culling = p.config.dominance_pruning && !p.eager() && !faultsim::nan_victim_armed(v);
     let t50 = p.victim_t50(v);
     let zero_env = Envelope::zero();
     let atom_hard =
@@ -434,13 +410,13 @@ fn victim_lists(
                         );
                         if dominates {
                             bound_culled += 1;
-                            if enumeration::capture_armed() {
+                            if p.captured.is_some() {
                                 let env = match member {
                                     None => atom.envelope.clone(),
                                     Some((m, _)) => m.envelope().sum(&atom.envelope),
                                 };
                                 let dn = p.delay_noise_at(v, &env);
-                                enumeration::record(DeferredPruneCertificate {
+                                p.record(DeferredPruneCertificate {
                                     victim: v,
                                     cardinality: i,
                                     event: e,
@@ -462,13 +438,13 @@ fn victim_lists(
                     let stronger = rank.strictly_better_than(ub);
                     if stronger >= cap {
                         bound_culled += 1;
-                        if enumeration::capture_armed() {
+                        if p.captured.is_some() {
                             let env = match member {
                                 None => atom.envelope.clone(),
                                 Some((m, _)) => m.envelope().sum(&atom.envelope),
                             };
                             let dn = p.delay_noise_at(v, &env);
-                            enumeration::record(DeferredPruneCertificate {
+                            p.record(DeferredPruneCertificate {
                                 victim: v,
                                 cardinality: i,
                                 event: e,
@@ -525,9 +501,9 @@ fn victim_lists(
         // Fault-sim hook for the L080 audit: fabricate a certificate for
         // a *surviving* set — a cull that demonstrably never happened —
         // so the audit's absence check has something real to catch.
-        if i == 1 && enumeration::capture_armed() && faultsim::bogus_prune_certificate_armed(v) {
+        if i == 1 && p.captured.is_some() && faultsim::bogus_prune_certificate_armed(v) {
             if let Some(s) = lists[1].first() {
-                enumeration::record(DeferredPruneCertificate {
+                p.record(DeferredPruneCertificate {
                     victim: v,
                     cardinality: 1,
                     event: 0,
@@ -545,7 +521,9 @@ fn victim_lists(
         }
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };
-    Ok(VictimLists { lists, peak_list_width, generated, bound_culled, materialized, curtailment })
+    let counters =
+        VictimCounters { peak_list_width, generated, bound_culled, materialized, curtailment };
+    Ok(VictimLists { lists, counters })
 }
 
 /// Chooses the worst set from the sinks' I-lists (paper: "the top-k

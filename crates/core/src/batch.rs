@@ -15,14 +15,18 @@
 //!   ([`Circuit::dirty_closure_extend`]) and extended per added
 //!   coupling, so scenarios sharing fix prefixes share the closure work
 //!   ([`BatchStats::closure_frames_shared`] counts the reuse).
-//! * **One scheduler.** Instead of S sequential sweeps, the batch feeds
-//!   (scenario, victim) tasks from *every* scenario through one
-//!   deterministic work-stealing scheduler ([`crate::sched`]) — narrow
-//!   cones that would each under-fill a thread pool fill the deques
-//!   together, and a long-tail victim of one scenario no longer stalls
-//!   any other scenario's progress.
+//! * **One sweep.** Instead of S sequential sweeps, the batch hands
+//!   every scenario to one call of the scenario sweep
+//!   ([`crate::engine::sweep`]), whose (scenario, victim) tasks share
+//!   one deterministic work-stealing scheduler ([`crate::sched`]) —
+//!   narrow cones that would each under-fill a thread pool fill the
+//!   deques together, and a long-tail victim of one scenario no longer
+//!   stalls any other scenario's progress.
 //! * **Dedup.** Scenarios with identical flipped-sets (common when a
 //!   script enumerates neighborhoods) are evaluated once.
+//!
+//! [`WhatIfSession::apply`] runs the same front end with a single delta
+//! and then adopts its scenario's state.
 //!
 //! # Identity contract
 //!
@@ -36,21 +40,17 @@
 //! over (clean victims consume no share, so a scenario with nothing
 //! dirty charges nothing, exactly as its own sweep would).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use dna_netlist::{CouplingId, NetId, NetSource};
+use dna_netlist::{CouplingId, NetId};
 use dna_noise::CouplingMask;
 
-use crate::bounds::{self, CleanCertificate};
-use crate::engine::{self, NetLists, Prepared, VictimCounters, VictimLists};
-use crate::result::{Fault, FaultPhase};
-use crate::sched::{self, BudgetPartition, SchedStats, Slots};
+use crate::bounds::{self, CleanCertificate, SemanticState};
+use crate::engine::{self, Prepared, Swept};
+use crate::result::FaultPhase;
+use crate::sched::SchedStats;
 use crate::session::changed_and_seeds;
-use crate::{
-    addition, elimination, faultsim, guard, MaskDelta, Mode, TopKError, TopKResult, WhatIfOutcome,
-    WhatIfSession,
-};
+use crate::{faultsim, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession};
 
 /// A set of independent what-if scenarios to evaluate against one
 /// [`WhatIfSession`] snapshot with [`WhatIfSession::apply_batch`].
@@ -207,16 +207,21 @@ impl BatchOutcome {
 /// One distinct scenario after the front end: the flipped couplings (the
 /// dedup/trie key, sorted by id), their endpoint seeds and the scenario's
 /// absolute mask.
-struct Scenario {
+struct Flipped {
     changed: Vec<CouplingId>,
     seeds: Vec<NetId>,
     mask: CouplingMask,
 }
 
-/// The boxed per-victim enumeration of one scenario, so both modes fit
-/// one work-item array (dispatch cost is noise next to envelope algebra).
-type PerVictim<'p> =
-    Box<dyn Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync + 'p>;
+/// One distinct scenario evaluated against a session snapshot: its mask,
+/// the outcome the caller sees, the swept per-victim state and the
+/// corridor prover's fingerprint of the scenario's world.
+pub(crate) struct Evaluated {
+    pub mask: CouplingMask,
+    pub outcome: WhatIfOutcome,
+    pub swept: Swept,
+    pub semantic: Option<SemanticState>,
+}
 
 impl WhatIfSession<'_, '_> {
     /// Evaluates every scenario of `batch` against this session's current
@@ -234,22 +239,56 @@ impl WhatIfSession<'_, '_> {
     /// is unchanged regardless.
     pub fn apply_batch(&self, batch: &WhatIfBatch) -> Result<BatchOutcome, TopKError> {
         let start = Instant::now();
-        let circuit = self.analysis.circuit();
         if batch.is_empty() {
             return Ok(BatchOutcome { scenarios: Vec::new(), stats: BatchStats::default() });
         }
+        let (evaluated, group_of, stats) = self.evaluate(batch.deltas(), false)?;
+        let outcomes: Vec<WhatIfOutcome> =
+            group_of.iter().map(|&g| evaluated[g].outcome.clone()).collect();
+        if std::env::var_os("DNA_PROFILE").is_some() {
+            eprintln!(
+                "[profile] whatif batch: {:.2?} ({} scenarios, {} distinct, {} dirty victims, \
+                 {} closure frames shared)",
+                start.elapsed(),
+                stats.scenarios,
+                stats.distinct_scenarios,
+                stats.dirty_victims,
+                stats.closure_frames_shared,
+            );
+        }
+        Ok(BatchOutcome { scenarios: outcomes, stats })
+    }
 
-        // --- Front end: flipped sets, dedup --------------------------
-        let mut scenarios: Vec<Scenario> = Vec::with_capacity(batch.len());
-        let mut group_of: Vec<usize> = Vec::with_capacity(batch.len());
+    /// The what-if front end shared by [`apply`](Self::apply) (one delta)
+    /// and [`apply_batch`](Self::apply_batch): changed sets and dedup,
+    /// dirty closures over the prefix trie, per-scenario preparation and
+    /// corridor refinement, one scenario sweep, per-scenario selection.
+    /// Returns the distinct scenarios, the distinct scenario each delta
+    /// maps to, and the batch counters. Reads the session, never mutates
+    /// it.
+    ///
+    /// `capture_semantic` asks for each scenario's semantic fingerprint
+    /// even when this session has none to refine against (the first
+    /// apply after a resume), so an adopting caller can damp next time.
+    pub(crate) fn evaluate(
+        &self,
+        deltas: &[MaskDelta],
+        capture_semantic: bool,
+    ) -> Result<(Vec<Evaluated>, Vec<usize>, BatchStats), TopKError> {
+        let start = Instant::now();
+        let circuit = self.analysis.circuit();
+
+        // --- Flipped sets, dedup -------------------------------------
+        let mut scenarios: Vec<Flipped> = Vec::with_capacity(deltas.len());
+        let mut group_of: Vec<usize> = Vec::with_capacity(deltas.len());
         {
             let mut by_key: std::collections::HashMap<Vec<CouplingId>, usize> =
                 std::collections::HashMap::new();
-            for delta in batch.deltas() {
+            for delta in deltas {
                 let mask = self.mask.clone().without(delta.removed()).with(delta.added());
                 let (changed, seeds) = changed_and_seeds(circuit, &self.mask, &mask);
                 let group = *by_key.entry(changed.clone()).or_insert_with(|| {
-                    scenarios.push(Scenario { changed, seeds, mask });
+                    scenarios.push(Flipped { changed, seeds, mask });
                     scenarios.len() - 1
                 });
                 group_of.push(group);
@@ -257,18 +296,18 @@ impl WhatIfSession<'_, '_> {
         }
 
         // --- Shared dirty closures (prefix trie) ---------------------
-        // A scenario's adjacency predicate is `base mask ∪ flipped set`,
-        // monotone in the flipped set, and `dirty_closure_extend`'s
-        // contract is met at every step: the parent frame is a fixpoint
-        // of the prefix predicate, and the one newly-allowed coupling's
-        // endpoints are exactly the new seeds. Walking the distinct
-        // flipped-sets in lexicographic order makes shared prefixes
-        // adjacent, so each trie node is computed once.
+        // A scenario's adjacency predicate is `base mask ∪ flipped set`
+        // (the old ∪ new mask), monotone in the flipped set, and
+        // `dirty_closure_extend`'s contract is met at every step: the
+        // parent frame is a fixpoint of the prefix predicate, and the one
+        // newly-allowed coupling's endpoints are exactly the new seeds.
+        // Walking the distinct flipped-sets in lexicographic order makes
+        // shared prefixes adjacent, so each trie node is computed once.
         let mut order: Vec<usize> = (0..scenarios.len()).collect();
         order.sort_by(|&a, &b| scenarios[a].changed.cmp(&scenarios[b].changed));
         let mut dirty_of: Vec<Vec<bool>> = vec![Vec::new(); scenarios.len()];
         let mut stats = BatchStats {
-            scenarios: batch.len(),
+            scenarios: deltas.len(),
             distinct_scenarios: scenarios.len(),
             ..BatchStats::default()
         };
@@ -303,229 +342,106 @@ impl WhatIfSession<'_, '_> {
                 dirty_of[s] = frames.last().map_or_else(|| root.clone(), |(_, d)| d.clone());
             }
         }
+        // The mask-oblivious closure is counted too, so the mask-aware
+        // filtering's savings stay measurable.
         let unmasked_of: Vec<usize> = scenarios
             .iter()
             .map(|sc| circuit.dirty_closure(&sc.seeds).iter().filter(|&&d| d).count())
             .collect();
-        stats.dirty_victims = dirty_of.iter().map(|d| d.iter().filter(|&&x| x).count()).sum();
+        let structural_of: Vec<usize> =
+            dirty_of.iter().map(|d| d.iter().filter(|&&x| x).count()).collect();
+        stats.dirty_victims = structural_of.iter().sum();
         stats.unmasked_dirty_victims = unmasked_of.iter().sum();
 
-        // --- Phase A: per-scenario preparation -----------------------
-        let config = self.analysis.config();
-        let threads = config.effective_threads();
-        let build_one = |sc: &Scenario| {
-            guard(FaultPhase::Prepare, || {
-                Prepared::build(circuit, *config, self.mode, &self.analysis.noise, sc.mask.clone())
-            })
-        };
-        let built: Vec<Result<Prepared<'_>, TopKError>> = if threads <= 1 || scenarios.len() == 1 {
-            scenarios.iter().map(build_one).collect()
-        } else {
+        // --- Per-scenario preparation --------------------------------
+        let threads = self.analysis.config().effective_threads();
+        let parallel = threads > 1 && scenarios.len() > 1;
+        let build_one = |sc: &Flipped| self.analysis.prepare(self.mode, &sc.mask);
+        let built: Vec<Result<Prepared<'_>, TopKError>> = if parallel {
             std::thread::scope(|sp| {
                 let handles: Vec<_> =
                     scenarios.iter().map(|sc| sp.spawn(|| build_one(sc))).collect();
                 handles.into_iter().map(|h| join_or_panic(h, FaultPhase::Prepare)).collect()
             })
+        } else {
+            scenarios.iter().map(build_one).collect()
         };
         let prepareds: Vec<Prepared<'_>> = built.into_iter().collect::<Result<_, _>>()?;
 
         // --- Corridor refinement (semantic damping) ------------------
-        // Same prover call `apply` makes, per scenario against the same
-        // cached pre-state, so each scenario's refined dirty set — and
-        // hence its sweep, fault merge and certificates — stays
-        // bit-identical to `fork().apply(&delta)`.
-        let structural_of: Vec<usize> =
-            dirty_of.iter().map(|d| d.iter().filter(|&&x| x).count()).collect();
+        // When this session carries a semantic fingerprint of its world,
+        // each scenario's structural closure shrinks to the victims whose
+        // cleanliness cannot be certified. Without one (structural
+        // damping, or the first apply after an artifact resume) the
+        // structural closure is swept as is.
         let mut certs_of: Vec<Vec<CleanCertificate>> = vec![Vec::new(); scenarios.len()];
-        if let Some(sem) = &self.semantic {
-            let forced = faultsim::forced_clean_victim();
-            for s in 0..scenarios.len() {
-                let (refined, _) = bounds::refine(&prepareds[s], sem, &dirty_of[s], forced);
-                certs_of[s] = refined.certificates;
-                dirty_of[s] = refined.dirty;
-            }
+        let mut semantic_of: Vec<Option<SemanticState>> = Vec::with_capacity(scenarios.len());
+        let forced = faultsim::forced_clean_victim();
+        for (s, prepared) in prepareds.iter().enumerate() {
+            semantic_of.push(match &self.semantic {
+                Some(old) => {
+                    let (refined, state) = bounds::refine(prepared, old, &dirty_of[s], forced);
+                    certs_of[s] = refined.certificates;
+                    dirty_of[s] = refined.dirty;
+                    Some(state)
+                }
+                None => (capture_semantic && self.analysis.config().damping == Damping::Semantic)
+                    .then(|| SemanticState::capture(prepared)),
+            });
+        }
+        if self.semantic.is_some() {
             stats.proven_clean_victims = stats.dirty_victims
                 - dirty_of.iter().map(|d| d.iter().filter(|&&x| x).count()).sum::<usize>();
         }
 
-        // --- Phase B: one shared work-stealing sweep -----------------
-        let k = self.k;
-        let per_victims: Vec<PerVictim<'_>> = prepareds
+        // --- One scenario sweep --------------------------------------
+        let sweep_in: Vec<engine::Scenario<'_, '_>> = prepareds
             .iter()
-            .map(|p| match self.mode {
-                Mode::Addition => Box::new(addition::per_victim_fn(p, k)) as PerVictim<'_>,
-                Mode::Elimination => Box::new(elimination::per_victim_fn(p, k)) as PerVictim<'_>,
+            .zip(&dirty_of)
+            .map(|(prepared, dirty)| engine::Scenario {
+                prepared,
+                lists: &self.lists,
+                counters: &self.counters,
+                faults: &self.faults,
+                dirty,
             })
             .collect();
-        let mut counters: Vec<Vec<VictimCounters>> =
-            scenarios.iter().map(|_| self.counters.clone()).collect();
-        let mut fresh_faults: Vec<Vec<Fault>> = vec![Vec::new(); scenarios.len()];
+        let (swept, sched) = engine::sweep(&sweep_in, self.k)?;
+        stats.sched = sched;
 
-        // Each scenario keeps its own budget partition over *its* refined
-        // dirty set, ranked in victim-index order — the same shares its
-        // own incremental sweep would hand out, so truncation stays
-        // bit-identical to `fork().apply(&delta)`.
-        let mut rank_of: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
-        let mut partitions: Vec<BudgetPartition> = Vec::with_capacity(scenarios.len());
-        for dirty in &dirty_of {
-            let mut ranks = vec![usize::MAX; dirty.len()];
-            let mut n = 0usize;
-            for (i, &d) in dirty.iter().enumerate() {
-                if d {
-                    ranks[i] = n;
-                    n += 1;
-                }
-            }
-            rank_of.push(ranks);
-            partitions.push(BudgetPartition::new(config, n));
-        }
-
-        // Flattened (scenario, victim) tasks: scenario-major with each
-        // scenario's victims in topological order, so dependency edges
-        // (which never cross scenarios) always point forward.
-        let topo = circuit.nets_topological();
-        let mut order: Vec<(usize, NetId)> = Vec::new();
-        let mut task_of: Vec<Vec<usize>> =
-            dirty_of.iter().map(|d| vec![usize::MAX; d.len()]).collect();
-        for (s, dirty) in dirty_of.iter().enumerate() {
-            for &v in topo {
-                if dirty[v.index()] {
-                    task_of[s][v.index()] = order.len();
-                    order.push((s, v));
-                }
-            }
-        }
-        let mut tasks: Vec<sched::Task> = order
-            .iter()
-            .map(|&(s, v)| sched::Task {
-                dependents: Vec::new(),
-                indegree: 0,
-                // LPT seeding from the session's cached sweep counters
-                // (aggressor-count fallback) — steering only, never bits.
-                cost: engine::cost_estimate(&prepareds[s], &self.counters, v),
-            })
-            .collect();
-        for (t, &(s, v)) in order.iter().enumerate() {
-            if let NetSource::Gate(g) = circuit.net(v).source() {
-                for &u in circuit.gate(g).inputs() {
-                    let d = task_of[s][u.index()];
-                    if d != usize::MAX {
-                        tasks[d].dependents.push(t);
-                        tasks[t].indegree += 1;
-                    }
-                }
-            }
-        }
-
-        let slots_of: Vec<Slots> =
-            dirty_of.iter().map(|d| Slots::from_seeds(&self.lists, d)).collect();
-        let (done, sched_stats) = sched::execute(&tasks, threads, |t| {
-            let (s, v) = order[t];
-            let (skip_share, allowance) = partitions[s].share(rank_of[s][v.index()]);
-            let skip = skip_share || partitions[s].expired();
-            let (out, fault) = engine::run_one(v, &slots_of[s], skip, allowance, &per_victims[s]);
-            let c = VictimCounters {
-                peak_list_width: out.peak_list_width,
-                generated: out.generated,
-                bound_culled: out.bound_culled,
-                materialized: out.materialized,
-                curtailment: out.curtailment,
-            };
-            if faultsim::drop_sched_publish() != Some(v.index()) {
-                slots_of[s].publish(v, Arc::new(out.lists));
-            }
-            (s, v, c, fault)
-        })?;
-        for (s, v, c, fault) in done {
-            counters[s][v.index()] = c;
-            fresh_faults[s].extend(fault);
-        }
-        stats.sched = sched_stats;
-        let ilists: Vec<Vec<NetLists>> = slots_of
-            .into_iter()
-            .enumerate()
-            .map(|(s, slots)| {
-                let (lists, violations) = slots.into_lists();
-                fresh_faults[s].extend(engine::quarantine_slot_violations(violations));
-                lists
-            })
-            .collect();
-
-        // --- Phase C: per-scenario selection + validation ------------
-        let merged_faults: Vec<Vec<Fault>> = fresh_faults
-            .into_iter()
-            .enumerate()
-            .map(|(s, fresh)| {
-                let mut faults: Vec<Fault> = self
-                    .faults
-                    .iter()
-                    .filter(|f| !dirty_of[s][f.victim().index()])
-                    .cloned()
-                    .collect();
-                faults.extend(fresh);
-                faults.sort_by_key(|f| f.victim().index());
-                faults
-            })
-            .collect();
-        let finish_one = |s: usize| -> Result<TopKResult, TopKError> {
-            guard(FaultPhase::Selection, || {
-                let outcome = match self.mode {
-                    Mode::Addition => addition::select(&prepareds[s], k, &ilists[s], &counters[s]),
-                    Mode::Elimination => {
-                        elimination::select(&prepareds[s], k, &ilists[s], &counters[s])
-                    }
-                }?;
-                self.analysis.finish(
-                    self.mode,
-                    k,
-                    &scenarios[s].mask,
-                    &prepareds[s],
-                    outcome,
-                    &merged_faults[s],
-                    sched_stats,
-                    start,
-                )
-            })
-        };
-        let finished: Vec<Result<TopKResult, TopKError>> = if threads <= 1 || scenarios.len() == 1 {
-            (0..scenarios.len()).map(finish_one).collect()
-        } else {
+        // --- Per-scenario selection + validation ---------------------
+        let finish_one =
+            |s: usize| self.analysis.conclude(&prepareds[s], self.k, &swept[s], sched, start);
+        let finished: Vec<Result<TopKResult, TopKError>> = if parallel {
             std::thread::scope(|sp| {
                 let handles: Vec<_> =
                     (0..scenarios.len()).map(|s| sp.spawn(move || finish_one(s))).collect();
                 handles.into_iter().map(|h| join_or_panic(h, FaultPhase::Selection)).collect()
             })
+        } else {
+            (0..scenarios.len()).map(finish_one).collect()
         };
         let results: Vec<TopKResult> = finished.into_iter().collect::<Result<_, _>>()?;
 
-        let group_outcomes: Vec<WhatIfOutcome> = results
-            .into_iter()
-            .enumerate()
-            .map(|(s, result)| {
-                WhatIfOutcome::assemble(
-                    result,
-                    scenarios[s].changed.clone(),
-                    dirty_of[s].clone(),
-                    structural_of[s],
-                    unmasked_of[s],
-                    std::mem::take(&mut certs_of[s]),
-                )
-            })
-            .collect();
-        let outcomes: Vec<WhatIfOutcome> =
-            group_of.iter().map(|&g| group_outcomes[g].clone()).collect();
-        if std::env::var_os("DNA_PROFILE").is_some() {
-            eprintln!(
-                "[profile] whatif batch: {:.2?} ({} scenarios, {} distinct, {} dirty victims, \
-                 {} closure frames shared)",
-                start.elapsed(),
-                stats.scenarios,
-                stats.distinct_scenarios,
-                stats.dirty_victims,
-                stats.closure_frames_shared,
+        let mut evaluated = Vec::with_capacity(scenarios.len());
+        for (s, ((sc, result), swept)) in scenarios.into_iter().zip(results).zip(swept).enumerate()
+        {
+            let outcome = WhatIfOutcome::assemble(
+                result,
+                sc.changed,
+                std::mem::take(&mut dirty_of[s]),
+                structural_of[s],
+                unmasked_of[s],
+                std::mem::take(&mut certs_of[s]),
             );
+            evaluated.push(Evaluated {
+                mask: sc.mask,
+                outcome,
+                swept,
+                semantic: semantic_of[s].take(),
+            });
         }
-        Ok(BatchOutcome { scenarios: outcomes, stats })
+        Ok((evaluated, group_of, stats))
     }
 }
 
@@ -547,7 +463,7 @@ fn join_or_panic<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TopKAnalysis, TopKConfig};
+    use crate::{Mode, TopKAnalysis, TopKConfig};
     use dna_netlist::{CellKind, Circuit, CircuitBuilder, Library};
 
     fn two_cones() -> Circuit {

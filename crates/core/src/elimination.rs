@@ -22,15 +22,11 @@ use dna_waveform::Envelope;
 
 use crate::addition::{EnumerationOutcome, SinkOption};
 use crate::dominance::{irredundant_with_discard, DominanceDirection};
-use crate::engine::{
-    sweep_victims, sweep_victims_subset, Curtailment, NetLists, Prepared, SweepOutput, SweepTotals,
-    VictimCounters, VictimLists,
-};
+use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::enumeration::{
-    self, DeferredPruneCertificate, PruneKind, RoundRank, ANCHOR_TRIES, CULL_MARGIN,
+    DeferredPruneCertificate, PruneKind, RoundRank, ANCHOR_TRIES, CULL_MARGIN,
 };
-use crate::result::Fault;
-use crate::sched::{SchedStats, Slots};
+use crate::sched::Slots;
 use crate::{arena, faultsim, Candidate, CouplingSet, TopKError};
 
 /// Mirror of the addition-side combination breadth.
@@ -65,38 +61,9 @@ struct Event {
     set: CouplingSet,
 }
 
-pub(crate) fn run(
-    p: &Prepared<'_>,
-    k: usize,
-) -> Result<(EnumerationOutcome, Vec<Fault>, SchedStats), TopKError> {
-    let out = sweep(p, k, None)?;
-    let outcome = select(p, k, &out.lists, &out.counters)?;
-    Ok((outcome, out.faults, out.sched))
-}
-
-/// The residual-list sweep on its own — scheduled over the work-stealing
-/// deques, a victim reads only strict-fanin slots (the pseudo-elimination
-/// grouping). With `seeds`, only the flagged dirty victims are recomputed
-/// and the rest are served from the cached lists/counters — the what-if
-/// incremental path.
-pub(crate) fn sweep(
-    p: &Prepared<'_>,
-    k: usize,
-    seeds: Option<(&[NetLists], &[VictimCounters], &[bool])>,
-) -> Result<SweepOutput, TopKError> {
-    let per_victim = per_victim_fn(p, k);
-    match seeds {
-        None => sweep_victims(p, per_victim),
-        Some((lists, counters, dirty)) => {
-            sweep_victims_subset(p, lists, counters, dirty, per_victim)
-        }
-    }
-}
-
-/// The per-victim enumeration as a standalone closure, for drivers that
-/// schedule victims themselves (the batch engine interleaves several
-/// scenarios' victims through one scheduler). The closure's `allowance`
-/// argument is the victim's pre-partitioned budget share.
+/// The per-victim enumeration as a closure for the scenario sweep
+/// ([`crate::engine::sweep`]). The closure's `allowance` argument is the
+/// victim's pre-partitioned budget share.
 pub(crate) fn per_victim_fn<'a>(
     p: &'a Prepared<'_>,
     k: usize,
@@ -151,8 +118,7 @@ fn victim_lists(
     // pipeline would drop this", so culling needs dominance pruning on,
     // the eager reference not forced, and this victim's delay-noise fault
     // hook disarmed (a culled event never computes a delay noise).
-    let culling =
-        p.config.dominance_pruning && !enumeration::eager_mode() && !faultsim::nan_victim_armed(v);
+    let culling = p.config.dominance_pruning && !p.eager() && !faultsim::nan_victim_armed(v);
 
     // Fanin shift carried into this victim by upstream noise: the
     // noisy arrival minus the victim's own injected noise, relative to
@@ -409,10 +375,10 @@ fn victim_lists(
                         );
                         if dominates {
                             bound_culled += 1;
-                            if enumeration::capture_armed() {
+                            if p.captured.is_some() {
                                 let env = member_env.saturating_sub(&atom.removal);
                                 let dn = p.delay_noise_at(v, &env);
-                                enumeration::record(DeferredPruneCertificate {
+                                p.record(DeferredPruneCertificate {
                                     victim: v,
                                     cardinality: i,
                                     event: e,
@@ -434,10 +400,10 @@ fn victim_lists(
                     let stronger = rank.strictly_better_than(lb);
                     if stronger >= cap {
                         bound_culled += 1;
-                        if enumeration::capture_armed() {
+                        if p.captured.is_some() {
                             let env = member_env.saturating_sub(&atom.removal);
                             let dn = p.delay_noise_at(v, &env);
-                            enumeration::record(DeferredPruneCertificate {
+                            p.record(DeferredPruneCertificate {
                                 victim: v,
                                 cardinality: i,
                                 event: e,
@@ -504,7 +470,9 @@ fn victim_lists(
         );
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };
-    Ok(VictimLists { lists, peak_list_width, generated, bound_culled, materialized, curtailment })
+    let counters =
+        VictimCounters { peak_list_width, generated, bound_culled, materialized, curtailment };
+    Ok(VictimLists { lists, counters })
 }
 
 /// Chooses the set minimizing the predicted circuit delay after

@@ -2,16 +2,17 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dna_netlist::{Circuit, CouplingId, NetId, NetSource};
 use dna_noise::{envelope_calc, CouplingMask, NoiseAnalysis, NoiseReport};
 use dna_sta::{NetTiming, TimingReport};
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, TimeInterval, Transition};
 
+use crate::enumeration::{self, DeferredPruneCertificate};
 use crate::result::{Fault, FaultPhase};
 use crate::sched::{self, BudgetPartition, SchedStats, Slots};
-use crate::{faultsim, Candidate, TopKConfig, TopKError};
+use crate::{addition, elimination, faultsim, Candidate, TopKConfig, TopKError};
 
 /// Couplings in a net's fanin cone ranked by the delay noise each can add
 /// to that net's arrival, descending. `Arc`, not `Rc`: the memo is shared
@@ -136,7 +137,6 @@ impl PrimaryInfo {
 pub(crate) struct Prepared<'c> {
     pub circuit: &'c Circuit,
     pub config: TopKConfig,
-    #[allow(dead_code)]
     pub mode: Mode,
     /// Noiseless timing (victim transitions are always measured here).
     pub base: TimingReport,
@@ -169,6 +169,13 @@ pub(crate) struct Prepared<'c> {
     /// ranking is a pure function of immutable state, so whichever worker
     /// initializes the slot writes the same value.
     wideners: Vec<OnceLock<RankedWideners>>,
+    /// The prune audit's enumeration path for sweeps of this world alone:
+    /// `Some(true)` eager, `Some(false)` lazy, `None` the process-wide
+    /// switch ([`enumeration::eager_mode`]).
+    pub enum_path: Option<bool>,
+    /// Set by the prune audit: every bound-first cull of a sweep of this
+    /// world records its certificate here.
+    pub captured: Option<Mutex<Vec<DeferredPruneCertificate>>>,
 }
 
 impl<'c> Prepared<'c> {
@@ -317,7 +324,22 @@ impl<'c> Prepared<'c> {
             shift_bound,
             mask,
             wideners: (0..circuit.num_nets()).map(|_| OnceLock::new()).collect(),
+            enum_path: None,
+            captured: None,
         })
+    }
+
+    /// Whether sweeps of this world take the eager reference path.
+    pub fn eager(&self) -> bool {
+        self.enum_path.unwrap_or_else(enumeration::eager_mode)
+    }
+
+    /// Records a deferred-prune certificate when the prune audit captures
+    /// this world's culls.
+    pub fn record(&self, cert: DeferredPruneCertificate) {
+        if let Some(captured) = &self.captured {
+            captured.lock().unwrap_or_else(PoisonError::into_inner).push(cert);
+        }
     }
 
     /// Delay noise `envelope` produces on `victim`'s noiseless transition.
@@ -479,16 +501,8 @@ pub(crate) struct VictimLists {
     /// `lists[i]` = irredundant list of cardinality `i` (index 0 = the
     /// empty / total baseline set).
     pub lists: Vec<Vec<Candidate>>,
-    /// Largest irredundant-list width at this victim.
-    pub peak_list_width: usize,
-    /// Candidates generated at this victim before pruning.
-    pub generated: usize,
-    /// Candidates admitted by bound only, never materialized.
-    pub bound_culled: usize,
-    /// Candidates whose envelope was actually built.
-    pub materialized: usize,
-    /// Whether (and how) a budget curtailed this victim.
-    pub curtailment: Curtailment,
+    /// The victim's enumeration counters.
+    pub counters: VictimCounters,
 }
 
 impl VictimLists {
@@ -496,14 +510,7 @@ impl VictimLists {
     /// fault or skipped by an exhausted budget. Sound downstream — every
     /// consumer treats a missing list as "no candidates here".
     fn empty(curtailment: Curtailment) -> Self {
-        Self {
-            lists: Vec::new(),
-            peak_list_width: 0,
-            generated: 0,
-            bound_culled: 0,
-            materialized: 0,
-            curtailment,
-        }
+        Self { lists: Vec::new(), counters: VictimCounters { curtailment, ..Default::default() } }
     }
 }
 
@@ -519,14 +526,49 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Everything one enumeration sweep produced: per-victim I-lists and
-/// counters (indexed by net), the victims quarantined by fault
-/// isolation, plus the scheduler's load counters.
-pub(crate) struct SweepOutput {
+/// Per-victim sweep state, indexed by net: irredundant lists, enumeration
+/// counters and the fault quarantines (sorted by victim). A sweep reads a
+/// cached copy and returns a fresh one; a full run starts from
+/// [`Swept::empty`].
+pub(crate) struct Swept {
     pub lists: Vec<NetLists>,
     pub counters: Vec<VictimCounters>,
     pub faults: Vec<Fault>,
-    pub sched: SchedStats,
+}
+
+impl Swept {
+    /// The cache of a circuit nothing has been swept on yet.
+    pub fn empty(nets: usize) -> Self {
+        Self {
+            lists: vec![NetLists::default(); nets],
+            counters: vec![VictimCounters::default(); nets],
+            faults: Vec::new(),
+        }
+    }
+}
+
+/// One scenario of a [`sweep`]: a prepared world, the cached state of an
+/// earlier sweep, and the victims to recompute. Every victim not flagged
+/// in `dirty` is served from the cache.
+pub(crate) struct Scenario<'s, 'c> {
+    pub prepared: &'s Prepared<'c>,
+    pub lists: &'s [NetLists],
+    pub counters: &'s [VictimCounters],
+    pub faults: &'s [Fault],
+    pub dirty: &'s [bool],
+}
+
+impl<'s, 'c> Scenario<'s, 'c> {
+    /// A scenario re-sweeping the `dirty` victims of `cache`.
+    pub fn cached(prepared: &'s Prepared<'c>, cache: &'s Swept, dirty: &'s [bool]) -> Self {
+        Self {
+            prepared,
+            lists: &cache.lists,
+            counters: &cache.counters,
+            faults: &cache.faults,
+            dirty,
+        }
+    }
 }
 
 /// Runs one victim under the fault boundary: the pre-partitioned skip
@@ -535,16 +577,13 @@ pub(crate) struct SweepOutput {
 /// of aborting the sweep — stolen or not, a task's blast radius is its
 /// own victim. `skip` and `allowance` are the victim's budget share from
 /// [`BudgetPartition`], fixed before the sweep started.
-pub(crate) fn run_one<F>(
+fn run_one(
     v: NetId,
     ilists: &Slots,
     skip: bool,
     allowance: usize,
-    per_victim: &F,
-) -> (VictimLists, Option<Fault>)
-where
-    F: Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync,
-{
+    per_victim: &PerVictim<'_>,
+) -> (VictimLists, Option<Fault>) {
     if skip {
         return (VictimLists::empty(Curtailment::Skipped), None);
     }
@@ -570,119 +609,102 @@ where
     }
 }
 
-/// LPT cost estimate of one victim's enumeration: the cached
-/// generated-candidate count when a what-if session has one, the
-/// primary-aggressor count otherwise. Costs steer only the scheduler's
-/// seeding — they can never affect a single output bit.
-pub(crate) fn cost_estimate(p: &Prepared<'_>, seed_counters: &[VictimCounters], v: NetId) -> u64 {
-    let cached = seed_counters[v.index()].generated;
-    if cached > 0 {
-        cached as u64
-    } else {
-        p.primaries[v.index()].len() as u64 + 1
-    }
-}
+/// The per-victim enumeration of one scenario, boxed so both modes fit
+/// one array (dispatch cost is noise next to envelope algebra).
+type PerVictim<'p> =
+    Box<dyn Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync + 'p>;
 
-/// Runs `per_victim` over every net, respecting fanin dependencies, and
-/// collects the per-victim I-lists plus per-victim counters.
+/// The scenario sweep: builds the irredundant lists of every dirty victim
+/// of every scenario, serving clean victims from each scenario's cache,
+/// and returns each scenario's merged state plus the scheduler counters.
 ///
-/// A victim's work may read the published lists of nets in its strict
-/// fanin cone only (pseudo atoms) — never siblings. The sweep therefore
-/// runs on the deterministic work-stealing scheduler ([`crate::sched`]):
-/// per-victim tasks with edges for exactly the driver-gate inputs,
-/// victim-indexed write-once result slots ([`Slots`]), and budgets
-/// pre-partitioned per victim ([`BudgetPartition`]) — so serial and
-/// parallel paths are bit-identical *including* under global budgets, at
-/// any thread count and any steal order.
+/// A full run is one all-dirty scenario over [`Swept::empty`]; a what-if
+/// apply, a batch of what-ifs and a peel round are scenarios over cached
+/// state. A victim's work reads the published lists of its strict fanin
+/// only (pseudo atoms), never siblings or another scenario's nets, so
+/// every (scenario, victim) pair is one task on the deterministic
+/// work-stealing scheduler ([`crate::sched`]): edges for exactly the
+/// driver-gate inputs that are themselves dirty, victim-indexed
+/// write-once result slots per scenario ([`Slots`]), and one budget
+/// partition per scenario over its dirty set in victim-index order
+/// ([`BudgetPartition`]). Clean victims consume no share.
+///
+/// Identity: provided each scenario's dirty set covers every victim whose
+/// enumeration inputs changed since its cache was swept (the dirty
+/// closure guarantees this), clean victims' cached lists equal a
+/// from-scratch sweep's, dirty victims read bit-identical fanin lists,
+/// and each scenario's output is bit-identical to a full sweep of its
+/// prepared world alone — at any thread count and steal order, because
+/// the per-victim function is pure, the slots are disjoint and the budget
+/// shares are fixed up front. (A global candidate budget is the one
+/// exception: a scenario charges only its dirty victims, so its pool
+/// stretches further than a full sweep's.)
 ///
 /// Every victim runs inside [`run_one`]'s fault boundary; a failed victim
-/// lands in [`SweepOutput::faults`] instead of aborting the sweep. The
-/// sweep itself only errs when the harness breaks (a worker dying outside
-/// the per-victim boundary).
-pub(crate) fn sweep_victims<F>(p: &Prepared<'_>, per_victim: F) -> Result<SweepOutput, TopKError>
-where
-    F: Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync,
-{
-    let n = p.circuit.num_nets();
-    let seed_lists: Vec<NetLists> = vec![NetLists::default(); n];
-    let seed_counters = vec![VictimCounters::default(); n];
-    let dirty = vec![true; n];
-    sweep_victims_subset(p, &seed_lists, &seed_counters, &dirty, per_victim)
-}
+/// lands in its scenario's faults instead of aborting the sweep. Those
+/// merge with the cached faults of the scenario's clean victims, sorted
+/// by victim. The sweep itself only errs when the harness breaks (a
+/// worker dying outside the per-victim boundary).
+pub(crate) fn sweep(
+    scenarios: &[Scenario<'_, '_>],
+    k: usize,
+) -> Result<(Vec<Swept>, SchedStats), TopKError> {
+    let Some(first) = scenarios.first() else {
+        return Ok((Vec::new(), SchedStats::default()));
+    };
+    let circuit = first.prepared.circuit;
+    let per_victims: Vec<PerVictim<'_>> = scenarios
+        .iter()
+        .map(|sc| match sc.prepared.mode {
+            Mode::Addition => Box::new(addition::per_victim_fn(sc.prepared, k)) as PerVictim<'_>,
+            Mode::Elimination => Box::new(elimination::per_victim_fn(sc.prepared, k)),
+        })
+        .collect();
 
-/// Like [`sweep_victims`], but recomputes only the nets flagged in
-/// `dirty`, serving everyone else's lists and counters from the cached
-/// `seed_lists` / `seed_counters` (cheap `Arc` clones, pre-published
-/// into the slot board).
-///
-/// This is the incremental core of what-if sessions: provided every net
-/// whose enumeration inputs changed is flagged dirty (the session's
-/// dirty-closure guarantees this), clean nets' cached lists equal what a
-/// from-scratch sweep would compute, so dirty victims read bit-identical
-/// fanin lists and the merged output is bit-identical to a full sweep —
-/// at any thread count, because the per-victim function is pure, the
-/// slots are disjoint, and the budget shares are fixed up front over the
-/// dirty set in victim-index order.
-pub(crate) fn sweep_victims_subset<F>(
-    p: &Prepared<'_>,
-    seed_lists: &[NetLists],
-    seed_counters: &[VictimCounters],
-    dirty: &[bool],
-    per_victim: F,
-) -> Result<SweepOutput, TopKError>
-where
-    F: Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync,
-{
-    let circuit = p.circuit;
-    debug_assert_eq!(seed_lists.len(), circuit.num_nets());
-    debug_assert_eq!(seed_counters.len(), circuit.num_nets());
-    debug_assert_eq!(dirty.len(), circuit.num_nets());
-    let mut counters: Vec<VictimCounters> = seed_counters.to_vec();
-    if !dirty.iter().any(|&d| d) {
-        // Nothing to sweep: cached lists and counters pass through, and
-        // budgets are untouched — incremental sweeps charge only the
-        // work they actually do.
-        return Ok(SweepOutput {
-            lists: seed_lists.to_vec(),
-            counters,
-            faults: Vec::new(),
-            sched: SchedStats::default(),
-        });
-    }
-
-    // Budget ranks: dirty victims in victim-index order, a pure function
-    // of (config, dirty set) — the schedule can never move a share.
-    let mut rank_of = vec![usize::MAX; circuit.num_nets()];
-    let mut work = 0usize;
-    for v in circuit.net_ids() {
-        if dirty[v.index()] {
-            rank_of[v.index()] = work;
-            work += 1;
+    // Budget ranks: each scenario's dirty victims in victim-index order, a
+    // pure function of (config, dirty set) — the schedule can never move
+    // a share.
+    let mut rank_of: Vec<Vec<usize>> = Vec::with_capacity(scenarios.len());
+    let mut partitions: Vec<BudgetPartition> = Vec::with_capacity(scenarios.len());
+    for sc in scenarios {
+        let mut ranks = vec![usize::MAX; sc.dirty.len()];
+        let mut work = 0usize;
+        for (i, &d) in sc.dirty.iter().enumerate() {
+            if d {
+                ranks[i] = work;
+                work += 1;
+            }
         }
+        rank_of.push(ranks);
+        partitions.push(BudgetPartition::new(&sc.prepared.config, work));
     }
-    let partition = BudgetPartition::new(&p.config, work);
 
-    // Tasks in topological order (so the serial reference path is a
-    // plain loop), with dependency edges for exactly the driver-gate
-    // inputs that are themselves being recomputed.
-    let order: Vec<NetId> =
-        circuit.nets_topological().iter().copied().filter(|v| dirty[v.index()]).collect();
-    let mut task_of = vec![usize::MAX; circuit.num_nets()];
-    for (t, v) in order.iter().enumerate() {
-        task_of[v.index()] = t;
+    // Tasks scenario-major, each scenario's victims in topological order
+    // (so the serial reference path is a plain loop and dependency edges,
+    // which never cross scenarios, always point forward).
+    let mut order: Vec<(usize, NetId)> = Vec::new();
+    let mut task_of: Vec<Vec<usize>> =
+        scenarios.iter().map(|sc| vec![usize::MAX; sc.dirty.len()]).collect();
+    for (s, sc) in scenarios.iter().enumerate() {
+        for &v in circuit.nets_topological() {
+            if sc.dirty[v.index()] {
+                task_of[s][v.index()] = order.len();
+                order.push((s, v));
+            }
+        }
     }
     let mut tasks: Vec<sched::Task> = order
         .iter()
-        .map(|&v| sched::Task {
+        .map(|&(s, v)| sched::Task {
             dependents: Vec::new(),
             indegree: 0,
-            cost: cost_estimate(p, seed_counters, v),
+            cost: cost_estimate(scenarios[s].prepared, scenarios[s].counters, v),
         })
         .collect();
-    for (t, &v) in order.iter().enumerate() {
+    for (t, &(s, v)) in order.iter().enumerate() {
         if let NetSource::Gate(g) = circuit.net(v).source() {
             for &u in circuit.gate(g).inputs() {
-                let d = task_of[u.index()];
+                let d = task_of[s][u.index()];
                 if d != usize::MAX {
                     tasks[d].dependents.push(t);
                     tasks[t].indegree += 1;
@@ -691,22 +713,16 @@ where
         }
     }
 
-    let threads = p.config.effective_threads();
+    let threads = first.prepared.config.effective_threads();
     let parallel = threads > 1 && tasks.len() > 1;
     let corrupt_slot = faultsim::corrupt_sched_slot();
-    let slots = Slots::from_seeds(seed_lists, dirty);
-    let exec = |t: usize| {
-        let v = order[t];
-        let (skip_share, allowance) = partition.share(rank_of[v.index()]);
-        let skip = skip_share || partition.expired();
-        let (out, fault) = run_one(v, &slots, skip, allowance, &per_victim);
-        let counters = VictimCounters {
-            peak_list_width: out.peak_list_width,
-            generated: out.generated,
-            bound_culled: out.bound_culled,
-            materialized: out.materialized,
-            curtailment: out.curtailment,
-        };
+    let slots: Vec<Slots> =
+        scenarios.iter().map(|sc| Slots::from_seeds(sc.lists, sc.dirty)).collect();
+    let (done, sched) = sched::execute(&tasks, threads, |t| {
+        let (s, v) = order[t];
+        let (skip_share, allowance) = partitions[s].share(rank_of[s][v.index()]);
+        let skip = skip_share || partitions[s].expired();
+        let (out, fault) = run_one(v, &slots[s], skip, allowance, &per_victims[s]);
         // Fault-sim hook for the L060 audit: corrupt the parallel
         // scheduler's published slot (never the serial replay's) so the
         // slot comparison has something real to catch.
@@ -715,28 +731,60 @@ where
         // Fault-sim hook for the quarantine path: a dropped publication
         // leaves a hole for `into_lists` to detect and degrade on.
         if faultsim::drop_sched_publish() != Some(v.index()) {
-            slots.publish(v, Arc::new(lists));
+            slots[s].publish(v, Arc::new(lists));
         }
-        (v, counters, fault)
-    };
-    let (done, sched) = sched::execute(&tasks, threads, exec)?;
-    let mut faults: Vec<Fault> = Vec::new();
-    for (v, c, fault) in done {
-        counters[v.index()] = c;
-        faults.extend(fault);
+        (s, v, out.counters, fault)
+    })?;
+
+    // Clean victims keep their cached faults (their cached empty lists
+    // came from those quarantines); dirty victims report fresh ones.
+    let mut swept: Vec<Swept> = scenarios
+        .iter()
+        .map(|sc| Swept {
+            lists: Vec::new(),
+            counters: sc.counters.to_vec(),
+            faults: sc.faults.iter().filter(|f| !sc.dirty[f.victim().index()]).cloned().collect(),
+        })
+        .collect();
+    for (s, v, counters, fault) in done {
+        swept[s].counters[v.index()] = counters;
+        swept[s].faults.extend(fault);
     }
-    let (lists, violations) = slots.into_lists();
-    faults.extend(quarantine_slot_violations(violations));
-    faults.sort_by_key(|f| f.victim().index());
-    Ok(SweepOutput { lists, counters, faults, sched })
+    for (out, slots) in swept.iter_mut().zip(slots) {
+        let (lists, violations) = slots.into_lists();
+        out.lists = lists;
+        out.faults.extend(quarantine_slot_violations(violations));
+        out.faults.sort_by_key(|f| f.victim().index());
+    }
+    Ok((swept, sched))
+}
+
+/// A from-scratch sweep of one prepared world: one all-dirty scenario
+/// over an empty cache.
+pub(crate) fn sweep_full(p: &Prepared<'_>, k: usize) -> Result<(Swept, SchedStats), TopKError> {
+    let n = p.circuit.num_nets();
+    let (empty, dirty) = (Swept::empty(n), vec![true; n]);
+    let (mut swept, sched) = sweep(&[Scenario::cached(p, &empty, &dirty)], k)?;
+    Ok((swept.pop().expect("one scenario in, one out"), sched))
+}
+
+/// LPT cost estimate of one victim's enumeration: the cached
+/// generated-candidate count when a what-if session has one, the
+/// primary-aggressor count otherwise. Costs steer only the scheduler's
+/// seeding — they can never affect a single output bit.
+fn cost_estimate(p: &Prepared<'_>, seed_counters: &[VictimCounters], v: NetId) -> u64 {
+    let cached = seed_counters[v.index()].generated;
+    if cached > 0 {
+        cached as u64
+    } else {
+        p.primaries[v.index()].len() as u64 + 1
+    }
 }
 
 /// Converts the typed slot violations a sweep's `into_lists` surfaced
 /// into per-victim quarantine [`Fault`]s: the victim keeps empty lists
 /// (a sound lower bound), the result degrades, the process lives.
-pub(crate) fn quarantine_slot_violations(
-    violations: Vec<TopKError>,
-) -> impl Iterator<Item = Fault> {
+fn quarantine_slot_violations(violations: Vec<TopKError>) -> impl Iterator<Item = Fault> {
     violations.into_iter().map(|e| {
         let victim = match &e {
             TopKError::SchedulerInvariant { victim, .. } => *victim,

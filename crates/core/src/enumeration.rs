@@ -1,8 +1,8 @@
-//! Lazy-envelope enumeration support: the eager/lazy mode switch, the
+//! Lazy-envelope enumeration support: the eager/lazy mode switch and the
 //! machine-checkable [`DeferredPruneCertificate`]s behind every bound-first
-//! cull, and the capture registry that feeds
-//! [`TopKAnalysis::prune_audit`](crate::TopKAnalysis::prune_audit) and lint
-//! rule **L080**.
+//! cull, which
+//! [`TopKAnalysis::prune_audit`](crate::TopKAnalysis::prune_audit) captures
+//! from its own sweeps and lint rule **L080** re-verifies.
 //!
 //! # The two-phase admission scheme
 //!
@@ -36,8 +36,7 @@
 //! argument is spelled out in DESIGN.md §18.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use dna_netlist::NetId;
 use dna_waveform::Envelope;
@@ -122,8 +121,9 @@ pub enum PruneKind {
 /// A machine-checkable record of one bound-first cull: which candidate
 /// was never materialized, the sound bound that refuted it, and the
 /// survivor (or beam window) that makes the cull invisible in the final
-/// lists. Captured only while an audit has the registry armed — the hot
-/// path pays nothing otherwise — and re-derived from scratch by
+/// lists. Captured only by the prune audit's own sweeps (into their
+/// `Prepared` world) — the hot path pays nothing otherwise — and
+/// re-derived from scratch by
 /// [`TopKAnalysis::prune_audit`](crate::TopKAnalysis::prune_audit) (lint
 /// rule L080): the culled envelope is re-materialized, its true delay
 /// noise is checked against the recorded bound, the claimed dominance is
@@ -151,40 +151,6 @@ pub struct DeferredPruneCertificate {
     pub culled_delay_noise: f64,
     /// The refutation.
     pub kind: PruneKind,
-}
-
-// --- Capture registry -----------------------------------------------
-
-static CAPTURE_ARMED: AtomicBool = AtomicBool::new(false);
-static CAPTURED: Mutex<Vec<DeferredPruneCertificate>> = Mutex::new(Vec::new());
-
-/// Whether an audit is collecting certificates (hot-path check: one
-/// relaxed atomic load per round).
-pub(crate) fn capture_armed() -> bool {
-    CAPTURE_ARMED.load(Ordering::Relaxed)
-}
-
-/// Arms the capture registry, clearing any stale certificates.
-pub(crate) fn arm_capture() {
-    CAPTURED.lock().expect("capture registry poisoned").clear();
-    CAPTURE_ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Disarms the registry and drains the captured certificates, sorted by
-/// (victim, cardinality, event) — workers push concurrently, so the raw
-/// collection order is schedule-dependent.
-pub(crate) fn drain_capture() -> Vec<DeferredPruneCertificate> {
-    CAPTURE_ARMED.store(false, Ordering::SeqCst);
-    let mut certs = std::mem::take(&mut *CAPTURED.lock().expect("capture registry poisoned"));
-    certs.sort_by(|a, b| {
-        (a.victim.index(), a.cardinality, a.event).cmp(&(b.victim.index(), b.cardinality, b.event))
-    });
-    certs
-}
-
-/// Records one certificate (capture-armed runs only).
-pub(crate) fn record(cert: DeferredPruneCertificate) {
-    CAPTURED.lock().expect("capture registry poisoned").push(cert);
 }
 
 // --- Round bookkeeping ----------------------------------------------

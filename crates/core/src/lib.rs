@@ -104,7 +104,7 @@ use std::time::Instant;
 use dna_netlist::Circuit;
 use dna_noise::{CouplingMask, NoiseAnalysis};
 
-use engine::Prepared;
+use engine::{Prepared, Scenario, Swept};
 
 /// Runs `f` inside a panic boundary for an engine phase that cannot be
 /// isolated to one victim: an escaping panic is contained and converted
@@ -144,9 +144,7 @@ fn validate_circuit_finite(circuit: &Circuit) -> Result<(), TopKError> {
 /// Valid only for the mask and round budget it was computed under —
 /// the loop drops it when the budget shrinks.
 struct PeelCache {
-    lists: Vec<engine::NetLists>,
-    counters: Vec<engine::VictimCounters>,
-    faults: Vec<Fault>,
+    swept: Swept,
     budget: usize,
     mask: CouplingMask,
     removed: Vec<dna_netlist::CouplingId>,
@@ -320,57 +318,37 @@ impl<'c> TopKAnalysis<'c> {
                     mask.clone(),
                 )
             })?;
-            let (outcome, lists, counters, round_faults, round_sched) =
-                guard(FaultPhase::Selection, || {
-                    let (out, merged) = match cache.take() {
-                        Some(rc) if rc.budget == budget && !rc.removed.is_empty() => {
-                            let mut seeds: Vec<dna_netlist::NetId> =
-                                Vec::with_capacity(rc.removed.len() * 2);
-                            for &cc in &rc.removed {
-                                let ends = self.circuit.coupling(cc);
-                                seeds.push(ends.a());
-                                seeds.push(ends.b());
-                            }
-                            // This round only removed couplings, so the
-                            // previous round's mask is the `old ∪ new`
-                            // adjacency predicate of the dirty closure.
-                            let dirty = self
-                                .circuit
-                                .dirty_closure_filtered(&seeds, |id| rc.mask.is_enabled(id));
-                            let out = elimination::sweep(
-                                &prepared,
-                                budget,
-                                Some((&rc.lists, &rc.counters, &dirty)),
-                            )?;
-                            let mut merged: Vec<Fault> = rc
-                                .faults
-                                .iter()
-                                .filter(|f| !dirty[f.victim().index()])
-                                .cloned()
-                                .collect();
-                            merged.extend(out.faults.iter().cloned());
-                            merged.sort_by_key(|f| f.victim().index());
-                            (out, merged)
-                        }
-                        _ => {
-                            let out = elimination::sweep(&prepared, budget, None)?;
-                            let merged = out.faults.clone();
-                            (out, merged)
-                        }
-                    };
-                    let outcome =
-                        elimination::select(&prepared, budget, &out.lists, &out.counters)?;
-                    Ok((outcome, out.lists, out.counters, merged, out.sched))
-                })?;
+            // Same-budget rounds re-sweep only the dirty closure of the
+            // couplings the previous round peeled; the first round, and a
+            // round whose budget shrank, sweep everything.
+            let n = self.circuit.num_nets();
+            let (cached, dirty) = match cache.take() {
+                Some(rc) if rc.budget == budget && !rc.removed.is_empty() => {
+                    let mut seeds: Vec<dna_netlist::NetId> =
+                        Vec::with_capacity(rc.removed.len() * 2);
+                    for &cc in &rc.removed {
+                        let ends = self.circuit.coupling(cc);
+                        seeds.push(ends.a());
+                        seeds.push(ends.b());
+                    }
+                    // This round only removed couplings, so the previous
+                    // round's mask is the `old ∪ new` adjacency predicate
+                    // of the dirty closure.
+                    let dirty =
+                        self.circuit.dirty_closure_filtered(&seeds, |id| rc.mask.is_enabled(id));
+                    (rc.swept, dirty)
+                }
+                _ => (Swept::empty(n), vec![true; n]),
+            };
+            let (outcome, swept, round_sched) = guard(FaultPhase::Selection, || {
+                let (mut out, sched) =
+                    engine::sweep(&[Scenario::cached(&prepared, &cached, &dirty)], budget)?;
+                let swept = out.pop().expect("one scenario in, one out");
+                let outcome =
+                    elimination::select(&prepared, budget, &swept.lists, &swept.counters)?;
+                Ok((outcome, swept, sched))
+            })?;
             sched_total.merge(&round_sched);
-            cache = Some(PeelCache {
-                lists,
-                counters,
-                faults: round_faults.clone(),
-                budget,
-                mask: mask.clone(),
-                removed: Vec::new(),
-            });
             peak_list_width = peak_list_width.max(outcome.totals.peak_list_width);
             generated += outcome.totals.generated;
             stats.bound_culled += outcome.totals.bound_culled;
@@ -380,11 +358,12 @@ impl<'c> TopKAnalysis<'c> {
             // one fault per victim.
             stats.truncated_victims = stats.truncated_victims.max(outcome.totals.truncated_victims);
             stats.skipped_victims = stats.skipped_victims.max(outcome.totals.skipped_victims);
-            for f in round_faults {
+            for f in &swept.faults {
                 if !faults.iter().any(|g| g.victim() == f.victim()) {
-                    faults.push(f);
+                    faults.push(f.clone());
                 }
             }
+            cache = Some(PeelCache { swept, budget, mask: mask.clone(), removed: Vec::new() });
 
             // Measure each option under the current mask; commit the best.
             let mut best: Option<(f64, f64, &CouplingSet, dna_netlist::NetId)> = None;
@@ -478,8 +457,12 @@ impl<'c> TopKAnalysis<'c> {
                     mask.clone(),
                 )
             })?;
-            let (outcome, round_faults, round_sched) =
-                guard(FaultPhase::Selection, || elimination::run(&prepared, budget))?;
+            let (outcome, round_faults, round_sched) = guard(FaultPhase::Selection, || {
+                let (swept, sched) = engine::sweep_full(&prepared, budget)?;
+                let outcome =
+                    elimination::select(&prepared, budget, &swept.lists, &swept.counters)?;
+                Ok((outcome, swept.faults, sched))
+            })?;
             sched_total.merge(&round_sched);
             peak_list_width = peak_list_width.max(outcome.totals.peak_list_width);
             generated += outcome.totals.generated;
@@ -552,34 +535,27 @@ impl<'c> TopKAnalysis<'c> {
         k: usize,
         mask: &CouplingMask,
     ) -> Result<TopKResult, TopKError> {
-        self.run_seeded(mode, k, mask, None).map(|(result, ..)| result)
+        self.run_swept(mode, k, mask).map(|(result, _)| result)
     }
 
-    /// The full run pipeline with the sweep stage split out, so a what-if
-    /// session can both harvest the per-victim lists/counters (and fault
-    /// quarantines) for its cache and feed them back (with dirty flags) on
-    /// the next apply.
+    /// The full run pipeline, also handing back the per-victim sweep state
+    /// a what-if session caches.
     ///
     /// Timing preparation and sink selection run inside phase-level panic
     /// boundaries (they cannot be isolated to one victim); the enumeration
     /// sweep carries its own per-victim boundary.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run_seeded(
+    pub(crate) fn run_swept(
         &self,
         mode: Mode,
         k: usize,
         mask: &CouplingMask,
-        seeds: Option<(&[engine::NetLists], &[engine::VictimCounters], &[Fault], &[bool])>,
-    ) -> Result<
-        (TopKResult, Vec<engine::NetLists>, Vec<engine::VictimCounters>, Vec<Fault>),
-        TopKError,
-    > {
+    ) -> Result<(TopKResult, Swept), TopKError> {
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
         let start = Instant::now();
         let prepared = self.prepare(mode, mask)?;
-        self.run_prepared(&prepared, k, seeds, start)
+        self.run_prepared(&prepared, k, start)
     }
 
     /// The preparation front half of a run: input validation plus the
@@ -602,47 +578,47 @@ impl<'c> TopKAnalysis<'c> {
         Ok(prepared)
     }
 
-    /// The sweep/select back half of a run over an already-prepared
+    /// The sweep/select back half of a full run over an already-prepared
     /// state. `start` anchors the reported runtime (callers pass the
     /// instant the whole run began).
-    #[allow(clippy::type_complexity)]
     pub(crate) fn run_prepared(
         &self,
         prepared: &Prepared<'_>,
         k: usize,
-        seeds: Option<(&[engine::NetLists], &[engine::VictimCounters], &[Fault], &[bool])>,
         start: Instant,
-    ) -> Result<
-        (TopKResult, Vec<engine::NetLists>, Vec<engine::VictimCounters>, Vec<Fault>),
-        TopKError,
-    > {
-        let mode = prepared.mode;
+    ) -> Result<(TopKResult, Swept), TopKError> {
         let enum_start = Instant::now();
-        let sweep_seeds = seeds.map(|(lists, counters, _, dirty)| (lists, counters, dirty));
-        let out = match mode {
-            Mode::Addition => addition::sweep(prepared, k, sweep_seeds),
-            Mode::Elimination => elimination::sweep(prepared, k, sweep_seeds),
-        }?;
-        // Merge quarantines: clean victims keep their cached faults (their
-        // cached empty lists came from those quarantines), dirty victims
-        // report this sweep's fresh ones.
-        let mut faults: Vec<Fault> = Vec::new();
-        if let Some((_, _, seed_faults, dirty)) = seeds {
-            faults.extend(seed_faults.iter().filter(|f| !dirty[f.victim().index()]).cloned());
+        let (swept, sched) = engine::sweep_full(prepared, k)?;
+        if std::env::var_os("DNA_PROFILE").is_some() {
+            eprintln!("[profile] enumerate: {:.2?}", enum_start.elapsed());
         }
-        faults.extend(out.faults);
-        faults.sort_by_key(|f| f.victim().index());
-        let result = guard(FaultPhase::Selection, || {
-            let outcome = match mode {
-                Mode::Addition => addition::select(prepared, k, &out.lists, &out.counters),
-                Mode::Elimination => elimination::select(prepared, k, &out.lists, &out.counters),
-            }?;
-            if std::env::var_os("DNA_PROFILE").is_some() {
-                eprintln!("[profile] enumerate: {:.2?}", enum_start.elapsed());
-            }
-            self.finish(mode, k, &prepared.mask, prepared, outcome, &faults, out.sched, start)
-        })?;
-        Ok((result, out.lists, out.counters, faults))
+        let result = self.conclude(prepared, k, &swept, sched, start)?;
+        Ok((result, swept))
+    }
+
+    /// A from-scratch sweep under the full mask at `threads` workers,
+    /// without selection: the replay the scheduler and prune audits
+    /// compare. `eager` forces the enumeration path of this sweep alone;
+    /// a forced lazy sweep also returns its deferred-prune certificates,
+    /// sorted by (victim, cardinality, event) since workers record them in
+    /// schedule order.
+    fn sweep_at(
+        &self,
+        mode: Mode,
+        k: usize,
+        threads: usize,
+        eager: Option<bool>,
+    ) -> Result<(Swept, Vec<DeferredPruneCertificate>), TopKError> {
+        let analysis = TopKAnalysis::new(self.circuit, TopKConfig { threads, ..self.config });
+        let mut prepared = analysis.prepare(mode, &CouplingMask::all(self.circuit))?;
+        prepared.enum_path = eager;
+        prepared.captured = (eager == Some(false)).then(Default::default);
+        let (swept, _) = engine::sweep_full(&prepared, k)?;
+        let mut certs = prepared.captured.take().map_or_else(Vec::new, |c| {
+            c.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
+        });
+        certs.sort_by_key(|c| (c.victim.index(), c.cardinality, c.event));
+        Ok((swept, certs))
     }
 
     /// Independently re-derives the corridor prover's conclusion for a
@@ -695,23 +671,8 @@ impl<'c> TopKAnalysis<'c> {
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
-        let mask = CouplingMask::all(self.circuit);
-        let run_at = |threads: usize| -> Result<
-            (Vec<engine::NetLists>, Vec<engine::VictimCounters>),
-            TopKError,
-        > {
-            let mut config = self.config;
-            config.threads = threads;
-            let analysis = TopKAnalysis::new(self.circuit, config);
-            let prepared = analysis.prepare(mode, &mask)?;
-            let out = match mode {
-                Mode::Addition => addition::sweep(&prepared, k, None),
-                Mode::Elimination => elimination::sweep(&prepared, k, None),
-            }?;
-            Ok((out.lists, out.counters))
-        };
-        let (par_lists, par_counters) = run_at(self.config.effective_threads().max(2))?;
-        let (ser_lists, ser_counters) = run_at(1)?;
+        let (par, _) = self.sweep_at(mode, k, self.config.effective_threads().max(2), None)?;
+        let (ser, _) = self.sweep_at(mode, k, 1, None)?;
 
         let n = self.circuit.num_nets();
         // The audit re-derives the shares itself: a full sweep's work set
@@ -719,7 +680,7 @@ impl<'c> TopKAnalysis<'c> {
         let partition = sched::BudgetPartition::new(&self.config, n);
         let mut audit = SchedAudit { checked_victims: n, ..SchedAudit::default() };
         for i in 0..n {
-            if *par_lists[i] != *ser_lists[i] || par_counters[i] != ser_counters[i] {
+            if *par.lists[i] != *ser.lists[i] || par.counters[i] != ser.counters[i] {
                 audit.mismatched_slots.push(i);
             }
             // Share consistency: a victim is Skipped exactly when its
@@ -727,7 +688,7 @@ impl<'c> TopKAnalysis<'c> {
             // budget that is wall-clock dependent by definition).
             if self.config.deadline.is_none() {
                 let (skip, _) = partition.share(i);
-                let violates = [&par_counters[i], &ser_counters[i]]
+                let violates = [&par.counters[i], &ser.counters[i]]
                     .iter()
                     .any(|c| (c.curtailment == engine::Curtailment::Skipped) != skip);
                 if violates {
@@ -738,7 +699,7 @@ impl<'c> TopKAnalysis<'c> {
         Ok(audit)
     }
 
-    /// Runs a **lazy** sweep with the certificate registry armed, then an
+    /// Runs a **lazy** sweep that captures its certificates, then an
     /// **eager** reference sweep, and verifies (a) the two sweeps'
     /// published I-lists and identity-relevant counters are bit-identical
     /// on every victim, (b) the lazy counters account for every generated
@@ -752,8 +713,9 @@ impl<'c> TopKAnalysis<'c> {
     /// filled the pre-truncation cap. This is the semantic ground truth
     /// behind lint rule L080 (`lint --deep`, `whatif --audit`).
     ///
-    /// Serialized process-wide (the mode override and capture registry
-    /// are global); concurrent analyses on other circuits simply wait.
+    /// Both sweeps force their enumeration path and capture their
+    /// certificates on their own prepared worlds, so analyses running
+    /// concurrently in the process are unaffected.
     ///
     /// # Errors
     ///
@@ -763,41 +725,13 @@ impl<'c> TopKAnalysis<'c> {
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
-        static AUDIT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _serialized = AUDIT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-
-        let mask = CouplingMask::all(self.circuit);
-        let run_forced = |eager: bool,
-                          threads: usize|
-         -> Result<
-            (Vec<engine::NetLists>, Vec<engine::VictimCounters>),
-            TopKError,
-        > {
-            enumeration::force_enum_mode(Some(eager));
-            let run = || {
-                let mut config = self.config;
-                config.threads = threads;
-                let analysis = TopKAnalysis::new(self.circuit, config);
-                let prepared = analysis.prepare(mode, &mask)?;
-                let out = match mode {
-                    Mode::Addition => addition::sweep(&prepared, k, None),
-                    Mode::Elimination => elimination::sweep(&prepared, k, None),
-                }?;
-                Ok((out.lists, out.counters))
-            };
-            let result = run();
-            enumeration::force_enum_mode(None);
-            result
-        };
-
-        enumeration::arm_capture();
-        let lazy = run_forced(false, self.config.effective_threads());
-        let certs = enumeration::drain_capture();
-        let (lazy_lists, lazy_counters) = lazy?;
+        let (Swept { lists: lazy_lists, counters: lazy_counters, .. }, certs) =
+            self.sweep_at(mode, k, self.config.effective_threads(), Some(false))?;
         // The eager replay runs serial: it is the reference schedule, and
         // determinism across thread counts is L060's concern, not L080's.
-        let (eager_lists, eager_counters) = run_forced(true, 1)?;
-        let prepared = self.prepare(mode, &mask)?;
+        let (Swept { lists: eager_lists, counters: eager_counters, .. }, _) =
+            self.sweep_at(mode, k, 1, Some(true))?;
+        let prepared = self.prepare(mode, &CouplingMask::all(self.circuit))?;
 
         let n = self.circuit.num_nets();
         let mut audit = PruneAudit { checked_victims: n, ..PruneAudit::default() };
@@ -900,24 +834,44 @@ impl<'c> TopKAnalysis<'c> {
         self.run_with_mask(mode, k, &CouplingMask::all(self.circuit))
     }
 
-    /// Shared tail of every top-k run: pick the measured (or predicted)
-    /// winner among the enumeration's options and assemble the result.
-    /// Validation masks are anchored at `base_mask` — the couplings the
-    /// run was allowed to see — so restricted-mask runs (and incremental
-    /// sessions re-running under a delta'd mask) measure options in the
-    /// same world the enumeration saw.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared tail of every top-k run over one swept scenario: select the
+    /// sink options of the prepared mode, pick the measured (or
+    /// predicted) winner among them and assemble the result, all inside
+    /// the selection phase's panic boundary. Validation masks are
+    /// anchored at the prepared mask — the couplings the run was allowed
+    /// to see — so restricted-mask runs (and incremental sessions
+    /// re-running under a delta'd mask) measure options in the same world
+    /// the enumeration saw.
+    pub(crate) fn conclude(
+        &self,
+        prepared: &Prepared<'_>,
+        k: usize,
+        swept: &Swept,
+        sched: SchedStats,
+        start: Instant,
+    ) -> Result<TopKResult, TopKError> {
+        guard(FaultPhase::Selection, || {
+            let outcome = match prepared.mode {
+                Mode::Addition => addition::select(prepared, k, &swept.lists, &swept.counters),
+                Mode::Elimination => {
+                    elimination::select(prepared, k, &swept.lists, &swept.counters)
+                }
+            }?;
+            self.finish(prepared, k, outcome, &swept.faults, sched, start)
+        })
+    }
+
+    /// The validation and assembly half of [`conclude`](Self::conclude).
     fn finish(
         &self,
-        mode: Mode,
-        k: usize,
-        base_mask: &CouplingMask,
         prepared: &Prepared<'_>,
+        k: usize,
         outcome: addition::EnumerationOutcome,
         faults: &[Fault],
         sched: SchedStats,
         start: Instant,
     ) -> Result<TopKResult, TopKError> {
+        let (mode, base_mask) = (prepared.mode, &prepared.mask);
         let delay_before = match mode {
             Mode::Addition => prepared.base.circuit_delay(),
             Mode::Elimination => {

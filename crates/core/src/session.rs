@@ -53,11 +53,12 @@ use std::time::Instant;
 use dna_netlist::{CouplingId, NetId};
 use dna_noise::CouplingMask;
 
-use crate::bounds::{self, CleanCertificate, SemanticState};
-use crate::engine::{NetLists, VictimCounters};
+use crate::batch::Evaluated;
+use crate::bounds::{CleanCertificate, SemanticState};
+use crate::engine::{NetLists, Swept, VictimCounters};
 use crate::persist::{self, ChainAnchor};
 use crate::result::{Fault, FaultReport};
-use crate::{faultsim, Damping, Mode, TopKAnalysis, TopKError, TopKResult};
+use crate::{Damping, Mode, TopKAnalysis, TopKError, TopKResult};
 
 /// How many unsaved applies a session buffers as replayable deltas before
 /// giving up on delta encoding for the next save. Each buffered delta
@@ -241,8 +242,7 @@ impl WhatIfOutcome {
         self.result.faults()
     }
 
-    /// Assembles an outcome from the batch engine's parts (same shape
-    /// `apply` produces).
+    /// Assembles an outcome from the what-if front end's parts.
     pub(crate) fn assemble(
         result: TopKResult,
         changed: Vec<CouplingId>,
@@ -265,9 +265,9 @@ impl WhatIfOutcome {
 }
 
 /// The couplings whose enable state differs between `old` and `new`, with
-/// both endpoints of each as dirty seeds — the shared front end of
-/// [`WhatIfSession::apply`] and the batch engine. Iterates couplings in id
-/// order, so `changed` comes back sorted.
+/// both endpoints of each as dirty seeds — the first step of the what-if
+/// front end. Iterates couplings in id order, so `changed` comes back
+/// sorted.
 pub(crate) fn changed_and_seeds(
     circuit: &dna_netlist::Circuit,
     old: &CouplingMask,
@@ -380,15 +380,15 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
         let prepared = analysis.prepare(mode, &mask)?;
         let semantic = (analysis.config().damping == Damping::Semantic)
             .then(|| SemanticState::capture(&prepared));
-        let (result, lists, counters, faults) = analysis.run_prepared(&prepared, k, None, start)?;
+        let (result, swept) = analysis.run_prepared(&prepared, k, start)?;
         Ok(Self {
             analysis,
             mode,
             k,
             mask,
-            lists,
-            counters,
-            faults,
+            lists: swept.lists,
+            counters: swept.counters,
+            faults: swept.faults,
             result,
             semantic,
             generation: 0,
@@ -473,8 +473,9 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
 
     /// Applies a coupling-set delta and incrementally re-analyzes: only
     /// victims in the dirty closure of the flipped couplings' endpoints
-    /// are re-swept; everyone else is served from the session cache. The
-    /// session then adopts the new mask and caches, so deltas compose
+    /// are re-swept; everyone else is served from the session cache. This
+    /// is [`apply_batch`](Self::apply_batch)'s front end with one delta;
+    /// the session then adopts the new mask and caches, so deltas compose
     /// across calls.
     ///
     /// An empty (or fully no-op) delta recomputes nothing in the sweep
@@ -487,66 +488,24 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
     pub fn apply(&mut self, delta: &MaskDelta) -> Result<WhatIfOutcome, TopKError> {
         let start = Instant::now();
         let circuit = self.analysis.circuit();
-        let new_mask = self.mask.clone().without(delta.removed()).with(delta.added());
+        let (mut evaluated, ..) = self.evaluate(std::slice::from_ref(delta), true)?;
+        let Evaluated { mask, outcome, swept, semantic } =
+            evaluated.pop().expect("one delta, one scenario");
 
-        // Seed the dirty set with both endpoints of every coupling whose
-        // enable state actually flips — a no-op toggle changes nothing a
-        // victim's enumeration can observe.
-        let (changed, seeds) = changed_and_seeds(circuit, &self.mask, &new_mask);
-        // Mask-aware closure: adjacency propagates only through couplings
-        // enabled in the old or new world (see the module docs for the
-        // soundness argument). The mask-oblivious closure is also counted
-        // so the filtering's savings stay measurable.
-        let structural = circuit.dirty_closure_filtered(&seeds, |cc| {
-            self.mask.is_enabled(cc) || new_mask.is_enabled(cc)
-        });
-        let structural_dirty_victims = structural.iter().filter(|&&d| d).count();
-        let unmasked_dirty_victims = circuit.dirty_closure(&seeds).iter().filter(|&&d| d).count();
-
-        let prepared = self.analysis.prepare(self.mode, &new_mask)?;
-
-        // Corridor prover: when this session carries a semantic
-        // fingerprint of its old world, refine the structural closure to
-        // only the victims whose cleanliness cannot be certified. A
-        // session without a fingerprint (structural damping, or the first
-        // apply after an artifact resume) sweeps the structural closure
-        // and — under semantic damping — captures a fingerprint so the
-        // next apply can damp.
-        let (dirty, certificates, semantic) = match &self.semantic {
-            Some(old) => {
-                let (refined, state) =
-                    bounds::refine(&prepared, old, &structural, faultsim::forced_clean_victim());
-                (refined.dirty, refined.certificates, Some(state))
-            }
-            None => {
-                let state = (self.analysis.config().damping == Damping::Semantic)
-                    .then(|| SemanticState::capture(&prepared));
-                (structural, Vec::new(), state)
-            }
-        };
-        let recomputed_victims = dirty.iter().filter(|&&d| d).count();
-
-        let (result, lists, counters, faults) = self.analysis.run_prepared(
-            &prepared,
-            self.k,
-            Some((&self.lists, &self.counters, &self.faults, &dirty)),
-            start,
-        )?;
-
-        self.mask = new_mask;
-        let old_lists = std::mem::replace(&mut self.lists, lists);
-        let old_counters = std::mem::replace(&mut self.counters, counters);
-        self.faults = faults;
-        self.result = result.clone();
+        self.mask = mask;
+        let old_lists = std::mem::replace(&mut self.lists, swept.lists);
+        let old_counters = std::mem::replace(&mut self.counters, swept.counters);
+        self.faults = swept.faults;
+        self.result = outcome.result.clone();
         self.semantic = semantic;
         // Record the generation step for the versioned store. A no-op
         // apply (nothing flipped) leaves the session bit-identical to the
         // generation it was already at, so it records nothing.
-        if !changed.is_empty() {
+        if !outcome.changed.is_empty() {
             self.generation += 1;
             let mut removed = Vec::new();
             let mut added = Vec::new();
-            for &id in &changed {
+            for &id in &outcome.changed {
                 if self.mask.is_enabled(id) {
                     added.push(id);
                 } else {
@@ -558,7 +517,8 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
             // the old lists bit-for-bit, and replay-patching a victim to
             // bytes it already holds is a no-op — omitting it is exactly
             // as bit-exact as storing it, at a fraction of the record.
-            let dirty_snapshot: Vec<(u32, VictimCounters, NetLists)> = dirty
+            let dirty_snapshot: Vec<(u32, VictimCounters, NetLists)> = outcome
+                .dirty
                 .iter()
                 .enumerate()
                 .filter(|&(vi, &d)| {
@@ -589,22 +549,16 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
         }
         if std::env::var_os("DNA_PROFILE").is_some() {
             eprintln!(
-                "[profile] whatif apply: {:.2?} ({recomputed_victims}/{} victims recomputed, \
-                 {} proven clean, {unmasked_dirty_victims} under mask-oblivious adjacency)",
+                "[profile] whatif apply: {:.2?} ({}/{} victims recomputed, {} proven clean, \
+                 {} under mask-oblivious adjacency)",
                 start.elapsed(),
+                outcome.recomputed_victims,
                 circuit.num_nets(),
-                structural_dirty_victims - recomputed_victims,
+                outcome.proven_clean_victims(),
+                outcome.unmasked_dirty_victims,
             );
         }
-        Ok(WhatIfOutcome {
-            result,
-            changed,
-            dirty,
-            recomputed_victims,
-            structural_dirty_victims,
-            unmasked_dirty_victims,
-            certificates,
-        })
+        Ok(outcome)
     }
 
     /// Spot-checks up to `sample` proven-clean victims of `outcome`
@@ -631,8 +585,8 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
         if certs.is_empty() || sample == 0 {
             return Ok(0);
         }
-        let (_, lists, counters, _) =
-            self.analysis.run_seeded(self.mode, self.k, &self.mask, None)?;
+        let (_, Swept { lists, counters, .. }) =
+            self.analysis.run_swept(self.mode, self.k, &self.mask)?;
         let stride = (certs.len() / sample).max(1);
         let mut checked = 0;
         for cert in certs.iter().step_by(stride) {
@@ -763,7 +717,7 @@ mod tests {
             let fix: Vec<CouplingId> = session.result().couplings().to_vec();
 
             let outcome = session.apply(&MaskDelta::remove(&fix)).unwrap();
-            let scratch = engine.run_seeded(mode, 2, session.mask(), None).unwrap().0;
+            let scratch = engine.run_with_mask(mode, 2, session.mask()).unwrap();
             assert_eq!(
                 fingerprint(outcome.result()),
                 fingerprint(&scratch),
@@ -772,7 +726,7 @@ mod tests {
             );
 
             let outcome = session.apply(&MaskDelta::add(&fix)).unwrap();
-            let scratch = engine.run_seeded(mode, 2, session.mask(), None).unwrap().0;
+            let scratch = engine.run_with_mask(mode, 2, session.mask()).unwrap();
             assert_eq!(
                 fingerprint(outcome.result()),
                 fingerprint(&scratch),

@@ -172,45 +172,6 @@ impl Circuit {
         &self.net_topo
     }
 
-    /// Nets partitioned into dependency levels: primary inputs are level 0
-    /// and a gate-output net sits one level above the deepest of its
-    /// driver's input nets.
-    ///
-    /// Within a level no net is in another's fanin cone, so per-net work
-    /// that reads only strict-fanin results can run concurrently across a
-    /// level. (The top-k sweep used levels as its synchronization
-    /// structure before moving to per-victim dependency tracking; the
-    /// partition remains useful for analysis and display.) Levels are
-    /// emitted in increasing order and each level lists
-    /// its nets in [`nets_topological`](Self::nets_topological) order, so
-    /// flattening the levels is itself a valid topological order.
-    #[must_use]
-    pub fn nets_by_level(&self) -> Vec<Vec<NetId>> {
-        let mut level = vec![0usize; self.nets.len()];
-        let mut max_level = 0usize;
-        // net_topo lists drivers before loads, so input levels are final
-        // by the time their gate's output net is visited.
-        for &n in &self.net_topo {
-            if let NetSource::Gate(g) = self.net(n).source() {
-                let l = self
-                    .gate(g)
-                    .inputs()
-                    .iter()
-                    .map(|&input| level[input.index()])
-                    .max()
-                    .unwrap_or(0)
-                    + 1;
-                level[n.index()] = l;
-                max_level = max_level.max(l);
-            }
-        }
-        let mut levels: Vec<Vec<NetId>> = vec![Vec::new(); max_level + 1];
-        for &n in &self.net_topo {
-            levels[level[n.index()]].push(n);
-        }
-        levels
-    }
-
     /// Iterator over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
         (0..self.nets.len() as u32).map(NetId::new)
@@ -484,81 +445,5 @@ impl fmt::Display for CircuitStats {
             "{} gates, {} nets, {} coupling caps, {} inputs, {} outputs",
             self.gates, self.nets, self.couplings, self.inputs, self.outputs
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{CellKind, CircuitBuilder, Library, NetSource};
-
-    #[test]
-    fn nets_by_level_orders_diamond() {
-        // a -> u1 -> n1 -> {u2, u3} -> n2, n3 -> u4 -> n4
-        let mut b = CircuitBuilder::new(Library::cmos013());
-        let a = b.input("a");
-        let n1 = b.gate(CellKind::Inv, "u1", &[a]).unwrap();
-        let n2 = b.gate(CellKind::Buf, "u2", &[n1]).unwrap();
-        let n3 = b.gate(CellKind::Inv, "u3", &[n1]).unwrap();
-        let n4 = b.gate(CellKind::Nand2, "u4", &[n2, n3]).unwrap();
-        b.output(n4);
-        let c = b.build().unwrap();
-
-        let levels = c.nets_by_level();
-        assert_eq!(levels.len(), 4);
-        assert_eq!(levels[0], vec![a]);
-        assert_eq!(levels[1], vec![n1]);
-        // The parallel siblings share a level, listed in nets_topological
-        // relative order.
-        let expect: Vec<_> =
-            c.nets_topological().iter().copied().filter(|&n| n == n2 || n == n3).collect();
-        assert_eq!(levels[2], expect);
-        assert_eq!(levels[3], vec![n4]);
-    }
-
-    #[test]
-    fn nets_by_level_flattens_to_topological_order() {
-        let c = crate::suite::benchmark("i1", 7).unwrap();
-        let levels = c.nets_by_level();
-        let flat: Vec<_> = levels.iter().flatten().copied().collect();
-        // Every net exactly once...
-        let mut sorted = flat.clone();
-        sorted.sort_by_key(|n| n.index());
-        assert_eq!(sorted, c.net_ids().collect::<Vec<_>>());
-        // ...and the flattened order is topological: drivers (and therefore
-        // all strict-fanin nets) precede their gate-output loads.
-        let mut pos = vec![usize::MAX; c.num_nets()];
-        for (i, &n) in flat.iter().enumerate() {
-            pos[n.index()] = i;
-        }
-        for n in c.net_ids() {
-            if let NetSource::Gate(g) = c.net(n).source() {
-                for &input in c.gate(g).inputs() {
-                    assert!(
-                        pos[input.index()] < pos[n.index()],
-                        "input {input:?} must precede output {n:?}"
-                    );
-                }
-            }
-        }
-
-        // Level invariant: PIs at 0, gate outputs one above their deepest
-        // input.
-        let mut level_of = vec![usize::MAX; c.num_nets()];
-        for (l, nets) in levels.iter().enumerate() {
-            assert!(!nets.is_empty(), "level {l} must be non-empty");
-            for &n in nets {
-                level_of[n.index()] = l;
-            }
-        }
-        for n in c.net_ids() {
-            match c.net(n).source() {
-                NetSource::PrimaryInput => assert_eq!(level_of[n.index()], 0),
-                NetSource::Gate(g) => {
-                    let deepest =
-                        c.gate(g).inputs().iter().map(|&i| level_of[i.index()]).max().unwrap_or(0);
-                    assert_eq!(level_of[n.index()], deepest + 1);
-                }
-            }
-        }
     }
 }

@@ -148,6 +148,7 @@ fn long_tail_circuit() -> Circuit {
 
 #[test]
 fn long_tail_victim_is_thread_invariant() {
+    let _guard = armed();
     let circuit = long_tail_circuit();
     for mode in [Mode::Addition, Mode::Elimination] {
         for make in [unbudgeted as fn(usize) -> TopKConfig, budgeted as fn(usize) -> TopKConfig] {

@@ -147,3 +147,43 @@ fn i10_damping_identity_full_suite() {
     }
     assert!(proven > 0, "the corridor prover must certify victims on i10");
 }
+
+/// Semantic fingerprints are not persisted, so a resumed session's first
+/// apply has nothing to refine against: it must sweep the structural
+/// closure (no proven-clean victims, no certificates) and re-capture the
+/// fingerprint, after which the next apply damps exactly as a session
+/// that never stopped. Every result stays bit-identical to a
+/// from-scratch run.
+#[test]
+fn resumed_session_recaptures_semantic_state_on_first_apply() {
+    let circuit = suite::benchmark("i1", 42).expect("known benchmark");
+    let engine = TopKAnalysis::new(&circuit, config(1, Damping::Semantic));
+    let (mode, k) = (Mode::Elimination, 5);
+    let mut fresh = WhatIfSession::start(&engine, mode, k).expect("session start succeeds");
+    let mut resumed =
+        WhatIfSession::resume(&engine, &fresh.save_artifact()).expect("artifact resumes");
+    // Two single-coupling fixes whose closures the prover can damp on i1.
+    let deltas =
+        [MaskDelta::remove(&[CouplingId::new(0)]), MaskDelta::remove(&[CouplingId::new(3)])];
+
+    for (step, delta) in deltas.iter().enumerate() {
+        let want = fresh.apply(delta).expect("fresh apply succeeds");
+        let got = resumed.apply(delta).expect("resumed apply succeeds");
+        let scratch = engine.run_with_mask(mode, k, resumed.mask()).expect("from-scratch run");
+        assert_eq!(fingerprint(want.result()), fingerprint(&scratch), "step {step}: fresh");
+        assert_eq!(fingerprint(got.result()), fingerprint(&scratch), "step {step}: resumed");
+        if step == 0 {
+            assert_eq!(got.proven_clean_victims(), 0, "no fingerprint survives a resume");
+            assert!(got.certificates().is_empty());
+            assert_eq!(got.recomputed_victims(), got.structural_dirty_victims());
+        } else {
+            assert!(want.proven_clean_victims() > 0, "the fresh session damps this delta");
+            assert_eq!(
+                got.proven_clean_victims(),
+                want.proven_clean_victims(),
+                "the re-captured fingerprint damps like a never-stopped session"
+            );
+            assert_eq!(got.certificates(), want.certificates());
+        }
+    }
+}
