@@ -76,8 +76,4 @@ fn main() {
         eprintln!("ERROR: a batch scenario diverged from its sequential reference");
         std::process::exit(1);
     }
-    if report.peeled.iter().any(|e| !e.identical_to_scratch) {
-        eprintln!("ERROR: an incremental peel diverged from its from-scratch reference");
-        std::process::exit(1);
-    }
 }

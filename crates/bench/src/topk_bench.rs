@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use dna_netlist::{suite, CouplingId, NetId};
 use dna_topk::{
-    commit_chain, force_enum_mode, CommitOptions, Damping, MaskDelta, Mode, SaveKind, TopKAnalysis,
-    TopKConfig, TopKResult, WhatIfBatch, WhatIfSession,
+    commit_chain, CommitOptions, Damping, MaskDelta, Mode, SaveKind, TopKAnalysis, TopKConfig,
+    TopKResult, WhatIfBatch, WhatIfSession,
 };
 
 use crate::{Table, DEFAULT_SEED};
@@ -31,9 +31,8 @@ use crate::{Table, DEFAULT_SEED};
 /// from-scratch reference.
 ///
 /// `v4` added the `batch` section (one `apply_batch` over N scenarios vs
-/// N sequential `fork().apply` calls, gated on bit-identity) and the
-/// `peeled` section (the incremental peel loop vs the from-scratch
-/// reference, gated on bit-identity).
+/// N sequential `fork().apply` calls, gated on bit-identity) and a
+/// `peeled` section (since removed, see v10).
 ///
 /// `v5` added the corridor-prover damping fields: `whatif` and `batch`
 /// entries report `structural_dirty_victims` / `proven_clean_victims`,
@@ -70,20 +69,13 @@ use crate::{Table, DEFAULT_SEED};
 /// v7) — and on the chain tip replaying bit-identically to the live
 /// session (`identical_to_full`, never skipped).
 ///
-/// `v9` added the `enumeration` section: the lazy bound-first admission
-/// path (deferred PWL materialization, scratch-arena sum kernels)
-/// against the eager reference path (`DNA_ENUM_EAGER=1`) on the same
-/// circuit and mode, gated on bit-identity of the two results
-/// (`identical_to_eager`, never skipped) and on the lazy sweep
-/// materializing under 90% of its raw candidates — armed only in
-/// addition mode (elimination culls anchor on the hardened noise floor,
-/// which rarely refutes a candidate, so the cull is a trickle by engine
-/// construction) and only where the sweep generated at least 100 000
-/// raw candidates (below that the pair rounds are too narrow for the
-/// bound phase to bite — cull strength grows with round width; same
-/// `gate_status` discipline as v7). The admission accounting must
-/// close: `bound_culled + materialized == raw_candidates`.
-pub const SCHEMA: &str = "dna-bench-topk/v9";
+/// `v9` added an `enumeration` section (lazy bound-first admission vs
+/// the eager reference path).
+///
+/// `v10` removes the `enumeration` and `peeled` sections: bound-first
+/// admission and the session-cached peel loop are gone, so each section
+/// compared a path with itself.
+pub const SCHEMA: &str = "dna-bench-topk/v10";
 
 /// What to measure.
 #[derive(Debug, Clone)]
@@ -303,64 +295,6 @@ pub fn delta_gate_status(mode: &str, checkpoint_bytes: f64) -> String {
     }
 }
 
-/// One measured lazy-vs-eager enumeration comparison: the bound-first
-/// admission path (deferred PWL materialization, scratch-arena sum
-/// kernels — the default) against the eager reference path that
-/// materializes every candidate, on the same circuit and mode.
-#[derive(Debug, Clone)]
-pub struct EnumerationEntry {
-    /// Benchmark circuit name.
-    pub circuit: String,
-    /// Engine mode (`"addition"` / `"elimination"`).
-    pub mode: String,
-    /// Fastest wall-clock time of the lazy (bound-first) sweep, ms.
-    pub lazy_ms: f64,
-    /// Fastest wall-clock time of the eager reference sweep, ms.
-    pub eager_ms: f64,
-    /// Candidates the lazy sweep generated before admission.
-    pub raw_candidates: usize,
-    /// Candidates culled by the O(1) bound phase, never materialized
-    /// (each cull carries a deferred-prune certificate).
-    pub bound_culled: usize,
-    /// Candidates whose envelope the lazy sweep actually built.
-    pub materialized: usize,
-    /// `materialized / raw_candidates` — the v9 gate requires `< 0.9`
-    /// where it is armed.
-    pub materialized_fraction: f64,
-    /// Whether the lazy result is bit-identical to the eager reference
-    /// (same fingerprint: set, sink, delays, width, generated). This
-    /// gate is never skipped.
-    pub identical_to_eager: bool,
-    /// Whether the materialization-fraction gate applies: `"armed"`, or
-    /// `"skipped (<reason>)"` when the mode is elimination (whose culls
-    /// anchor on the hardened noise floor, which rarely refutes a
-    /// candidate — a trickle by engine construction) or the sweep
-    /// generated fewer than 100 000 raw candidates (narrow pair rounds
-    /// give the bound phase too little to bite on). Recorded at
-    /// measurement time and cross-checked by [`validate_json`].
-    pub gate_status: String,
-}
-
-/// The v9 materialization-fraction gate status for one enumeration
-/// entry, derived from its recorded mode and raw-candidate count.
-/// Shared by the runner (which records it) and the validator (which
-/// re-derives it and rejects disagreement).
-#[must_use]
-pub fn materialized_gate_status(mode: &str, raw_candidates: f64) -> String {
-    if mode == "elimination" {
-        "skipped (elimination culls anchor on the hardened noise floor, which rarely refutes a \
-         candidate — the cull is a trickle by engine construction)"
-            .to_owned()
-    } else if raw_candidates < 100_000.0 {
-        format!(
-            "skipped ({raw_candidates:.0} raw candidates is under the 100000 floor where pair \
-             rounds are too narrow for the bound phase to bite)"
-        )
-    } else {
-        "armed".to_owned()
-    }
-}
-
 /// One measured batch what-if run: N scenarios evaluated through a single
 /// [`dna_topk::WhatIfSession::apply_batch`] sweep, against the same N
 /// scenarios run as sequential `fork().apply` calls.
@@ -394,28 +328,6 @@ pub struct BatchEntry {
     /// Whether every batch scenario is bit-identical to its sequential
     /// `fork().apply` twin.
     pub identical_to_sequential: bool,
-}
-
-/// One measured peeled-elimination run: the incremental peel loop (rounds
-/// after the first re-sweep only the peeled cones through the session
-/// cache) against the from-scratch reference that re-sweeps every round.
-#[derive(Debug, Clone)]
-pub struct PeelEntry {
-    /// Benchmark circuit name.
-    pub circuit: String,
-    /// Total set size requested across all rounds.
-    pub k: usize,
-    /// Couplings peeled per round.
-    pub step: usize,
-    /// Rounds the loop ran (`ceil(k / step)`).
-    pub rounds: usize,
-    /// Fastest wall-clock time of the from-scratch peel loop, ms.
-    pub scratch_ms: f64,
-    /// Fastest wall-clock time of the incremental peel loop, ms.
-    pub session_ms: f64,
-    /// Whether the incremental loop's result is bit-identical to the
-    /// from-scratch reference.
-    pub identical_to_scratch: bool,
 }
 
 /// One measured damping comparison: the same worst-set removal applied
@@ -470,12 +382,8 @@ pub struct BenchReport {
     pub versioned_store: Vec<VersionedStoreEntry>,
     /// One entry per circuit × mode: batch vs sequential what-if.
     pub batch: Vec<BatchEntry>,
-    /// One entry per circuit: incremental vs from-scratch peel loop.
-    pub peeled: Vec<PeelEntry>,
     /// One entry per circuit × mode: semantic vs structural damping.
     pub damping: Vec<DampingEntry>,
-    /// One entry per circuit × mode: lazy vs eager enumeration.
-    pub enumeration: Vec<EnumerationEntry>,
 }
 
 /// Everything that must agree between a serial and a parallel run.
@@ -538,19 +446,15 @@ pub fn run(spec: &BenchSpec) -> Result<BenchReport, String> {
     let mut session_persistence = Vec::new();
     let mut versioned_store = Vec::new();
     let mut batch = Vec::new();
-    let mut peeled = Vec::new();
     let mut damping = Vec::new();
-    let mut enumeration = Vec::new();
     for name in &spec.circuits {
         let circuit = suite::benchmark(name, spec.seed).map_err(|e| e.to_string())?;
-        peeled.push(bench_peeled(&circuit, name, spec)?);
         for &mode in &spec.modes {
             whatif.push(bench_whatif(&circuit, name, mode, spec)?);
             session_persistence.push(bench_persist(&circuit, name, mode, spec)?);
             versioned_store.push(bench_versioned_store(&circuit, name, mode, spec)?);
             batch.push(bench_batch(&circuit, name, mode, spec)?);
             damping.push(bench_damping(&circuit, name, mode, spec)?);
-            enumeration.push(bench_enumeration(&circuit, name, mode, spec)?);
             let mut serial: Option<Fingerprint> = None;
             let mut serial_ms = f64::INFINITY;
             for &threads in &configs {
@@ -625,9 +529,7 @@ pub fn run(spec: &BenchSpec) -> Result<BenchReport, String> {
         session_persistence,
         versioned_store,
         batch,
-        peeled,
         damping,
-        enumeration,
     })
 }
 
@@ -752,45 +654,6 @@ fn bench_batch(
         closure_frames_built: stats.closure_frames_built(),
         closure_frames_shared: stats.closure_frames_shared(),
         identical_to_sequential,
-    })
-}
-
-/// Measures one peeled-elimination run (elimination only — peeling is an
-/// elimination-mode loop): the incremental session-cached peel against
-/// the from-scratch reference, bit-compared. `k` is floored at 4 and the
-/// step set to `k / 2` so the loop always runs at least two rounds — the
-/// second round is where the incremental path starts paying off.
-fn bench_peeled(
-    circuit: &dna_netlist::Circuit,
-    name: &str,
-    spec: &BenchSpec,
-) -> Result<PeelEntry, String> {
-    let k = spec.k.max(4);
-    let step = (k / 2).max(1);
-    let config = TopKConfig { validate: false, ..TopKConfig::default() };
-    let engine = TopKAnalysis::new(circuit, config);
-    let mut scratch_ms = f64::INFINITY;
-    let mut session_ms = f64::INFINITY;
-    let mut identical = None;
-    for _ in 0..spec.samples.max(1) {
-        let start = Instant::now();
-        let inc = engine.elimination_set_peeled(k, step).map_err(|e| e.to_string())?;
-        session_ms = session_ms.min(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        let scr = engine.elimination_set_peeled_scratch(k, step).map_err(|e| e.to_string())?;
-        scratch_ms = scratch_ms.min(start.elapsed().as_secs_f64() * 1e3);
-
-        identical = Some(fingerprint(&inc) == fingerprint(&scr));
-    }
-    Ok(PeelEntry {
-        circuit: name.to_owned(),
-        k,
-        step,
-        rounds: k.div_ceil(step),
-        scratch_ms,
-        session_ms,
-        identical_to_scratch: identical.expect("samples >= 1"),
     })
 }
 
@@ -988,62 +851,6 @@ fn bench_versioned_store(
     })
 }
 
-/// Measures one lazy-vs-eager enumeration comparison: the same sweep run
-/// once under the default bound-first admission (deferred PWL
-/// materialization, scratch-arena sum kernels) and once with every
-/// candidate eagerly materialized, bit-compared through the shared
-/// [`Fingerprint`]. The admission counters come from the lazy run.
-fn bench_enumeration(
-    circuit: &dna_netlist::Circuit,
-    name: &str,
-    mode: Mode,
-    spec: &BenchSpec,
-) -> Result<EnumerationEntry, String> {
-    let config = TopKConfig { validate: false, ..TopKConfig::default() };
-    let engine = TopKAnalysis::new(circuit, config);
-    let sweep = |eager: bool| -> Result<(TopKResult, f64), String> {
-        force_enum_mode(Some(eager));
-        let start = Instant::now();
-        let r = match mode {
-            Mode::Addition => engine.addition_set(spec.k),
-            Mode::Elimination => engine.elimination_set(spec.k),
-        };
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        force_enum_mode(None);
-        r.map(|r| (r, ms)).map_err(|e| e.to_string())
-    };
-    let mut lazy_ms = f64::INFINITY;
-    let mut eager_ms = f64::INFINITY;
-    let mut measured = None;
-    for _ in 0..spec.samples.max(1) {
-        let (lazy, ms) = sweep(false)?;
-        lazy_ms = lazy_ms.min(ms);
-        let (eager, ms) = sweep(true)?;
-        eager_ms = eager_ms.min(ms);
-        let stats = *lazy.sweep_stats();
-        measured = Some((
-            lazy.generated_candidates(),
-            stats.bound_culled,
-            stats.materialized,
-            fingerprint(&lazy) == fingerprint(&eager),
-        ));
-    }
-    let (raw_candidates, bound_culled, materialized, identical_to_eager) =
-        measured.expect("samples >= 1");
-    Ok(EnumerationEntry {
-        circuit: name.to_owned(),
-        mode: mode.name().to_owned(),
-        lazy_ms,
-        eager_ms,
-        raw_candidates,
-        bound_culled,
-        materialized,
-        materialized_fraction: materialized as f64 / (raw_candidates as f64).max(1.0),
-        identical_to_eager,
-        gate_status: materialized_gate_status(mode.name(), raw_candidates as f64),
-    })
-}
-
 impl BenchReport {
     /// Serializes the report (schema [`SCHEMA`]).
     #[must_use]
@@ -1167,19 +974,6 @@ impl BenchReport {
             out.push_str(if i + 1 < self.batch.len() { "    },\n" } else { "    }\n" });
         }
         out.push_str("  ],\n");
-        out.push_str("  \"peeled\": [\n");
-        for (i, e) in self.peeled.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"circuit\": {},\n", json_string(&e.circuit)));
-            out.push_str(&format!("      \"k\": {},\n", e.k));
-            out.push_str(&format!("      \"step\": {},\n", e.step));
-            out.push_str(&format!("      \"rounds\": {},\n", e.rounds));
-            out.push_str(&format!("      \"scratch_ms\": {:.3},\n", e.scratch_ms));
-            out.push_str(&format!("      \"session_ms\": {:.3},\n", e.session_ms));
-            out.push_str(&format!("      \"identical_to_scratch\": {}\n", e.identical_to_scratch));
-            out.push_str(if i + 1 < self.peeled.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ],\n");
         out.push_str("  \"damping\": [\n");
         for (i, e) in self.damping.iter().enumerate() {
             out.push_str("    {\n");
@@ -1195,25 +989,6 @@ impl BenchReport {
             out.push_str(&format!("      \"certificates\": {},\n", e.certificates));
             out.push_str(&format!("      \"identical_to_full\": {}\n", e.identical_to_full));
             out.push_str(if i + 1 < self.damping.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"enumeration\": [\n");
-        for (i, e) in self.enumeration.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"circuit\": {},\n", json_string(&e.circuit)));
-            out.push_str(&format!("      \"mode\": {},\n", json_string(&e.mode)));
-            out.push_str(&format!("      \"lazy_ms\": {:.3},\n", e.lazy_ms));
-            out.push_str(&format!("      \"eager_ms\": {:.3},\n", e.eager_ms));
-            out.push_str(&format!("      \"raw_candidates\": {},\n", e.raw_candidates));
-            out.push_str(&format!("      \"bound_culled\": {},\n", e.bound_culled));
-            out.push_str(&format!("      \"materialized\": {},\n", e.materialized));
-            out.push_str(&format!(
-                "      \"materialized_fraction\": {:.6},\n",
-                e.materialized_fraction
-            ));
-            out.push_str(&format!("      \"identical_to_eager\": {},\n", e.identical_to_eager));
-            out.push_str(&format!("      \"gate_status\": {}\n", json_string(&e.gate_status)));
-            out.push_str(if i + 1 < self.enumeration.len() { "    },\n" } else { "    }\n" });
         }
         out.push_str("  ]\n}\n");
         out
@@ -1398,32 +1173,6 @@ impl BenchReport {
             out.push_str("\nbatch what-if (one shared sweep vs N sequential applies):\n");
             out.push_str(&btable.render());
         }
-        if !self.peeled.is_empty() {
-            let mut ptable = Table::new(&[
-                "circuit",
-                "k",
-                "step",
-                "rounds",
-                "scratch ms",
-                "session ms",
-                "speedup",
-                "identical",
-            ]);
-            for e in &self.peeled {
-                ptable.row(vec![
-                    e.circuit.clone(),
-                    e.k.to_string(),
-                    e.step.to_string(),
-                    e.rounds.to_string(),
-                    format!("{:.1}", e.scratch_ms),
-                    format!("{:.1}", e.session_ms),
-                    format!("{:.2}x", e.scratch_ms / e.session_ms.max(1e-9)),
-                    if e.identical_to_scratch { "yes" } else { "NO" }.to_owned(),
-                ]);
-            }
-            out.push_str("\npeeled elimination (incremental rounds vs from-scratch):\n");
-            out.push_str(&ptable.render());
-        }
         if !self.damping.is_empty() {
             let mut dtable = Table::new(&[
                 "circuit",
@@ -1449,36 +1198,6 @@ impl BenchReport {
             }
             out.push_str("\ncorridor damping (semantic vs structural dirty closure):\n");
             out.push_str(&dtable.render());
-        }
-        if !self.enumeration.is_empty() {
-            let mut etable = Table::new(&[
-                "circuit",
-                "mode",
-                "lazy ms",
-                "eager ms",
-                "speedup",
-                "raw",
-                "culled",
-                "materialized",
-                "identical",
-                "gate",
-            ]);
-            for e in &self.enumeration {
-                etable.row(vec![
-                    e.circuit.clone(),
-                    e.mode.clone(),
-                    format!("{:.1}", e.lazy_ms),
-                    format!("{:.1}", e.eager_ms),
-                    format!("{:.2}x", e.eager_ms / e.lazy_ms.max(1e-9)),
-                    e.raw_candidates.to_string(),
-                    e.bound_culled.to_string(),
-                    format!("{} ({:.0}%)", e.materialized, e.materialized_fraction * 100.0),
-                    if e.identical_to_eager { "yes" } else { "NO" }.to_owned(),
-                    e.gate_status.clone(),
-                ]);
-            }
-            out.push_str("\nlazy enumeration (bound-first admission vs eager reference):\n");
-            out.push_str(&etable.render());
         }
         out
     }
@@ -1706,22 +1425,18 @@ fn parse(text: &str) -> Result<Json, String> {
 
 /// Audits a serialized report: well-formed JSON, the [`SCHEMA`] marker,
 /// every required field, non-empty `entries`, `whatif`,
-/// `session_persistence`, `versioned_store`, `batch`, `peeled`,
-/// `damping`, and `enumeration` lists — and,
-/// semantically, that every entry reported results identical to its
-/// serial reference, every what-if loop and resumed session identical to
-/// its from-scratch reference, every batch scenario identical to its
-/// sequential twin, every chain-tip replay identical to its live
-/// session (with the delta-fraction gate where the checkpoint clears
-/// the 8 MiB floor), every incremental peel identical to the
-/// from-scratch peel, every semantically damped apply identical to its structural
-/// and from-scratch references, and every lazy enumeration identical to
-/// its eager reference (the CI gates for the work-stealing sweep, the
-/// incremental session path, the batch engine, the corridor prover, and
-/// the bound-first admission path) — and that the scheduler section's
-/// parallel configuration beat serial wherever the speedup gate
-/// applies, and the lazy sweep culled wherever the materialization gate
-/// applies.
+/// `session_persistence`, `versioned_store`, `batch` and `damping`
+/// lists — and, semantically, that every entry reported results
+/// identical to its serial reference, every what-if loop and resumed
+/// session identical to its from-scratch reference, every batch
+/// scenario identical to its sequential twin, every chain-tip replay
+/// identical to its live session (with the delta-fraction gate where
+/// the checkpoint clears the 8 MiB floor), and every semantically
+/// damped apply identical to its structural and from-scratch references
+/// (the CI gates for the work-stealing sweep, the incremental session
+/// path, the batch engine and the corridor prover) — and that the
+/// scheduler section's parallel configuration beat serial wherever the
+/// speedup gate applies.
 ///
 /// # Errors
 ///
@@ -2017,30 +1732,6 @@ pub fn validate_json_notes(text: &str) -> Result<Vec<String>, String> {
             _ => return Err(format!("batch entry {i}: missing `identical_to_sequential`")),
         }
     }
-    let peeled = match report.get("peeled") {
-        Some(Json::Arr(p)) if !p.is_empty() => p,
-        Some(Json::Arr(_)) => return Err("`peeled` is empty".into()),
-        _ => return Err("missing `peeled` array (required by v4)".into()),
-    };
-    for (i, entry) in peeled.iter().enumerate() {
-        for field in ["k", "step", "rounds", "scratch_ms", "session_ms"] {
-            if entry.get(field).and_then(Json::as_num).is_none() {
-                return Err(format!("peeled entry {i}: missing or non-numeric `{field}`"));
-            }
-        }
-        if !matches!(entry.get("circuit"), Some(Json::Str(_))) {
-            return Err(format!("peeled entry {i}: missing `circuit`"));
-        }
-        match entry.get("identical_to_scratch") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(format!(
-                    "peeled entry {i}: incremental peel differs from the from-scratch reference"
-                ))
-            }
-            _ => return Err(format!("peeled entry {i}: missing `identical_to_scratch`")),
-        }
-    }
     let damping = match report.get("damping") {
         Some(Json::Arr(d)) if !d.is_empty() => d,
         Some(Json::Arr(_)) => return Err("`damping` is empty".into()),
@@ -2072,98 +1763,6 @@ pub fn validate_json_notes(text: &str) -> Result<Vec<String>, String> {
                 ))
             }
             _ => return Err(format!("damping entry {i}: missing `identical_to_full`")),
-        }
-    }
-    let enumeration = match report.get("enumeration") {
-        Some(Json::Arr(e)) if !e.is_empty() => e,
-        Some(Json::Arr(_)) => return Err("`enumeration` is empty".into()),
-        _ => return Err("missing `enumeration` array (required by v9)".into()),
-    };
-    for (i, entry) in enumeration.iter().enumerate() {
-        for field in [
-            "lazy_ms",
-            "eager_ms",
-            "raw_candidates",
-            "bound_culled",
-            "materialized",
-            "materialized_fraction",
-        ] {
-            if entry.get(field).and_then(Json::as_num).is_none() {
-                return Err(format!("enumeration entry {i}: missing or non-numeric `{field}`"));
-            }
-        }
-        for field in ["circuit", "mode"] {
-            if !matches!(entry.get(field), Some(Json::Str(_))) {
-                return Err(format!("enumeration entry {i}: missing `{field}`"));
-            }
-        }
-        // The identity gate is unconditional: whatever the sweep's size,
-        // the lazy bound-first path must reproduce the eager reference
-        // bit-for-bit.
-        match entry.get("identical_to_eager") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(format!(
-                    "enumeration entry {i}: lazy enumeration differs from the eager reference"
-                ))
-            }
-            _ => return Err(format!("enumeration entry {i}: missing `identical_to_eager`")),
-        }
-        // Every raw candidate is either culled by the bound phase or
-        // materialized — a hole in that accounting means candidates were
-        // dropped without a certificate.
-        let raw = entry.get("raw_candidates").and_then(Json::as_num).expect("checked above");
-        let culled = entry.get("bound_culled").and_then(Json::as_num).expect("checked above");
-        let materialized = entry.get("materialized").and_then(Json::as_num).expect("checked above");
-        if culled + materialized != raw {
-            return Err(format!(
-                "enumeration entry {i}: admission accounting hole ({culled:.0} culled + \
-                 {materialized:.0} materialized != {raw:.0} raw candidates)"
-            ));
-        }
-        // The materialization-fraction gate arms only in addition mode
-        // (elimination culls anchor on the hardened noise floor, which
-        // rarely refutes a candidate — a trickle by engine construction)
-        // and only where the sweep generated at least 100 000 raw
-        // candidates (narrow pair rounds give the bound phase too little
-        // to bite on — cull strength grows with round width). The stored
-        // status must agree with the one re-derived here; the fraction
-        // itself is re-derived from the counts so a misreported
-        // `materialized_fraction` can't sneak an everything-materialized
-        // sweep through.
-        let entry_mode = match entry.get("mode") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => "?",
-        };
-        let expected = materialized_gate_status(entry_mode, raw);
-        let stored = match entry.get("gate_status") {
-            Some(Json::Str(s)) => s,
-            _ => return Err(format!("enumeration entry {i}: missing `gate_status` string")),
-        };
-        if (stored == "armed") != (expected == "armed") {
-            return Err(format!(
-                "enumeration entry {i}: gate_status says `{stored}` but a `{entry_mode}` sweep \
-                 with {raw:.0} raw candidates implies `{expected}`"
-            ));
-        }
-        if expected == "armed" {
-            let fraction = materialized / raw.max(1.0);
-            if fraction >= 0.9 {
-                return Err(format!(
-                    "enumeration entry {i}: lazy sweep materialized {fraction:.3} of its raw \
-                     candidates (gate requires < 0.90)"
-                ));
-            }
-        } else {
-            let circuit = match entry.get("circuit") {
-                Some(Json::Str(s)) => s.as_str(),
-                _ => "?",
-            };
-            let mode = match entry.get("mode") {
-                Some(Json::Str(s)) => s.as_str(),
-                _ => "?",
-            };
-            notes.push(format!("enumeration {circuit}/{mode} materialization gate: {stored}"));
         }
     }
     Ok(notes)
@@ -2219,9 +1818,6 @@ mod tests {
         // The menu carries a duplicate scenario, so dedup must fire.
         assert!(report.batch.iter().all(|e| e.distinct_scenarios < e.scenarios));
         assert!(report.batch.iter().all(|e| e.dirty_victims <= e.unmasked_dirty_victims));
-        // One peel loop per circuit, at least two rounds, bit-identical.
-        assert_eq!(report.peeled.len(), 1);
-        assert!(report.peeled.iter().all(|e| e.identical_to_scratch && e.rounds >= 2));
         // One damping comparison per circuit x mode: bit-identical under
         // both dampings, one certificate per proven-clean victim, and the
         // whatif section's bookkeeping must add up.
@@ -2236,21 +1832,6 @@ mod tests {
             .whatif
             .iter()
             .all(|e| e.recomputed_victims + e.proven_clean_victims == e.structural_dirty_victims));
-        // One enumeration comparison per circuit x mode: lazy
-        // bit-identical to eager, the admission accounting closed, and
-        // the lazy path actually culling (i1 addition has dominance
-        // anchors from the first pair round).
-        assert_eq!(report.enumeration.len(), 1);
-        assert!(report.enumeration.iter().all(|e| e.identical_to_eager));
-        assert!(report
-            .enumeration
-            .iter()
-            .all(|e| e.bound_culled + e.materialized == e.raw_candidates));
-        assert!(report.enumeration.iter().all(|e| e.bound_culled > 0));
-        assert!(report
-            .enumeration
-            .iter()
-            .all(|e| e.lazy_ms.is_finite() && e.eager_ms.is_finite() && e.lazy_ms > 0.0));
         // One scheduler entry per circuit x mode, from a genuinely
         // parallel configuration sweeping every victim task.
         assert_eq!(report.scheduler.len(), 1);
@@ -2270,15 +1851,13 @@ mod tests {
         assert!(table.contains("session persistence"));
         assert!(table.contains("versioned store"));
         assert!(table.contains("batch what-if"));
-        assert!(table.contains("peeled elimination"));
         assert!(table.contains("corridor damping"));
-        assert!(table.contains("lazy enumeration"));
     }
 
-    /// A structurally complete, semantically passing v9 report — the
+    /// A structurally complete, semantically passing v10 report — the
     /// baseline every rejection case below is a one-flag mutation of.
     const GOOD_REPORT: &str = r#"{
-      "schema": "dna-bench-topk/v9",
+      "schema": "dna-bench-topk/v10",
       "host_threads": 8, "k": 10, "samples": 1, "seed": 42,
       "entries": [{
         "circuit": "i1", "mode": "addition", "threads": 0,
@@ -2326,25 +1905,12 @@ mod tests {
         "closure_frames_built": 4, "closure_frames_shared": 2,
         "identical_to_sequential": true
       }],
-      "peeled": [{
-        "circuit": "i1", "k": 10, "step": 5, "rounds": 2,
-        "scratch_ms": 4.0, "session_ms": 2.0,
-        "identical_to_scratch": true
-      }],
       "damping": [{
         "circuit": "i1", "mode": "addition",
         "semantic_ms": 0.8, "structural_ms": 1.0,
         "structural_dirty_victims": 5, "proven_clean_victims": 2,
         "certificates": 2,
         "identical_to_full": true
-      }],
-      "enumeration": [{
-        "circuit": "i5", "mode": "addition",
-        "lazy_ms": 700.0, "eager_ms": 900.0,
-        "raw_candidates": 120000, "bound_culled": 40000,
-        "materialized": 80000, "materialized_fraction": 0.666667,
-        "identical_to_eager": true,
-        "gate_status": "armed"
       }]
     }"#;
 
@@ -2353,9 +1919,9 @@ mod tests {
         assert!(validate_json("").is_err());
         assert!(validate_json("{").is_err());
         assert!(validate_json("{}").is_err());
-        assert!(validate_json(r#"{"schema": "other/v9"}"#).is_err());
+        assert!(validate_json(r#"{"schema": "other/v10"}"#).is_err());
         // Older schemas (missing the sections added since) are rejected.
-        for old in ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"] {
+        for old in ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"] {
             assert!(validate_json(&format!(r#"{{"schema": "dna-bench-topk/{old}"}}"#)).is_err());
         }
         validate_json(GOOD_REPORT).expect("the baseline report validates");
@@ -2458,51 +2024,11 @@ mod tests {
         let err = validate_json(&bad_replay).unwrap_err();
         assert!(err.contains("chain-tip replay differs"), "{err}");
 
-        // The v9 materialization gate: an everything-materialized sweep
-        // fails where the gate is armed, the accounting must close, and
-        // the recorded status cannot contradict the entry's own mode and
-        // raw-candidate count.
-        let all_materialized = GOOD_REPORT
-            .replace("\"bound_culled\": 40000", "\"bound_culled\": 5000")
-            .replace("\"materialized\": 80000", "\"materialized\": 115000");
-        let err = validate_json(&all_materialized).unwrap_err();
-        assert!(err.contains("gate requires < 0.90"), "{err}");
-        let hole = GOOD_REPORT.replace("\"materialized\": 80000", "\"materialized\": 79999");
-        let err = validate_json(&hole).unwrap_err();
-        assert!(err.contains("admission accounting hole"), "{err}");
-        let lying_enum_status = GOOD_REPORT
-            .replace("\"raw_candidates\": 120000", "\"raw_candidates\": 90000")
-            .replace("\"bound_culled\": 40000", "\"bound_culled\": 10000");
-        let err = validate_json(&lying_enum_status).unwrap_err();
-        assert!(err.contains("90000 raw candidates implies `skipped"), "{err}");
-        // Elimination entries never arm — the cull is a trickle by
-        // engine construction, and an armed status on one is a lie.
-        let armed_enum_elimination = GOOD_REPORT.replace(
-            "\"circuit\": \"i5\", \"mode\": \"addition\",\n        \"lazy_ms\"",
-            "\"circuit\": \"i5\", \"mode\": \"elimination\",\n        \"lazy_ms\"",
-        );
-        let err = validate_json(&armed_enum_elimination).unwrap_err();
-        assert!(err.contains("`elimination` sweep") && err.contains("implies `skipped"), "{err}");
-        // Below the floor the gate skips with a note — and the lazy
-        // identity gate still never skips.
-        let smoke_enum = lying_enum_status.replace(
-            "\"identical_to_eager\": true,\n        \"gate_status\": \"armed\"",
-            "\"identical_to_eager\": true,\n        \"gate_status\": \"skipped (smoke)\"",
-        );
-        let notes = validate_json_notes(&smoke_enum).expect("sub-floor raw count skips the gate");
-        assert_eq!(notes.len(), 1, "{notes:?}");
-        assert!(notes[0].contains("enumeration i5/addition"), "{notes:?}");
-        let lazy_diverged =
-            smoke_enum.replace("\"identical_to_eager\": true", "\"identical_to_eager\": false");
-        let err = validate_json(&lazy_diverged).unwrap_err();
-        assert!(err.contains("differs from the eager reference"), "{err}");
-
         // Structurally fine but semantically failing: each identity gate,
         // flipped to false in turn, must be flagged with its own message.
         let cases = [
             ("\"identical_to_serial\": true", "differs from the serial reference"),
             ("\"identical_to_sequential\": true", "differs from its sequential reference"),
-            ("\"identical_to_scratch\": true", "differs from the from-scratch reference"),
         ];
         for (flag, expected) in cases {
             let broken = GOOD_REPORT.replace(flag, &flag.replace("true", "false"));
@@ -2534,16 +2060,9 @@ mod tests {
         assert!(err.contains("semantically damped result differs"), "{err}");
 
         // Dropping any report section (or emptying it) is a violation.
-        for section in [
-            "scheduler",
-            "whatif",
-            "session_persistence",
-            "versioned_store",
-            "batch",
-            "peeled",
-            "damping",
-            "enumeration",
-        ] {
+        for section in
+            ["scheduler", "whatif", "session_persistence", "versioned_store", "batch", "damping"]
+        {
             let needle = format!("\"{section}\": [");
             let start = GOOD_REPORT.find(&needle).expect("section present");
             let end = GOOD_REPORT[start..].find("}]").expect("section closes") + start + 2;

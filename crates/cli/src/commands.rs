@@ -5,8 +5,7 @@ use std::fs;
 use dna_bench::topk_bench;
 use dna_lint::{
     lint_batch_order, lint_chain, lint_circuit, lint_config, lint_dirty_closure,
-    lint_dirty_closure_certified, lint_prune_audit, lint_result, lint_sched_replay, lint_timing,
-    Diagnostics,
+    lint_dirty_closure_certified, lint_result, lint_sched_replay, lint_timing, Diagnostics,
 };
 use dna_netlist::generator::{generate, GeneratorConfig};
 use dna_netlist::{format, suite, Circuit, CouplingId};
@@ -26,23 +25,16 @@ usage: dna <command> [options]
 commands:
   generate  --gates N --couplings N [--seed S] [--bench i1..i10] [-o file]
   analyze   <file.ckt> [--seed S]         iterative noise analysis report
-  topk      <file.ckt> --mode add|del -k N [--peel] [--audit]
+  topk      <file.ckt> --mode add|del -k N [--peel]
             [--threads N] [--victim-budget N] [--global-budget N]
             [--deadline-ms MS]
                                           budgets degrade soundly: the
                                           result is marked a lower bound;
-                                          --peel rounds run incrementally,
-                                          --audit re-checks them against
-                                          the from-scratch reference;
+                                          --peel commits k/5 couplings per
+                                          round and re-runs (elimination);
                                           --threads 0 (default) resolves
                                           to host parallelism — any value
-                                          is bit-identical; candidates
-                                          are admitted lazily (bound-
-                                          first culling, deferred PWL
-                                          materialization) — set
-                                          DNA_ENUM_EAGER=1 for the eager
-                                          reference path, bit-identical
-                                          either way
+                                          is bit-identical
   whatif    <file.ckt> [--mode add|del] [-k N] [--audit] [--threads N]
             [--damping structural|semantic]
             [--save FILE] [--load FILE]   fix-loop: run, remove the worst
@@ -232,23 +224,17 @@ fn report_scheduler(config: &TopKConfig, result: &TopKResult) {
     );
 }
 
-/// Surfaces the lazy enumeration counters: how many staged candidates the
-/// bound-first phase culled without ever building their PWL envelope.
-/// Unlike the scheduler line these numbers are bit-identical at any
-/// `--threads` value, so scripted fingerprints may keep this line.
+/// Surfaces the enumeration effort. Unlike the scheduler line these
+/// numbers are bit-identical at any `--threads` value, so scripted
+/// fingerprints may keep this line.
 fn report_enumeration(result: &TopKResult) {
-    let s = result.sweep_stats();
     let generated = result.generated_candidates();
     if generated == 0 {
         return;
     }
     println!(
-        "enumeration: {} candidate(s) generated, {} bound-culled without \
-         materialization ({:.1}%), {} materialized",
-        generated,
-        s.bound_culled,
-        s.bound_culled as f64 / generated as f64 * 100.0,
-        s.materialized,
+        "enumeration: {generated} candidate(s) generated, peak list width {}",
+        result.peak_list_width()
     );
 }
 
@@ -289,20 +275,6 @@ fn cmd_topk(opts: &Opts) -> Result<(), String> {
         (Mode::Elimination, true) => engine.elimination_set_peeled(k, peel_step),
     }
     .map_err(|e| e.to_string())?;
-    // --audit with --peel certifies the incremental peel rounds against
-    // the from-scratch reference implementation.
-    if mode == Mode::Elimination && opts.has("peel") && opts.has("audit") {
-        let scratch =
-            engine.elimination_set_peeled_scratch(k, peel_step).map_err(|e| e.to_string())?;
-        let same = result.couplings() == scratch.couplings()
-            && result.delay_before().to_bits() == scratch.delay_before().to_bits()
-            && result.delay_after().to_bits() == scratch.delay_after().to_bits()
-            && result.predicted_delay().to_bits() == scratch.predicted_delay().to_bits();
-        if !same {
-            return Err("audit failed: incremental peel diverged from from-scratch".into());
-        }
-        println!("audit: incremental peel == from-scratch (bit-identical)");
-    }
 
     println!("top-{k} {} set on {}:", mode.name(), circuit.stats());
     for &cc in result.couplings() {
@@ -529,25 +501,12 @@ fn cmd_whatif(opts: &Opts) -> Result<(), String> {
                 sched_diags.render_text()
             ));
         }
-        // Lazy-enumeration soundness (L080): replay the sweep eagerly and
-        // check every bound-first cull's deferred certificate against the
-        // fully materialized envelopes.
-        let prune = engine.prune_audit(mode, k).map_err(|e| e.to_string())?;
-        let prune_diags = lint_prune_audit(&prune);
-        if prune_diags.has_errors() {
-            return Err(format!(
-                "audit failed: lazy enumeration diverged from eager\n{}",
-                prune_diags.render_text()
-            ));
-        }
         println!(
             "audit: incremental == from-scratch (bit-identical), dirty closure coherent, \
              {} certificate(s) verified, {checked} proven-clean victim(s) spot-checked, \
-             scheduler replay clean ({} slot(s)), lazy culls justified \
-             ({} deferred-prune certificate(s) re-verified)",
+             scheduler replay clean ({} slot(s))",
             outcome.certificates().len(),
             sched.checked_victims,
-            prune.certificates,
         );
     }
     Ok(())
@@ -759,18 +718,10 @@ fn whatif_batch(
         out.stats().unmasked_dirty_victims(),
         out.stats().proven_clean_victims(),
     );
-    let (gen_total, culled_total, mat_total) =
-        out.scenarios().iter().fold((0_usize, 0_usize, 0_usize), |(g, c, m), sc| {
-            let s = sc.result().sweep_stats();
-            (g + sc.result().generated_candidates(), c + s.bound_culled, m + s.materialized)
-        });
+    let gen_total: usize =
+        out.scenarios().iter().map(|sc| sc.result().generated_candidates()).sum();
     if gen_total > 0 {
-        println!(
-            "enumeration: {gen_total} candidate(s) generated across scenarios, \
-             {culled_total} bound-culled without materialization ({:.1}%), \
-             {mat_total} materialized",
-            culled_total as f64 / gen_total as f64 * 100.0,
-        );
+        println!("enumeration: {gen_total} candidate(s) generated across scenarios");
     }
     let sched = *out.stats().sched();
     if sched.tasks() > 0 {
@@ -959,16 +910,6 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
         let audit = engine.sched_audit(Mode::Addition, 2).map_err(|e| e.to_string())?;
         diags.merge(lint_sched_replay(&audit));
 
-        // Lazy-enumeration soundness (L080): re-run the sweep with every
-        // candidate eagerly materialized and check the lazy path's lists,
-        // counters and deferred-prune certificates against it — a bogus
-        // certificate (e.g. injected through `faultsim`) whose culled set
-        // survives the eager sweep fails here.
-        for m in [Mode::Addition, Mode::Elimination] {
-            let prune = engine.prune_audit(m, 2).map_err(|e| e.to_string())?;
-            diags.merge(lint_prune_audit(&prune));
-        }
-
         // Chain integrity (L07x): round-trip the touched session through
         // a scratch generation chain — checkpoint base plus one appended
         // delta — and verify the file's record order, links and replay
@@ -1043,14 +984,8 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     if report.batch.iter().any(|e| !e.identical_to_sequential) {
         return Err("a batch scenario diverged from its sequential reference".into());
     }
-    if report.peeled.iter().any(|e| !e.identical_to_scratch) {
-        return Err("an incremental peel diverged from its from-scratch reference".into());
-    }
     if report.versioned_store.iter().any(|e| !e.identical_to_full) {
         return Err("a chain-tip replay diverged from its live session".into());
-    }
-    if report.enumeration.iter().any(|e| !e.identical_to_eager) {
-        return Err("a lazy enumeration diverged from its eager reference".into());
     }
     Ok(())
 }

@@ -8,14 +8,10 @@
 //! left after subtracting what they eliminate, and dominance prefers
 //! smaller residuals.
 //!
-//! Candidate admission mirrors the addition side's two-phase scheme (see
-//! [`crate::enumeration`]): phase 1 stages events and replays the budget,
-//! phase 2 culls on a sound residual delay-noise **lower** bound (the
-//! single-point floor, [`Prepared::elimination_noise_floor`]) or
-//! materializes through the scratch-arena subtraction kernel — f64-bit-
-//! identical to the eager reference path in either case.
+//! Candidates are admitted and materialized exactly as on the addition
+//! side, through the scratch-arena subtraction kernel.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dna_netlist::NetId;
 use dna_waveform::Envelope;
@@ -23,9 +19,6 @@ use dna_waveform::Envelope;
 use crate::addition::{EnumerationOutcome, SinkOption};
 use crate::dominance::{irredundant_with_discard, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
-use crate::enumeration::{
-    DeferredPruneCertificate, PruneKind, RoundRank, ANCHOR_TRIES, CULL_MARGIN,
-};
 use crate::sched::Slots;
 use crate::{arena, faultsim, Candidate, CouplingSet, TopKError};
 
@@ -41,24 +34,6 @@ const WIDENER_POOL: usize = 4;
 struct RemovalAtom {
     set: CouplingSet,
     removal: Envelope,
-}
-
-/// Provenance of one staged residual candidate: where its member and atom
-/// live, so phase 2 can materialize (or bound) it without phase 1 cloning
-/// any envelope.
-enum EvKind {
-    /// `lists[i-1][member] ⊖ atoms[atom]` (single-coupling atom).
-    Extend { member: usize, atom: usize },
-    /// `total ⊖ atoms[atom]`, the atom's cardinality being exactly `i`.
-    Standalone { atom: usize },
-    /// `lists[j][member] ⊖` a multi-coupling atom of cardinality `i - j`.
-    Combine { j: usize, member: usize, atom: usize },
-}
-
-/// One budget-passing admission event of a round, staged by phase 1.
-struct Event {
-    kind: EvKind,
-    set: CouplingSet,
 }
 
 /// The per-victim enumeration as a closure for the scenario sweep
@@ -109,16 +84,7 @@ fn victim_lists(
     let iv = p.dominance_iv[vi];
     let mut peak_list_width = 0usize;
     let mut generated = 0usize;
-    let mut raw_generated = 0usize;
     let mut truncated = false;
-    let mut bound_culled = 0usize;
-    let mut materialized = 0usize;
-
-    // Same gate as the addition side: both cull rules prove "the eager
-    // pipeline would drop this", so culling needs dominance pruning on,
-    // the eager reference not forced, and this victim's delay-noise fault
-    // hook disarmed (a culled event never computes a delay noise).
-    let culling = p.config.dominance_pruning && !p.eager() && !faultsim::nan_victim_armed(v);
 
     // Fanin shift carried into this victim by upstream noise: the
     // noisy arrival minus the victim's own injected noise, relative to
@@ -249,190 +215,59 @@ fn victim_lists(
     // has the victim's total envelope to anchor on.
     let total_dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &total));
     lists.push(vec![Candidate::try_new(CouplingSet::new(), total.clone(), total_dn)?]);
-    // The eager pre-truncation cap of `irredundant` — the boundary
-    // between the exact and beam cull regimes.
-    let cap = p.config.max_list_width.map_or(usize::MAX, |w| w.saturating_mul(4).max(64));
-    let mut rank = RoundRank::new(false);
-
     for i in 1..=k {
-        // --- Phase 1: stage the round's events (no PWL work) -------
-        let mut events: Vec<Event> = Vec::new();
-        {
-            let mut stage = |set: CouplingSet, kind: EvKind, events: &mut Vec<Event>| {
-                if raw_generated >= allowance {
-                    truncated = true;
-                    return;
-                }
-                raw_generated += 1;
-                events.push(Event { kind, set });
-            };
+        let mut cands: Vec<Candidate> = Vec::new();
+        // Admits `member ⊖ atom` (`total ⊖ atom` when `member` is `None`)
+        // unless the budget is spent, materializing the residual through
+        // the scratch arena.
+        let mut admit = |set: CouplingSet,
+                         member: Option<&Candidate>,
+                         atom: &RemovalAtom,
+                         cands: &mut Vec<Candidate>|
+         -> Result<(), TopKError> {
+            if generated >= allowance {
+                truncated = true;
+                return Ok(());
+            }
+            generated += 1;
+            let member_env = member.map_or(&total, Candidate::envelope);
+            let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
+            let dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &env));
+            debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
+            cands.push(Candidate::try_new(set, env, dn)?);
+            Ok(())
+        };
 
-            // Extend I_{i-1} with one primary removal.
-            for (m, s) in lists[i - 1].iter().enumerate() {
-                for (ai, atom) in atoms.iter().enumerate() {
-                    if atom.set.len() != 1 {
-                        continue;
-                    }
+        // Extend I_{i-1} with one primary removal.
+        for s in &lists[i - 1] {
+            for atom in &atoms {
+                if atom.set.len() != 1 || s.set().intersects(&atom.set) {
+                    continue;
+                }
+                admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
+            }
+        }
+        // Atoms standalone (exact cardinality) or, for multi-coupling
+        // atoms, combined with the best smaller sets. Single-coupling
+        // extension is already covered above.
+        for atom in &atoms {
+            let c = atom.set.len();
+            if c > i || c == 0 {
+                continue;
+            }
+            let j = i - c;
+            if j == 0 {
+                admit(atom.set.clone(), None, atom, &mut cands)?;
+            } else if c > 1 {
+                for s in lists[j].iter().take(breadth) {
                     if s.set().intersects(&atom.set) {
                         continue;
                     }
-                    stage(
-                        s.set().union(&atom.set),
-                        EvKind::Extend { member: m, atom: ai },
-                        &mut events,
-                    );
-                }
-            }
-            // Atoms standalone (exact cardinality) or, for multi-coupling
-            // atoms, combined with the best smaller sets. Single-coupling
-            // extension is already covered above.
-            for (ai, atom) in atoms.iter().enumerate() {
-                let c = atom.set.len();
-                if c > i || c == 0 {
-                    continue;
-                }
-                let j = i - c;
-                if j == 0 {
-                    stage(atom.set.clone(), EvKind::Standalone { atom: ai }, &mut events);
-                } else if c > 1 {
-                    for (m, s) in lists[j].iter().take(breadth).enumerate() {
-                        if s.set().intersects(&atom.set) {
-                            continue;
-                        }
-                        stage(
-                            s.set().union(&atom.set),
-                            EvKind::Combine { j, member: m, atom: ai },
-                            &mut events,
-                        );
-                    }
+                    admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
                 }
             }
         }
-        let n_events = events.len();
 
-        // Cull regime for this round (see the addition-side twin for the
-        // full rationale): exact regime — distinct-set count within the
-        // eager pre-truncation cap — allows Dominated culls; otherwise
-        // only BeamSqueezed culls are sound.
-        let (distinct, mult_of): (usize, Vec<u32>) = if culling {
-            let mut mult: HashMap<&CouplingSet, u32> = HashMap::with_capacity(events.len());
-            for ev in &events {
-                *mult.entry(&ev.set).or_insert(0) += 1;
-            }
-            let distinct = mult.len();
-            let mult_of = events.iter().map(|ev| mult[&ev.set]).collect();
-            (distinct, mult_of)
-        } else {
-            (0, Vec::new())
-        };
-        let exact_regime = culling && distinct <= cap;
-        let beam_regime = culling && !exact_regime;
-        rank.clear();
-
-        // --- Phase 2: bound-first admission, arena materialization --
-        let mut cands: Vec<Candidate> = Vec::with_capacity(n_events);
-        // Indices (into `cands`) of unique-set survivors usable as
-        // dominance anchors in the exact regime.
-        let mut anchors: Vec<usize> = Vec::new();
-        'events: for (e, ev) in events.into_iter().enumerate() {
-            let (member, atom): (Option<&Candidate>, &RemovalAtom) = match ev.kind {
-                EvKind::Extend { member, atom } => (Some(&lists[i - 1][member]), &atoms[atom]),
-                EvKind::Combine { j, member, atom } => (Some(&lists[j][member]), &atoms[atom]),
-                EvKind::Standalone { atom } => (None, &atoms[atom]),
-            };
-            let member_env = member.map_or(&total, |m| m.envelope());
-
-            if culling {
-                // Sound *lower* bound on the residual's delay noise: the
-                // single-point floor holds the member's peak against the
-                // worst the removal could subtract there.
-                let lb = p.elimination_noise_floor(v, member_env, &atom.removal);
-
-                if exact_regime && mult_of[e] == 1 {
-                    let mut tries = 0usize;
-                    for &a in &anchors {
-                        if tries >= ANCHOR_TRIES {
-                            break;
-                        }
-                        let w = &cands[a];
-                        // Negated on purpose: a NaN delay noise must
-                        // reject the anchor, which `>` would admit.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        if !(w.delay_noise() <= lb) {
-                            continue;
-                        }
-                        tries += 1;
-                        // member >= w + removal-box (+ margin) pointwise
-                        // over the dominance interval forces the residual
-                        // member ⊖ removal >= w pointwise: w dominates.
-                        let dominates = member_env.as_pwl().ge_over_plus_box(
-                            w.envelope().as_pwl(),
-                            atom.removal.peak(),
-                            atom.removal.support_lo(),
-                            atom.removal.support_hi(),
-                            iv,
-                            CULL_MARGIN,
-                        );
-                        if dominates {
-                            bound_culled += 1;
-                            if p.captured.is_some() {
-                                let env = member_env.saturating_sub(&atom.removal);
-                                let dn = p.delay_noise_at(v, &env);
-                                p.record(DeferredPruneCertificate {
-                                    victim: v,
-                                    cardinality: i,
-                                    event: e,
-                                    culled_set: ev.set.clone(),
-                                    culled_bound: lb,
-                                    culled_envelope: env,
-                                    culled_delay_noise: dn,
-                                    kind: PruneKind::Dominated {
-                                        anchor_set: w.set().clone(),
-                                        anchor_delay_noise: w.delay_noise(),
-                                        anchor_envelope: w.envelope().clone(),
-                                    },
-                                });
-                            }
-                            continue 'events;
-                        }
-                    }
-                } else if beam_regime && lb.is_finite() {
-                    let stronger = rank.strictly_better_than(lb);
-                    if stronger >= cap {
-                        bound_culled += 1;
-                        if p.captured.is_some() {
-                            let env = member_env.saturating_sub(&atom.removal);
-                            let dn = p.delay_noise_at(v, &env);
-                            p.record(DeferredPruneCertificate {
-                                victim: v,
-                                cardinality: i,
-                                event: e,
-                                culled_set: ev.set.clone(),
-                                culled_bound: lb,
-                                culled_envelope: env,
-                                culled_delay_noise: dn,
-                                kind: PruneKind::BeamSqueezed { stronger, cap },
-                            });
-                        }
-                        continue 'events;
-                    }
-                }
-            }
-
-            // Materialize through the scratch arena.
-            let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
-            let dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &env));
-            materialized += 1;
-            if beam_regime {
-                rank.admit(&ev.set, dn);
-            } else if exact_regime && mult_of[e] == 1 {
-                anchors.push(cands.len());
-            }
-            debug_assert_eq!(ev.set.len(), i, "staged unions are disjoint-exact");
-            cands.push(Candidate::try_new(ev.set, env, dn)?);
-        }
-
-        generated += n_events;
         let pruned = irredundant_with_discard(
             cands,
             iv,
@@ -470,8 +305,7 @@ fn victim_lists(
         );
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };
-    let counters =
-        VictimCounters { peak_list_width, generated, bound_culled, materialized, curtailment };
+    let counters = VictimCounters { peak_list_width, generated, curtailment };
     Ok(VictimLists { lists, counters })
 }
 

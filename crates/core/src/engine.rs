@@ -2,14 +2,13 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use dna_netlist::{Circuit, CouplingId, NetId, NetSource};
 use dna_noise::{envelope_calc, CouplingMask, NoiseAnalysis, NoiseReport};
 use dna_sta::{NetTiming, TimingReport};
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, TimeInterval, Transition};
 
-use crate::enumeration::{self, DeferredPruneCertificate};
 use crate::result::{Fault, FaultPhase};
 use crate::sched::{self, BudgetPartition, SchedStats, Slots};
 use crate::{addition, elimination, faultsim, Candidate, TopKConfig, TopKError};
@@ -46,14 +45,9 @@ pub(crate) enum Curtailment {
 pub(crate) struct VictimCounters {
     /// Largest irredundant-list width at this victim.
     pub peak_list_width: usize,
-    /// Candidates generated at this victim before pruning.
+    /// Candidates generated (and materialized) at this victim before
+    /// pruning.
     pub generated: usize,
-    /// Candidates admitted by bound only and never materialized (lazy
-    /// enumeration; always 0 under `DNA_ENUM_EAGER`).
-    pub bound_culled: usize,
-    /// Candidates whose envelope was actually built. Eager enumeration
-    /// materializes everything: `materialized == generated` there.
-    pub materialized: usize,
     /// Whether (and how) a budget curtailed this victim.
     pub curtailment: Curtailment,
 }
@@ -65,8 +59,6 @@ pub(crate) struct VictimCounters {
 pub(crate) struct SweepTotals {
     pub peak_list_width: usize,
     pub generated: usize,
-    pub bound_culled: usize,
-    pub materialized: usize,
     pub truncated_victims: usize,
     pub skipped_victims: usize,
 }
@@ -77,8 +69,6 @@ impl VictimCounters {
         all.iter().fold(SweepTotals::default(), |mut t, c| {
             t.peak_list_width = t.peak_list_width.max(c.peak_list_width);
             t.generated += c.generated;
-            t.bound_culled += c.bound_culled;
-            t.materialized += c.materialized;
             match c.curtailment {
                 Curtailment::None => {}
                 Curtailment::Truncated => t.truncated_victims += 1,
@@ -169,13 +159,6 @@ pub(crate) struct Prepared<'c> {
     /// ranking is a pure function of immutable state, so whichever worker
     /// initializes the slot writes the same value.
     wideners: Vec<OnceLock<RankedWideners>>,
-    /// The prune audit's enumeration path for sweeps of this world alone:
-    /// `Some(true)` eager, `Some(false)` lazy, `None` the process-wide
-    /// switch ([`enumeration::eager_mode`]).
-    pub enum_path: Option<bool>,
-    /// Set by the prune audit: every bound-first cull of a sweep of this
-    /// world records its certificate here.
-    pub captured: Option<Mutex<Vec<DeferredPruneCertificate>>>,
 }
 
 impl<'c> Prepared<'c> {
@@ -324,86 +307,12 @@ impl<'c> Prepared<'c> {
             shift_bound,
             mask,
             wideners: (0..circuit.num_nets()).map(|_| OnceLock::new()).collect(),
-            enum_path: None,
-            captured: None,
         })
-    }
-
-    /// Whether sweeps of this world take the eager reference path.
-    pub fn eager(&self) -> bool {
-        self.enum_path.unwrap_or_else(enumeration::eager_mode)
-    }
-
-    /// Records a deferred-prune certificate when the prune audit captures
-    /// this world's culls.
-    pub fn record(&self, cert: DeferredPruneCertificate) {
-        if let Some(captured) = &self.captured {
-            captured.lock().unwrap_or_else(PoisonError::into_inner).push(cert);
-        }
     }
 
     /// Delay noise `envelope` produces on `victim`'s noiseless transition.
     pub fn delay_noise_at(&self, victim: NetId, envelope: &Envelope) -> f64 {
         superposition::delay_noise(&self.victim_tr[victim.index()], envelope)
-    }
-
-    /// Noiseless 50 % crossing of `victim`'s transition.
-    pub fn victim_t50(&self, victim: NetId) -> f64 {
-        self.victim_tr[victim.index()].t50()
-    }
-
-    /// Latest time at which `envelope` could still hold `victim`'s
-    /// waveform on the wrong side of a slack-hardened 50 % level (see
-    /// [`superposition::hardened_crossing`]). Any noisy crossing produced
-    /// by any envelope that `envelope` pointwise dominates (within
-    /// [`enumeration::VSLACK`] minus the pointwise algebra error) lies at
-    /// or before this time — the keystone of the lazy addition bound.
-    pub fn hardened_settle(&self, victim: NetId, envelope: &Envelope) -> f64 {
-        superposition::hardened_crossing(
-            &self.victim_tr[victim.index()],
-            envelope,
-            crate::enumeration::VSLACK,
-        )
-    }
-
-    /// Sound lower bound on the delay noise of `member ⊖ removal` at
-    /// `victim`, from cached peaks alone — no PWL is built.
-    ///
-    /// Single-point argument at `t* = member.peak_time()`: the residual
-    /// satisfies `x(t*) ≥ member(t*) − box_r` where `box_r` over-approx-
-    /// imates `removal(t*)` by its peak inside its support (0 outside).
-    /// If even that floor keeps the noisy waveform on the wrong side of a
-    /// `VSLACK`-hardened 50 % level at `t*`, the residual's crossing is at
-    /// or after `t*`, so its delay noise is at least `t* − t50`. When the
-    /// test fails the bound degrades to 0 — always sound, since delay
-    /// noise is clamped non-negative.
-    pub fn elimination_noise_floor(
-        &self,
-        victim: NetId,
-        member: &Envelope,
-        removal: &Envelope,
-    ) -> f64 {
-        let tr = &self.victim_tr[victim.index()];
-        let t_star = member.peak_time();
-        if !t_star.is_finite() {
-            return 0.0;
-        }
-        let box_r = if t_star >= removal.support_lo() && t_star <= removal.support_hi() {
-            removal.peak()
-        } else {
-            0.0
-        };
-        let clean = tr.eval(t_star);
-        let slack = crate::enumeration::VSLACK;
-        let held = match tr.edge() {
-            Edge::Rising => clean - member.peak() + box_r <= 0.5 - slack,
-            Edge::Falling => clean + member.peak() - box_r >= 0.5 + slack,
-        };
-        if held {
-            (t_star - tr.t50()).max(0.0)
-        } else {
-            0.0
-        }
     }
 
     /// The envelope of one primary aggressor at `victim`, with the LAT
@@ -618,9 +527,9 @@ type PerVictim<'p> =
 /// of every scenario, serving clean victims from each scenario's cache,
 /// and returns each scenario's merged state plus the scheduler counters.
 ///
-/// A full run is one all-dirty scenario over [`Swept::empty`]; a what-if
-/// apply, a batch of what-ifs and a peel round are scenarios over cached
-/// state. A victim's work reads the published lists of its strict fanin
+/// A full run (and every peel round) is one all-dirty scenario over
+/// [`Swept::empty`]; a what-if apply and a batch of what-ifs are
+/// scenarios over cached state. A victim's work reads the published lists of its strict fanin
 /// only (pseudo atoms), never siblings or another scenario's nets, so
 /// every (scenario, victim) pair is one task on the deterministic
 /// work-stealing scheduler ([`crate::sched`]): edges for exactly the

@@ -30,11 +30,6 @@
 //!   victim's result slot at all (simulates a lost publication; the
 //!   collection path must quarantine the victim behind a typed
 //!   `SchedulerInvariant` error and a `Degraded` result, never abort);
-//! * [`arm_bogus_prune_certificate`] — a capture-armed enumeration sweep
-//!   fabricates a [`DeferredPruneCertificate`](crate::DeferredPruneCertificate)
-//!   claiming a candidate that actually *survives* was bound-culled
-//!   (simulates a broken cull proof; the L080 re-derivation in `dna-lint`
-//!   and `whatif --audit` must catch the surviving "culled" set);
 //! * [`arm_crash_point`] / the `DNA_CRASH_POINT` environment variable —
 //!   the versioned artifact store's commit protocol aborts the whole
 //!   process (`kill -9` semantics: no unwinding, no destructors, no
@@ -67,7 +62,6 @@ static FORCE_CLEAN_VICTIM: AtomicUsize = AtomicUsize::new(DISARMED);
 static CORRUPT_SCHED_SLOT: AtomicUsize = AtomicUsize::new(DISARMED);
 static DROP_SCHED_PUBLISH: AtomicUsize = AtomicUsize::new(DISARMED);
 static CRASH_POINT: AtomicUsize = AtomicUsize::new(DISARMED);
-static BOGUS_PRUNE_CERT: AtomicUsize = AtomicUsize::new(DISARMED);
 
 /// Every commit-protocol step the versioned store consults before (or in
 /// the middle of) an irreversible disk operation, in protocol order:
@@ -142,16 +136,6 @@ pub fn arm_crash_point(point: &str) -> bool {
     }
 }
 
-/// Arms fabrication of a bogus
-/// [`DeferredPruneCertificate`](crate::DeferredPruneCertificate) for the
-/// victim with net index `index` until [`disarm_all`]: the next
-/// *capture-armed* enumeration of that victim records a certificate whose
-/// "culled" set in fact survives into the final lists, with a self-anchored
-/// dominance claim. The L080 re-derivation must flag it.
-pub fn arm_bogus_prune_certificate(index: usize) {
-    BOGUS_PRUNE_CERT.store(index, Ordering::SeqCst);
-}
-
 /// Disarms every injection point.
 pub fn disarm_all() {
     PANIC_VICTIM.store(DISARMED, Ordering::SeqCst);
@@ -161,7 +145,6 @@ pub fn disarm_all() {
     CORRUPT_SCHED_SLOT.store(DISARMED, Ordering::SeqCst);
     DROP_SCHED_PUBLISH.store(DISARMED, Ordering::SeqCst);
     CRASH_POINT.store(DISARMED, Ordering::SeqCst);
-    BOGUS_PRUNE_CERT.store(DISARMED, Ordering::SeqCst);
 }
 
 /// Installs (once) a panic hook that suppresses the default stderr
@@ -202,21 +185,6 @@ pub(crate) fn corrupt_delay_noise(v: NetId, dn: f64) -> f64 {
     } else {
         dn
     }
-}
-
-/// Enumeration hook: whether NaN injection is armed for victim `v`.
-/// Bound-first culling disarms itself on such victims — a culled event's
-/// delay noise is never computed, so its corruption could never surface,
-/// and lazy admission must diverge from eager in *nothing*, injected
-/// faults included.
-pub(crate) fn nan_victim_armed(v: NetId) -> bool {
-    NAN_VICTIM.load(Ordering::Relaxed) == v.index()
-}
-
-/// Enumeration hook: whether a bogus prune certificate is armed for
-/// victim `v` (capture-armed sweeps only consult this).
-pub(crate) fn bogus_prune_certificate_armed(v: NetId) -> bool {
-    BOGUS_PRUNE_CERT.load(Ordering::Relaxed) == v.index()
 }
 
 /// Engine hook: panics iff a prepare-phase panic is armed.

@@ -104,10 +104,11 @@ use crate::{
 };
 
 /// Format version this build reads and writes. Bump on any layout change;
-/// the loader rejects every other version. v3 adds the lazy-enumeration
-/// counters (`bound_culled` / `materialized`) to every per-victim counter
-/// record and to sweep stats — v1/v2 artifacts are rejected as version
-/// skew (regenerate the cache; it is only a cache).
+/// the loader rejects every other version. v3 added two enumeration
+/// counter slots (culled / materialized) to every per-victim counter
+/// record and to sweep stats; they now always hold `0` and the generated
+/// count — v1/v2 artifacts are rejected as version skew (regenerate the
+/// cache; it is only a cache).
 pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Leading magic: "DNA What-If Artifact".
@@ -375,6 +376,22 @@ fn curtailment_from_u8(v: u8) -> Result<Curtailment, ArtifactError> {
     }
 }
 
+/// The two per-victim counter slots bound-first culling used to fill
+/// (culled, materialized). Every candidate is materialized now, so they
+/// are written as `0` and `generated` ...
+fn encode_retired_cull_slots(w: &mut Writer, generated: usize) {
+    w.usize(0);
+    w.usize(generated);
+}
+
+/// ... and read back only to be discarded, so artifacts that recorded
+/// culls still decode.
+fn skip_retired_cull_slots(r: &mut Reader<'_>) -> Result<(), ArtifactError> {
+    r.usize("retired culled counter")?;
+    r.usize("retired materialized counter")?;
+    Ok(())
+}
+
 fn encode_set(w: &mut Writer, set: &CouplingSet) {
     w.usize(set.len());
     for id in set.ids() {
@@ -460,8 +477,7 @@ fn encode_result(w: &mut Writer, res: &TopKResult) {
     w.usize(res.stats.truncated_victims);
     w.usize(res.stats.skipped_victims);
     w.usize(res.stats.quarantined_victims);
-    w.usize(res.stats.bound_culled);
-    w.usize(res.stats.materialized);
+    encode_retired_cull_slots(w, res.generated_candidates);
 }
 
 fn decode_result(
@@ -502,9 +518,10 @@ fn decode_result(
         truncated_victims: r.usize("truncated victims")?,
         skipped_victims: r.usize("skipped victims")?,
         quarantined_victims: r.usize("quarantined victims")?,
-        bound_culled: r.usize("bound culled")?,
-        materialized: r.usize("materialized")?,
+        bound_culled: 0,
+        materialized: generated_candidates,
     };
+    skip_retired_cull_slots(r)?;
     Ok(TopKResult {
         mode,
         requested_k,
@@ -799,8 +816,7 @@ fn encode_checkpoint_payload(session: &WhatIfSession<'_, '_>) -> Vec<u8> {
     for c in &session.counters {
         w.usize(c.peak_list_width);
         w.usize(c.generated);
-        w.usize(c.bound_culled);
-        w.usize(c.materialized);
+        encode_retired_cull_slots(&mut w, c.generated);
         w.u8(curtailment_to_u8(c.curtailment));
     }
 
@@ -882,16 +898,9 @@ fn decode_checkpoint<'a, 'c>(
     for _ in 0..nets {
         let peak_list_width = r.usize("counter peak")?;
         let generated = r.usize("counter generated")?;
-        let bound_culled = r.usize("counter bound culled")?;
-        let materialized = r.usize("counter materialized")?;
+        skip_retired_cull_slots(&mut r)?;
         let curtailment = curtailment_from_u8(r.u8("counter curtailment")?)?;
-        counters.push(VictimCounters {
-            peak_list_width,
-            generated,
-            bound_culled,
-            materialized,
-            curtailment,
-        });
+        counters.push(VictimCounters { peak_list_width, generated, curtailment });
     }
 
     let mut lists: Vec<NetLists> = Vec::with_capacity(nets);
@@ -974,8 +983,7 @@ fn encode_delta_payload(pd: &PendingDelta) -> Vec<u8> {
         w.u32(*vi);
         w.usize(counters.peak_list_width);
         w.usize(counters.generated);
-        w.usize(counters.bound_culled);
-        w.usize(counters.materialized);
+        encode_retired_cull_slots(&mut w, counters.generated);
         w.u8(curtailment_to_u8(counters.curtailment));
         encode_victim_lists(&mut w, lists);
     }
@@ -1029,13 +1037,11 @@ fn apply_delta_record(
             });
         }
         last = Some(vi);
-        let counters = VictimCounters {
-            peak_list_width: r.usize("dirty counter peak")?,
-            generated: r.usize("dirty counter generated")?,
-            bound_culled: r.usize("dirty counter bound culled")?,
-            materialized: r.usize("dirty counter materialized")?,
-            curtailment: curtailment_from_u8(r.u8("dirty counter curtailment")?)?,
-        };
+        let peak_list_width = r.usize("dirty counter peak")?;
+        let generated = r.usize("dirty counter generated")?;
+        skip_retired_cull_slots(&mut r)?;
+        let curtailment = curtailment_from_u8(r.u8("dirty counter curtailment")?)?;
+        let counters = VictimCounters { peak_list_width, generated, curtailment };
         let lists = decode_victim_lists(&mut r, couplings)?;
         patches.push((vi, counters, lists));
     }

@@ -137,14 +137,11 @@ pub struct SweepStats {
     /// Victims quarantined by faults (see
     /// [`TopKResult::faults`]).
     pub quarantined_victims: usize,
-    /// Candidates admitted on a sound delay-noise bound alone and never
-    /// materialized into a PWL envelope (lazy enumeration; 0 under
-    /// `DNA_ENUM_EAGER`). Diagnostic only: culled candidates still count
-    /// in [`TopKResult::generated_candidates`], so lazy and eager agree
-    /// on every identity-relevant number.
+    /// Always 0: enumeration materializes every candidate it generates.
+    /// Kept so readers of the counter pair keep working.
     pub bound_culled: usize,
-    /// Candidates whose envelope was actually built during enumeration
-    /// (`bound_culled + materialized == generated`).
+    /// Candidates whose envelope was built during enumeration — always
+    /// [`TopKResult::generated_candidates`].
     pub materialized: usize,
 }
 

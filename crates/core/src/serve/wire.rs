@@ -365,8 +365,15 @@ fn opt_unsigned(obj: &BTreeMap<String, Json>, key: &str) -> Result<Option<usize>
     }
 }
 
+/// Deepest container nesting a wire line may use. Requests nest at most
+/// 4 deep (a `batch`: object, scenario array, scenario object, id array)
+/// and responses no deeper; the cap bounds the parser's recursion, so a
+/// hostile line cannot overflow the connection thread's stack — an abort
+/// no `catch_unwind` could contain.
+const MAX_DEPTH: usize = 32;
+
 fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -379,6 +386,8 @@ fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -403,8 +412,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object_value(),
-            Some(b'[') => self.array_value(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object_value() } else { self.array_value() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.string_value()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -549,6 +565,23 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::serve::{ErrorCode, ServeError};
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A 1 MB line of `[`s on a 2 MB stack: unbounded recursion would
+        // abort the whole process here.
+        let line = "[".repeat(1 << 20);
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || decode_request(&line))
+            .unwrap()
+            .join()
+            .unwrap();
+        let err = decoded.unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The deepest legal request still decodes.
+        decode_request(r#"{"op":"batch","tenant":"a","scenarios":[{"remove":[1]}]}"#).unwrap();
+    }
 
     #[test]
     fn requests_round_trip_the_grammar() {

@@ -5,9 +5,7 @@ use std::collections::HashSet;
 use dna_netlist::Circuit;
 use dna_noise::CouplingMask;
 use dna_topk::dominance::{find_dominated_pair, DominanceDirection};
-use dna_topk::{
-    Candidate, CleanCertificate, CleanWitness, CouplingSet, PruneAudit, SchedAudit, TopKResult,
-};
+use dna_topk::{Candidate, CleanCertificate, CleanWitness, CouplingSet, SchedAudit, TopKResult};
 use dna_waveform::TimeInterval;
 
 use crate::{lint_envelope, Diagnostics, Location, Rule};
@@ -501,29 +499,6 @@ pub fn lint_sched_replay(audit: &SchedAudit) -> Diagnostics {
             Location::Net { id: i, name: String::new() },
             "skip decision contradicts the victim's pre-partitioned budget share",
         );
-    }
-
-    diags.sort();
-    diags
-}
-
-/// Checks a lazy-enumeration prune audit (`L080`).
-///
-/// The caller runs [`TopKAnalysis::prune_audit`](dna_topk::TopKAnalysis::prune_audit),
-/// which replays the sweep eagerly and re-verifies every bound-first
-/// cull's [`DeferredPruneCertificate`](dna_topk::DeferredPruneCertificate)
-/// from scratch — re-materializing the culled envelope, checking its true
-/// delay noise against the recorded bound, re-proving the claimed
-/// dominance on full PWLs, and confirming the culled set is absent from
-/// the eager lists. Any surviving entry here means the lazy path culled
-/// a candidate the eager pipeline keeps — the bit-identity contract of
-/// the two-phase admission scheme is broken.
-#[must_use]
-pub fn lint_prune_audit(audit: &PruneAudit) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-
-    for v in &audit.violations {
-        diags.report(Rule::DeferredPruneUnjustified, Location::Global, v.clone());
     }
 
     diags.sort();

@@ -39,8 +39,6 @@
 //!   prover verdict;
 //! * [`lint_sched_replay`] — a work-stealing sweep's result slots and
 //!   budget shares against their serial replay;
-//! * [`lint_prune_audit`] — a lazy sweep's bound-first culls (and their
-//!   deferred-prune certificates) against the eager reference path;
 //! * [`lint_chain`] — a session artifact chain's record ordering, links
 //!   and replayability (the crash-safe versioned store);
 //! * [`lint_config`] — sanity ranges on analysis knobs.
@@ -98,8 +96,8 @@ pub use circuit::lint_circuit;
 pub use config::lint_config;
 pub use diag::{Diagnostic, Diagnostics, Location, Severity};
 pub use engine::{
-    lint_batch_order, lint_dirty_closure, lint_dirty_closure_certified, lint_ilist,
-    lint_prune_audit, lint_result, lint_sched_replay,
+    lint_batch_order, lint_dirty_closure, lint_dirty_closure_certified, lint_ilist, lint_result,
+    lint_sched_replay,
 };
 pub use rules::Rule;
 pub use waveform::{lint_envelope, lint_pwl, lint_timing};

@@ -20,9 +20,10 @@ use crate::Severity;
 /// * `L06x` — scheduler determinism (the work-stealing sweep against
 ///   its serial replay),
 /// * `L07x` — artifact chain integrity (the crash-safe versioned
-///   store's generation chain),
-/// * `L08x` — lazy-enumeration admission (bound-first culls against
-///   their certificates and the eager reference path).
+///   store's generation chain).
+///
+/// Retired codes are never reused: `L080` (lazy-enumeration admission)
+/// left with bound-first culling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
@@ -128,14 +129,6 @@ pub enum Rule {
     /// truncating to the committed prefix repairs the file, so this is
     /// a warning, not an error.
     ChainTornTail,
-    /// A lazy-enumeration cull is unjustified: the lazy sweep's lists
-    /// diverge from the eager reference, a victim's admission counters
-    /// do not add up, or a deferred-prune certificate fails re-
-    /// verification (its re-materialized envelope contradicts the
-    /// recorded bound, its claimed dominance anchor does not encapsulate
-    /// the culled candidate, its culled set survives in the eager lists,
-    /// or its beam-squeeze window was not actually full).
-    DeferredPruneUnjustified,
 }
 
 impl Rule {
@@ -180,7 +173,6 @@ impl Rule {
             Rule::ChainRecordCorrupt => "L071",
             Rule::ChainMaskDivergence => "L072",
             Rule::ChainTornTail => "L073",
-            Rule::DeferredPruneUnjustified => "L080",
         }
     }
 
@@ -234,7 +226,6 @@ impl Rule {
             Rule::ChainRecordCorrupt => "chain record corrupt or unlinked",
             Rule::ChainMaskDivergence => "chain mask digest divergence",
             Rule::ChainTornTail => "chain torn tail",
-            Rule::DeferredPruneUnjustified => "deferred prune unjustified",
         }
     }
 
@@ -279,7 +270,6 @@ impl Rule {
             Rule::ChainRecordCorrupt,
             Rule::ChainMaskDivergence,
             Rule::ChainTornTail,
-            Rule::DeferredPruneUnjustified,
         ]
     }
 }

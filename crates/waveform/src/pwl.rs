@@ -478,47 +478,6 @@ impl Pwl {
             .all(check)
     }
 
-    /// Whether `self(t) >= other(t) + box(t) + margin` for every `t` in
-    /// `interval`, where `box(t)` is the flat pulse `box_peak` on
-    /// `[box_lo, box_hi]` and zero elsewhere.
-    ///
-    /// This is the bound-first culling walk of lazy enumeration: an
-    /// un-materialized sum `other ⊕ a` is pointwise at most
-    /// `other + box(a)` (the atom never exceeds its peak and vanishes
-    /// outside its support), so a survivor passing this test dominates the
-    /// sum with `margin` to spare — without the sum ever being built. The
-    /// step edges of the box are extra check points; evaluating *at* an
-    /// edge uses the active (larger) box value, which can only make the
-    /// test stricter, never unsound.
-    #[must_use]
-    pub fn ge_over_plus_box(
-        &self,
-        other: &Pwl,
-        box_peak: f64,
-        box_lo: f64,
-        box_hi: f64,
-        interval: TimeInterval,
-        margin: f64,
-    ) -> bool {
-        let boxed = |t: f64| if (box_lo..=box_hi).contains(&t) { box_peak } else { 0.0 };
-        let check = |t: f64| self.eval(t) >= other.eval(t) + boxed(t) + margin;
-        if !check(interval.lo()) || !check(interval.hi()) {
-            return false;
-        }
-        if interval.contains(box_lo) && !check(box_lo) {
-            return false;
-        }
-        if interval.contains(box_hi) && !check(box_hi) {
-            return false;
-        }
-        self.points
-            .iter()
-            .chain(other.points.iter())
-            .map(|&(t, _)| t)
-            .filter(|&t| interval.contains(t))
-            .all(check)
-    }
-
     /// Consumes the curve, returning its breakpoint buffer for recycling
     /// through a scratch arena.
     #[must_use]

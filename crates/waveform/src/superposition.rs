@@ -62,42 +62,6 @@ pub fn noisy_t50(victim: &Transition, envelope: &Envelope) -> f64 {
     }
 }
 
-/// A *slack-hardened* settle time of the noisy waveform: the latest `t`
-/// at which the waveform is still within `slack` of the 50 % level on the
-/// delay side. Beyond the returned time the waveform has cleared 50 % by
-/// strictly more than `slack`, so superimposing **any** additional
-/// envelope that is pointwise below `slack - ε` there (for the `ε` of
-/// floating-point evaluation and simplification tolerance) cannot move
-/// the final crossing past it.
-///
-/// This is the anchor of lazy enumeration's sound delay-noise upper
-/// bound: for a sum `s ⊕ a`, the final crossing is at most
-/// `max(hardened_crossing(victim, s, slack), support_hi(a))` — after
-/// both, `s` has cleared the level by more than `slack` and `a` is
-/// (within tolerance) zero.
-///
-/// Returns `f64::NEG_INFINITY` when the waveform clears the hardened
-/// level everywhere (the bound contributes nothing; callers clamp with
-/// the noiseless `t50`), and `f64::INFINITY` when no finite settle time
-/// is certifiable (callers must then skip the bound).
-#[must_use]
-pub fn hardened_crossing(victim: &Transition, envelope: &Envelope, slack: f64) -> f64 {
-    if envelope.is_zero() {
-        // Zero envelopes short-circuit in `noisy_t50`; the clean ramp
-        // settles at its own crossing of the hardened level.
-        let clean = victim.to_pwl();
-        return match victim.edge() {
-            Edge::Rising => clean.last_time_at_or_below(0.5 + slack),
-            Edge::Falling => clean.last_time_at_or_above(0.5 - slack),
-        };
-    }
-    let noisy = noisy_waveform(victim, envelope);
-    match victim.edge() {
-        Edge::Rising => noisy.last_time_at_or_below(0.5 + slack),
-        Edge::Falling => noisy.last_time_at_or_above(0.5 - slack),
-    }
-}
-
 /// Worst-case delay noise: the shift of the victim's 50 % crossing caused
 /// by the envelope, floored at zero.
 ///

@@ -1,12 +1,10 @@
 //! The batch what-if contract: evaluating N scenarios through
 //! [`WhatIfSession::apply_batch`] is **bit-identical** to N sequential
 //! `fork().apply(delta)` calls — at any thread count, in any submission
-//! order — while sharing closure and sweep work across scenarios. Plus
-//! the peeled-elimination identity: the incremental peel loop equals the
-//! from-scratch reference implementation.
+//! order — while sharing closure and sweep work across scenarios.
 //!
 //! Companion of `whatif_incremental.rs`: the same f64-bit fingerprint
-//! discipline, applied to the batch engine and the peel loop.
+//! discipline, applied to the batch engine.
 
 use proptest::prelude::*;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
@@ -158,30 +156,6 @@ fn batch_mask_aware_closure_never_exceeds_oblivious() {
     assert!(out.stats().dirty_victims() <= out.stats().unmasked_dirty_victims());
 }
 
-/// The peeled-elimination identity: the incremental peel loop (rounds
-/// after the first re-sweep only the peeled cones) must reproduce the
-/// from-scratch reference bit for bit — serial and parallel, step sizes
-/// that divide k and that leave a smaller final round.
-#[test]
-fn peeled_elimination_matches_scratch_on_small_suite() {
-    for name in ["i1", "i2", "i3", "i4"] {
-        let circuit = suite::benchmark(name, 42).expect("known benchmark");
-        for threads in [1usize, 0] {
-            for (k, step) in [(4usize, 2usize), (3, 2)] {
-                let engine = TopKAnalysis::new(&circuit, config(threads));
-                let inc = engine.elimination_set_peeled(k, step).expect("incremental peel");
-                let scr =
-                    engine.elimination_set_peeled_scratch(k, step).expect("from-scratch peel");
-                assert_eq!(
-                    fingerprint(&inc),
-                    fingerprint(&scr),
-                    "{name} k={k} step={step} threads={threads}: incremental peel diverged"
-                );
-            }
-        }
-    }
-}
-
 fn tiny_circuit() -> impl Strategy<Value = Circuit> {
     (0u64..200, 6usize..20, 4usize..16).prop_map(|(seed, gates, couplings)| {
         generate(&GeneratorConfig::new(gates, couplings).with_seed(seed))
@@ -217,18 +191,5 @@ proptest! {
                 assert_batch_identity("generated", &circuit, mode, k, threads, &deltas);
             }
         }
-    }
-
-    /// Random circuits: incremental peel == from-scratch peel.
-    #[test]
-    fn any_peel_matches_scratch(
-        circuit in tiny_circuit(),
-        k in 2usize..5,
-        step in 1usize..3,
-    ) {
-        let engine = TopKAnalysis::new(&circuit, config(0));
-        let inc = engine.elimination_set_peeled(k, step).expect("incremental peel");
-        let scr = engine.elimination_set_peeled_scratch(k, step).expect("from-scratch peel");
-        prop_assert_eq!(fingerprint(&inc), fingerprint(&scr));
     }
 }
