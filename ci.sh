@@ -41,6 +41,21 @@ trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i1 --seed 42 --o "$smoke_i1" >/dev/null
 cargo run -q -p dna-cli --offline -- lint "$smoke_i1" --deep >/dev/null
 
+echo "== golden fingerprints (i1 seed 42, k 10: no numeric kernel drifted by a bit)"
+# Pinned what-if identity fingerprints of both modes. Every optimization
+# must leave them unchanged; a change here means an output bit moved.
+check_golden() { # $1 = pinned fingerprint, rest = extra whatif flags
+  local want="$1" got
+  shift
+  got="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_i1" --k 10 --fingerprint "$@" \
+    | sed -n 's/^ *fingerprint: \([0-9a-f]*\)$/\1/p')"
+  [[ "$got" == "$want" ]] || {
+    echo "golden fingerprint drifted: whatif $* printed '${got}', pinned '${want}'"; exit 1
+  }
+}
+check_golden 681fd11e1aa2f099 --mode add
+check_golden 699ec29ae02c4819
+
 echo "== scheduler smoke (i1: threads 4 bit-identical to threads 1)"
 # Strip the run-local diagnostics (wall-clock runtime, scheduler
 # counters) and compare everything else — the couplings, the delays.

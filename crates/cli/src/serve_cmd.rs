@@ -19,7 +19,7 @@
 //! `shutdown` request.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -211,18 +211,24 @@ fn run_server_with(listener: &TcpListener, manager: &Arc<SessionManager>) -> Res
 
 /// Serves one client connection; returns `true` when the client asked
 /// the daemon to shut down. Read timeouts are polls: the handler keeps
-/// waiting unless the server-wide stop flag is up.
+/// waiting unless the server-wide stop flag is up, and the bytes of a
+/// line split by a pause stay buffered until its newline arrives. A line
+/// longer than [`wire::MAX_LINE_BYTES`] is answered with `bad_request`
+/// and closes the connection.
 fn handle_connection(stream: &TcpStream, manager: &SessionManager, stop: &AtomicBool) -> bool {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return false,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return false,
+        // Read at most one byte past the cap, so an over-long line is
+        // detected without buffering more of it.
+        let room = (wire::MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return false,
+            // A complete line, or the unterminated tail before EOF.
             Ok(_) => {}
             Err(e)
                 if matches!(
@@ -237,31 +243,45 @@ fn handle_connection(stream: &TcpStream, manager: &SessionManager, stop: &Atomic
             }
             Err(_) => return false,
         }
-        if line.trim().is_empty() {
-            continue;
+        if line.len() > wire::MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let message = format!("request line exceeds {} bytes", wire::MAX_LINE_BYTES);
+            let _ = respond(&mut writer, &bad_request(message));
+            return false;
         }
-        let (response, bye) = match wire::decode_request(&line) {
-            Ok(request) => {
-                let bye = matches!(request, Request::Shutdown);
-                (handle_request(request, manager), bye)
+        let (response, bye) = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => {
+                line.clear();
+                continue;
             }
-            Err(message) => (
-                Response::Error(dna_topk::serve::ServeError {
-                    code: ErrorCode::BadRequest,
-                    message,
-                }),
-                false,
-            ),
+            Ok(text) => match wire::decode_request(text) {
+                Ok(request) => {
+                    let bye = matches!(request, Request::Shutdown);
+                    (handle_request(request, manager), bye)
+                }
+                Err(message) => (bad_request(message), false),
+            },
+            Err(e) => (bad_request(format!("request line is not UTF-8: {e}")), false),
         };
-        let mut encoded = wire::encode_response(&response);
-        encoded.push('\n');
-        if writer.write_all(encoded.as_bytes()).is_err() || writer.flush().is_err() {
+        line.clear();
+        if !respond(&mut writer, &response) {
             return false;
         }
         if bye {
             return true;
         }
     }
+}
+
+/// A typed `bad_request` error response.
+fn bad_request(message: String) -> Response {
+    Response::Error(dna_topk::serve::ServeError { code: ErrorCode::BadRequest, message })
+}
+
+/// Writes one response line; `false` when the client is gone.
+fn respond(writer: &mut TcpStream, response: &Response) -> bool {
+    let mut encoded = wire::encode_response(response);
+    encoded.push('\n');
+    writer.write_all(encoded.as_bytes()).is_ok() && writer.flush().is_ok()
 }
 
 /// Routes one decoded request into the manager. `open` loads and parses
@@ -274,12 +294,7 @@ fn handle_request(request: Request, manager: &SessionManager) -> Response {
         Request::Open { tenant, circuit, mode, k, victim_budget, global_budget, deadline_ms } => {
             let parsed = match load_circuit(&circuit) {
                 Ok(c) => c,
-                Err(e) => {
-                    return Response::Error(dna_topk::serve::ServeError {
-                        code: ErrorCode::BadRequest,
-                        message: format!("`{circuit}`: {e}"),
-                    })
-                }
+                Err(e) => return bad_request(format!("`{circuit}`: {e}")),
             };
             let config = TopKConfig {
                 victim_candidate_budget: victim_budget,
@@ -396,6 +411,32 @@ mod tests {
         path.to_str().unwrap().to_owned()
     }
 
+    /// A daemon on an ephemeral port, its address and the join handle.
+    fn spawn_daemon() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || run_server(&listener, ServeConfig::default()).unwrap());
+        (addr, server)
+    }
+
+    /// A connected client: the write half and a line reader.
+    fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    }
+
+    fn send(writer: &mut TcpStream, bytes: &[u8]) {
+        writer.write_all(bytes).unwrap();
+        writer.flush().unwrap();
+    }
+
+    fn recv(reader: &mut BufReader<TcpStream>) -> String {
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    }
+
     /// One end-to-end pass over the TCP loop: open, scenario, query,
     /// stats, a typed error, shutdown.
     #[test]
@@ -404,20 +445,11 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let ckt = write_circuit(&dir, 21);
 
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server =
-            std::thread::spawn(move || run_server(&listener, ServeConfig::default()).unwrap());
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
+        let (addr, server) = spawn_daemon();
+        let (mut writer, mut reader) = connect(addr);
         let mut ask = |line: String| -> String {
-            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
-            writer.flush().unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response
+            send(&mut writer, format!("{line}\n").as_bytes());
+            recv(&mut reader)
         };
 
         let r =
@@ -442,20 +474,11 @@ mod tests {
 
     #[test]
     fn open_with_a_bad_circuit_path_is_a_typed_error_not_a_dead_daemon() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server =
-            std::thread::spawn(move || run_server(&listener, ServeConfig::default()).unwrap());
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
+        let (addr, server) = spawn_daemon();
+        let (mut writer, mut reader) = connect(addr);
         let mut ask = |line: &str| -> String {
-            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
-            writer.flush().unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response
+            send(&mut writer, format!("{line}\n").as_bytes());
+            recv(&mut reader)
         };
         let r =
             ask(r#"{"op":"open","tenant":"a","circuit":"/nonexistent.ckt","mode":"add","k":2}"#);
@@ -464,6 +487,50 @@ mod tests {
         let r = ask(r#"{"op":"stats"}"#);
         assert!(r.contains("\"kind\":\"stats\""), "{r}");
         let r = ask(r#"{"op":"shutdown"}"#);
+        assert!(r.contains("\"kind\":\"bye\""), "{r}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn request_split_by_a_pause_is_answered_whole() {
+        let (addr, server) = spawn_daemon();
+        let (mut a, mut a_in) = connect(addr);
+        let (mut b, mut b_in) = connect(addr);
+        // The pause outlasts the handler's 200 ms read timeout, so the
+        // first half sits in the line buffer across a timed-out read.
+        send(&mut a, br#"{"op":"st"#);
+        for _ in 0..3 {
+            std::thread::sleep(Duration::from_millis(100));
+            send(&mut b, b"{\"op\":\"stats\"}\n");
+            let r = recv(&mut b_in);
+            assert!(r.contains("\"kind\":\"stats\""), "{r}");
+        }
+        send(&mut a, b"ats\"}\n");
+        let r = recv(&mut a_in);
+        assert!(r.contains("\"kind\":\"stats\""), "{r}");
+        // The connection keeps serving whole lines afterwards.
+        send(&mut a, b"{\"op\":\"shutdown\"}\n");
+        let r = recv(&mut a_in);
+        assert!(r.contains("\"kind\":\"bye\""), "{r}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn over_long_line_is_a_typed_error_and_closes_the_connection() {
+        let (addr, server) = spawn_daemon();
+        let (mut a, mut a_in) = connect(addr);
+        let (mut b, mut b_in) = connect(addr);
+        send(&mut a, &vec![b' '; wire::MAX_LINE_BYTES + 1]);
+        let r = recv(&mut a_in);
+        assert!(r.contains("\"code\":\"bad_request\""), "{r}");
+        assert!(r.contains("exceeds"), "{r}");
+        assert_eq!(recv(&mut a_in), "", "the over-long connection is closed");
+        // Other clients are unaffected.
+        send(&mut b, b"{\"op\":\"stats\"}\n");
+        let r = recv(&mut b_in);
+        assert!(r.contains("\"kind\":\"stats\""), "{r}");
+        send(&mut b, b"{\"op\":\"shutdown\"}\n");
+        let r = recv(&mut b_in);
         assert!(r.contains("\"kind\":\"bye\""), "{r}");
         server.join().unwrap();
     }

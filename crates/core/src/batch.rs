@@ -50,7 +50,9 @@ use crate::engine::{self, Prepared, Swept};
 use crate::result::FaultPhase;
 use crate::sched::SchedStats;
 use crate::session::changed_and_seeds;
-use crate::{faultsim, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession};
+use crate::{
+    faultsim, par_map, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession,
+};
 
 /// A set of independent what-if scenarios to evaluate against one
 /// [`WhatIfSession`] snapshot with [`WhatIfSession::apply_batch`].
@@ -355,18 +357,10 @@ impl WhatIfSession<'_, '_> {
 
         // --- Per-scenario preparation --------------------------------
         let threads = self.analysis.config().effective_threads();
-        let parallel = threads > 1 && scenarios.len() > 1;
-        let build_one = |sc: &Flipped| self.analysis.prepare(self.mode, &sc.mask);
-        let built: Vec<Result<Prepared<'_>, TopKError>> = if parallel {
-            std::thread::scope(|sp| {
-                let handles: Vec<_> =
-                    scenarios.iter().map(|sc| sp.spawn(|| build_one(sc))).collect();
-                handles.into_iter().map(|h| join_or_panic(h, FaultPhase::Prepare)).collect()
-            })
-        } else {
-            scenarios.iter().map(build_one).collect()
-        };
-        let prepareds: Vec<Prepared<'_>> = built.into_iter().collect::<Result<_, _>>()?;
+        let prepareds: Vec<Prepared<'_>> =
+            par_map(threads, scenarios.len(), FaultPhase::Prepare, |s| {
+                self.analysis.prepare(self.mode, &scenarios[s].mask)
+            })?;
 
         // --- Corridor refinement (semantic damping) ------------------
         // When this session carries a semantic fingerprint of its world,
@@ -410,18 +404,14 @@ impl WhatIfSession<'_, '_> {
         stats.sched = sched;
 
         // --- Per-scenario selection + validation ---------------------
-        let finish_one =
-            |s: usize| self.analysis.conclude(&prepareds[s], self.k, &swept[s], sched, start);
-        let finished: Vec<Result<TopKResult, TopKError>> = if parallel {
-            std::thread::scope(|sp| {
-                let handles: Vec<_> =
-                    (0..scenarios.len()).map(|s| sp.spawn(move || finish_one(s))).collect();
-                handles.into_iter().map(|h| join_or_panic(h, FaultPhase::Selection)).collect()
-            })
-        } else {
-            (0..scenarios.len()).map(finish_one).collect()
-        };
-        let results: Vec<TopKResult> = finished.into_iter().collect::<Result<_, _>>()?;
+        // Scenarios already in parallel validate serially, so S scenarios
+        // never start S × threads workers.
+        let validation_threads = if threads.min(scenarios.len()) > 1 { 1 } else { threads };
+        let results: Vec<TopKResult> =
+            par_map(threads, scenarios.len(), FaultPhase::Selection, |s| {
+                let (prepared, swept) = (&prepareds[s], &swept[s]);
+                self.analysis.conclude(prepared, self.k, swept, sched, validation_threads, start)
+            })?;
 
         let mut evaluated = Vec::with_capacity(scenarios.len());
         for (s, ((sc, result), swept)) in scenarios.into_iter().zip(results).zip(swept).enumerate()
@@ -442,21 +432,6 @@ impl WhatIfSession<'_, '_> {
             });
         }
         Ok((evaluated, group_of, stats))
-    }
-}
-
-/// Joins a scoped worker, converting a propagated unwind into the typed
-/// engine error (unreachable while per-victim boundaries hold, but a
-/// harness bug must not abort the process).
-fn join_or_panic<T>(
-    handle: std::thread::ScopedJoinHandle<'_, Result<T, TopKError>>,
-    phase: FaultPhase,
-) -> Result<T, TopKError> {
-    match handle.join() {
-        Ok(r) => r,
-        Err(payload) => {
-            Err(TopKError::EnginePanic { phase, cause: engine::panic_message(payload.as_ref()) })
-        }
     }
 }
 

@@ -85,11 +85,15 @@ pub fn irredundant_with_discard(
         }
     });
 
-    // 2. Dedupe by coupling set, keeping the best occurrence.
-    let mut seen: HashSet<CouplingSet> = HashSet::with_capacity(candidates.len());
+    // 2. Dedupe by coupling set, keeping the best occurrence. The keep
+    // mask borrows the sets, so no candidate's set is cloned.
+    let keep: Vec<bool> = {
+        let mut seen: HashSet<&CouplingSet> = HashSet::with_capacity(candidates.len());
+        candidates.iter().map(|c| seen.insert(c.set())).collect()
+    };
     let mut unique: Vec<Candidate> = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        if seen.insert(c.set().clone()) {
+    for (c, keep) in candidates.into_iter().zip(keep) {
+        if keep {
             unique.push(c);
         } else {
             discard(c);

@@ -74,7 +74,6 @@ fn victim_lists(
     ilists: &Slots,
     allowance: usize,
 ) -> Result<VictimLists, TopKError> {
-    let circuit = p.circuit;
     let Some(noisy) = p.noisy.as_ref() else {
         return Err(TopKError::Internal {
             what: "elimination enumeration reached without a converged noisy report".into(),
@@ -281,29 +280,6 @@ fn victim_lists(
         pruned.sort_by(|a, b| a.delay_noise().total_cmp(&b.delay_noise()));
         lists.push(pruned);
     }
-    if std::env::var_os("DNA_DEBUG_ELIM").is_some() {
-        let sizes: Vec<usize> = lists.iter().map(Vec::len).collect();
-        eprintln!(
-            "[elim] net {} d_fanin {:.2} total_dn {:.2} atoms [{}] lists {:?} I1 [{}]",
-            circuit.net(v).name(),
-            d_fanin,
-            lists[0][0].delay_noise(),
-            atoms
-                .iter()
-                .map(|a| format!("{}@{:.2}", a.set, a.removal.peak()))
-                .collect::<Vec<_>>()
-                .join(" "),
-            sizes,
-            lists
-                .get(1)
-                .map(|l| l
-                    .iter()
-                    .map(|c| format!("{}:{:.2}", c.set(), c.delay_noise()))
-                    .collect::<Vec<_>>()
-                    .join(" "))
-                .unwrap_or_default()
-        );
-    }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };
     let counters = VictimCounters { peak_list_width, generated, curtailment };
     Ok(VictimLists { lists, counters })
@@ -450,11 +426,6 @@ fn select_sink(
             predicted_delay: noisy.circuit_delay(),
             sink: noisy.noisy_timing().critical_output(),
         });
-    }
-    if std::env::var_os("DNA_DEBUG_ELIM").is_some() {
-        for opt in &deduped {
-            eprintln!("[elim] option {} predicted {:.2}", opt.set, opt.predicted_delay);
-        }
     }
     EnumerationOutcome { options: deduped, totals }
 }

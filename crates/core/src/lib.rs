@@ -116,6 +116,51 @@ fn guard<T>(phase: FaultPhase, f: impl FnOnce() -> Result<T, TopKError>) -> Resu
     }
 }
 
+/// Maps `f` over `0..n` on up to `threads` scoped workers — worker `w`
+/// takes the indices `w, w + workers, …` — and returns the results in
+/// index order, so a caller folding them serially resolves ties and the
+/// first error exactly as a serial loop would. With one worker (or one
+/// item) `f` runs inline on the calling thread. A worker's panic
+/// surfaces as [`TopKError::EnginePanic`] naming `phase`.
+pub(crate) fn par_map<T: Send>(
+    threads: usize,
+    n: usize,
+    phase: FaultPhase,
+    f: impl Fn(usize) -> Result<T, TopKError> + Sync,
+) -> Result<Vec<T>, TopKError> {
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let f = &f;
+    let columns: Vec<Result<Vec<Result<T, TopKError>>, TopKError>> = std::thread::scope(|sp| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| sp.spawn(move || Ok((w..n).step_by(workers).map(f).collect())))
+            .collect();
+        handles.into_iter().map(|h| join_or_panic(h, phase)).collect()
+    });
+    let mut columns: Vec<_> =
+        columns.into_iter().map(|c| c.map(Vec::into_iter)).collect::<Result<_, _>>()?;
+    (0..n)
+        .map(|i| columns[i % workers].next().expect("worker i % workers produced index i"))
+        .collect()
+}
+
+/// Joins a scoped worker, converting a propagated unwind into the typed
+/// engine error (unreachable while per-victim boundaries hold, but a
+/// harness bug must not abort the process).
+fn join_or_panic<T>(
+    handle: std::thread::ScopedJoinHandle<'_, Result<T, TopKError>>,
+    phase: FaultPhase,
+) -> Result<T, TopKError> {
+    match handle.join() {
+        Ok(r) => r,
+        Err(payload) => {
+            Err(TopKError::EnginePanic { phase, cause: engine::panic_message(payload.as_ref()) })
+        }
+    }
+}
+
 /// Up-front scan for values the analysis substrate cannot process: a NaN
 /// or infinite (or negative) coupling capacitance would otherwise panic
 /// deep inside timing arithmetic, where no per-victim boundary can catch
@@ -236,6 +281,7 @@ impl<'c> TopKAnalysis<'c> {
             return Err(TopKError::ZeroK);
         }
         let step = step.max(1);
+        let threads = self.config.effective_threads();
         validate_circuit_finite(self.circuit)?;
         let start = Instant::now();
         let mut mask = CouplingMask::all(self.circuit);
@@ -283,13 +329,17 @@ impl<'c> TopKAnalysis<'c> {
             }
 
             // Measure each option under the current mask; commit the best.
-            let mut best: Option<(f64, f64, &CouplingSet, dna_netlist::NetId)> = None;
-            for opt in &outcome.options {
-                if opt.set.is_empty() {
-                    continue;
+            let options = &outcome.options;
+            let measured = par_map(threads, options.len(), FaultPhase::Selection, |i| {
+                if options[i].set.is_empty() {
+                    return Ok(None);
                 }
-                let trial = mask.clone().without(opt.set.ids());
-                let measured = self.noise.run_with_mask(&trial)?.circuit_delay();
+                let trial = mask.clone().without(options[i].set.ids());
+                Ok(Some(self.noise.run_with_mask(&trial)?.circuit_delay()))
+            })?;
+            let mut best: Option<(f64, f64, &CouplingSet, dna_netlist::NetId)> = None;
+            for (opt, measured) in options.iter().zip(measured) {
+                let Some(measured) = measured else { continue };
                 if best.as_ref().is_none_or(|(m, ..)| measured < *m) {
                     best = Some((measured, opt.predicted_delay, &opt.set, opt.sink));
                 }
@@ -400,7 +450,8 @@ impl<'c> TopKAnalysis<'c> {
         if std::env::var_os("DNA_PROFILE").is_some() {
             eprintln!("[profile] enumerate: {:.2?}", enum_start.elapsed());
         }
-        let result = self.conclude(prepared, k, &swept, sched, start)?;
+        let result =
+            self.conclude(prepared, k, &swept, sched, self.config.effective_threads(), start)?;
         Ok((result, swept))
     }
 
@@ -501,13 +552,15 @@ impl<'c> TopKAnalysis<'c> {
     /// anchored at the prepared mask — the couplings the run was allowed
     /// to see — so restricted-mask runs (and incremental sessions
     /// re-running under a delta'd mask) measure options in the same world
-    /// the enumeration saw.
+    /// the enumeration saw. The validation pool runs on up to
+    /// `threads` workers.
     pub(crate) fn conclude(
         &self,
         prepared: &Prepared<'_>,
         k: usize,
         swept: &Swept,
         sched: SchedStats,
+        threads: usize,
         start: Instant,
     ) -> Result<TopKResult, TopKError> {
         guard(FaultPhase::Selection, || {
@@ -517,88 +570,80 @@ impl<'c> TopKAnalysis<'c> {
                     elimination::select(prepared, k, &swept.lists, &swept.counters)
                 }
             }?;
-            self.finish(prepared, k, outcome, &swept.faults, sched, start)
-        })
-    }
+            let (mode, base_mask) = (prepared.mode, &prepared.mask);
+            let delay_before = match mode {
+                Mode::Addition => prepared.base.circuit_delay(),
+                Mode::Elimination => {
+                    let Some(noisy) = prepared.noisy.as_ref() else {
+                        return Err(TopKError::Internal {
+                            what: "elimination finished without a converged noisy report".into(),
+                        });
+                    };
+                    noisy.circuit_delay()
+                }
+            };
 
-    /// The validation and assembly half of [`conclude`](Self::conclude).
-    fn finish(
-        &self,
-        prepared: &Prepared<'_>,
-        k: usize,
-        outcome: addition::EnumerationOutcome,
-        faults: &[Fault],
-        sched: SchedStats,
-        start: Instant,
-    ) -> Result<TopKResult, TopKError> {
-        let (mode, base_mask) = (prepared.mode, &prepared.mask);
-        let delay_before = match mode {
-            Mode::Addition => prepared.base.circuit_delay(),
-            Mode::Elimination => {
-                let Some(noisy) = prepared.noisy.as_ref() else {
+            // Measure the best predicted options with full iterative noise
+            // analyses (independent, so in parallel) and keep the winner by
+            // *measured* delay, folding in index order so ties and the first
+            // error resolve as a serial loop would; without validation, trust
+            // the single best prediction.
+            let mut options = outcome.options;
+            debug_assert!(!options.is_empty(), "enumeration always yields an option");
+            let (choice, delay_after) = if self.config.validate {
+                let measured = par_map(threads, options.len(), FaultPhase::Selection, |idx| {
+                    let set = options[idx].set.ids();
+                    let mask = match mode {
+                        Mode::Addition => CouplingMask::none(self.circuit).with(set),
+                        Mode::Elimination => base_mask.clone().without(set),
+                    };
+                    Ok(self.noise.run_with_mask(&mask)?.circuit_delay())
+                })?;
+                let mut best: Option<(usize, f64)> = None;
+                for (idx, measured) in measured.into_iter().enumerate() {
+                    let better = match (&best, mode) {
+                        (None, _) => true,
+                        (Some((_, d)), Mode::Addition) => measured > *d,
+                        (Some((_, d)), Mode::Elimination) => measured < *d,
+                    };
+                    if better {
+                        best = Some((idx, measured));
+                    }
+                }
+                let Some((idx, measured)) = best else {
                     return Err(TopKError::Internal {
-                        what: "elimination finished without a converged noisy report".into(),
+                        what: "validation pool was empty despite non-empty options".into(),
                     });
                 };
-                noisy.circuit_delay()
-            }
-        };
-
-        // Measure the best predicted options with full iterative noise
-        // analyses and keep the winner by *measured* delay; without
-        // validation, trust the single best prediction.
-        let mut options = outcome.options;
-        debug_assert!(!options.is_empty(), "enumeration always yields an option");
-        let (choice, delay_after) = if self.config.validate {
-            let mut best: Option<(usize, f64)> = None;
-            for (idx, opt) in options.iter().enumerate() {
-                let mask = match mode {
-                    Mode::Addition => CouplingMask::none(self.circuit).with(opt.set.ids()),
-                    Mode::Elimination => base_mask.clone().without(opt.set.ids()),
-                };
-                let measured = self.noise.run_with_mask(&mask)?.circuit_delay();
-                let better = match (&best, mode) {
-                    (None, _) => true,
-                    (Some((_, d)), Mode::Addition) => measured > *d,
-                    (Some((_, d)), Mode::Elimination) => measured < *d,
-                };
-                if better {
-                    best = Some((idx, measured));
-                }
-            }
-            let Some((idx, measured)) = best else {
-                return Err(TopKError::Internal {
-                    what: "validation pool was empty despite non-empty options".into(),
-                });
+                (options.swap_remove(idx), measured)
+            } else {
+                let first = options.swap_remove(0);
+                let predicted = first.predicted_delay;
+                (first, predicted)
             };
-            (options.swap_remove(idx), measured)
-        } else {
-            let first = options.swap_remove(0);
-            let predicted = first.predicted_delay;
-            (first, predicted)
-        };
 
-        let stats = SweepStats {
-            truncated_victims: outcome.totals.truncated_victims,
-            skipped_victims: outcome.totals.skipped_victims,
-            quarantined_victims: faults.len(),
-            bound_culled: 0,
-            materialized: outcome.totals.generated,
-        };
-        Ok(TopKResult {
-            mode,
-            requested_k: k,
-            set: choice.set,
-            sink: choice.sink,
-            delay_before,
-            delay_after,
-            predicted_delay: choice.predicted_delay,
-            peak_list_width: outcome.totals.peak_list_width,
-            generated_candidates: outcome.totals.generated,
-            runtime: start.elapsed(),
-            faults: FaultReport::new(faults.to_vec()),
-            stats,
-            sched,
+            let stats = SweepStats {
+                truncated_victims: outcome.totals.truncated_victims,
+                skipped_victims: outcome.totals.skipped_victims,
+                quarantined_victims: swept.faults.len(),
+                bound_culled: 0,
+                materialized: outcome.totals.generated,
+            };
+            Ok(TopKResult {
+                mode,
+                requested_k: k,
+                set: choice.set,
+                sink: choice.sink,
+                delay_before,
+                delay_after,
+                predicted_delay: choice.predicted_delay,
+                peak_list_width: outcome.totals.peak_list_width,
+                generated_candidates: outcome.totals.generated,
+                runtime: start.elapsed(),
+                faults: FaultReport::new(swept.faults.clone()),
+                stats,
+                sched,
+            })
         })
     }
 }

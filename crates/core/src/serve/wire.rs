@@ -372,6 +372,13 @@ fn opt_unsigned(obj: &BTreeMap<String, Json>, key: &str) -> Result<Option<usize>
 /// no `catch_unwind` could contain.
 const MAX_DEPTH: usize = 32;
 
+/// Longest request line a connection may send, newline included. A
+/// scenario naming every coupling of the largest suite circuit (i10,
+/// 18,318 couplings) takes about 110 KB, so a `batch` of dozens of them
+/// still fits; the cap only stops a client that never sends a newline
+/// from growing the connection's line buffer without bound.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
 fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();

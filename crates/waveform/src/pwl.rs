@@ -326,16 +326,8 @@ impl Pwl {
         // `level` and matches first with a zero numerator, returning the
         // plateau's right edge — the *latest* time at the level.
         for j in (0..n.saturating_sub(1)).rev() {
-            let (t0, v0) = pts[j];
-            let (t1, v1) = pts[j + 1];
-            if v0 <= level {
-                if v1 <= v0 {
-                    // Unreachable for curves upholding the scan invariant;
-                    // kept as a belt-and-braces guard against division by
-                    // a non-positive span on unchecked inputs.
-                    return t1;
-                }
-                return t0 + (level - v0) / (v1 - v0) * (t1 - t0);
+            if pts[j].1 <= level {
+                return upward_crossing(pts[j], pts[j + 1], level);
             }
         }
         // No breakpoint at or below level; check the left extension.
@@ -343,6 +335,47 @@ impl Pwl {
             return pts[0].0;
         }
         f64::NEG_INFINITY
+    }
+
+    /// [`last_time_at_or_below`](Self::last_time_at_or_below) of the curve
+    /// `combine(a(t), b(t))`, streamed without building it.
+    ///
+    /// `a` is a breakpoint list upholding the curve invariants (non-empty,
+    /// finite, times more than [`EPS`] apart) — typically a clean ramp the
+    /// caller holds on the stack. The result is bit-identical to
+    /// `Pwl::new(points).last_time_at_or_below(level)` where `points`
+    /// samples `combine` at the merged breakpoints (as the curve `+` and
+    /// `-` operators sample), but allocates nothing: this is the
+    /// delay-noise kernel every enumerated candidate is scored with.
+    #[must_use]
+    pub fn last_time_combined_at_or_below(
+        a: &[(f64, f64)],
+        b: &Pwl,
+        combine: impl Fn(f64, f64) -> f64,
+        level: f64,
+    ) -> f64 {
+        debug_assert!(
+            !a.is_empty() && a.windows(2).all(|w| w[1].0 - w[0].0 > EPS),
+            "streamed operand must uphold the breakpoint invariants"
+        );
+        let mut ca = SegmentCursor::new(a);
+        let mut cb = SegmentCursor::new(&b.points);
+        // The previous merged point, and the last segment whose left value
+        // is at or below `level` — the one a right-to-left scan stops at.
+        let mut prev: Option<(f64, f64)> = None;
+        let mut dip: Option<((f64, f64), (f64, f64))> = None;
+        merge_times(a, &b.points, |t| {
+            let p = (t, combine(ca.eval_monotone(t), cb.eval_monotone(t)));
+            if let Some(q) = prev.filter(|q| q.1 <= level) {
+                dip = Some((q, p));
+            }
+            prev = Some(p);
+        });
+        let (_, last) = prev.expect("non-empty operands emit a time");
+        if last <= level {
+            return f64::INFINITY;
+        }
+        dip.map_or(f64::NEG_INFINITY, |(p0, p1)| upward_crossing(p0, p1, level))
     }
 
     /// Supremum of `{ t : v(t) >= level }`; mirror of
@@ -494,6 +527,19 @@ impl Pwl {
         buf.extend_from_slice(&self.points);
         Pwl { points: buf }
     }
+}
+
+/// The time the segment `(t0, v0) -> (t1, v1)`, whose left value is at or
+/// below `level`, crosses it — the interpolation step of
+/// [`Pwl::last_time_at_or_below`] (which explains why it is exact).
+fn upward_crossing((t0, v0): (f64, f64), (t1, v1): (f64, f64), level: f64) -> f64 {
+    if v1 <= v0 {
+        // Unreachable for curves upholding the scan invariant; kept as a
+        // belt-and-braces guard against division by a non-positive span
+        // on unchecked inputs.
+        return t1;
+    }
+    t0 + (level - v0) / (v1 - v0) * (t1 - t0)
 }
 
 /// Calls `visit` with the merged, EPS-deduplicated breakpoint times of

@@ -43,15 +43,22 @@ pub fn noisy_waveform(victim: &Transition, envelope: &Envelope) -> Pwl {
 ///
 /// Returns the noiseless `t50` when the envelope cannot produce a later
 /// crossing.
+///
+/// Allocation-free: the crossing is streamed over the clean ramp (held on
+/// the stack) and the envelope's breakpoints, bit-identical to measuring
+/// [`noisy_waveform`] with `last_time_at_or_below(0.5)` (rising) or
+/// `last_time_at_or_above(0.5)` (falling), which the falling edge reaches
+/// through `negated()` — hence its `-(c + e)` at level `-0.5`.
 #[must_use]
 pub fn noisy_t50(victim: &Transition, envelope: &Envelope) -> f64 {
     if envelope.is_zero() {
         return victim.t50();
     }
-    let noisy = noisy_waveform(victim, envelope);
+    let (ramp, n) = victim.ramp_points();
+    let (clean, env) = (&ramp[..n], envelope.as_pwl());
     let crossing = match victim.edge() {
-        Edge::Rising => noisy.last_time_at_or_below(0.5),
-        Edge::Falling => noisy.last_time_at_or_above(0.5),
+        Edge::Rising => Pwl::last_time_combined_at_or_below(clean, env, |c, e| c - e, 0.5),
+        Edge::Falling => Pwl::last_time_combined_at_or_below(clean, env, |c, e| -(c + e), -0.5),
     };
     if crossing.is_finite() {
         crossing.max(victim.t50())

@@ -129,12 +129,25 @@ impl Transition {
     /// The waveform as a piecewise-linear curve.
     #[must_use]
     pub fn to_pwl(&self) -> Pwl {
+        let (pts, n) = self.ramp_points();
+        Pwl::new(pts[..n].to_vec()).expect("slew > 0 guarantees increasing times")
+    }
+
+    /// The breakpoints of [`to_pwl`](Self::to_pwl), held on the stack:
+    /// the points array and how many of its entries are used. Normally
+    /// `(start, v0), (end, v1)`; a ramp whose end lies within [`EPS`] of
+    /// its start collapses to `(start, v1)`, the merge [`Pwl::new`] makes.
+    pub(crate) fn ramp_points(&self) -> ([(f64, f64); 2], usize) {
         let (v0, v1) = match self.edge {
             Edge::Rising => (0.0, 1.0),
             Edge::Falling => (1.0, 0.0),
         };
-        Pwl::new(vec![(self.start, v0), (self.end(), v1)])
-            .expect("slew > 0 guarantees increasing times")
+        let end = self.end();
+        if end - self.start <= EPS {
+            ([(self.start, v1); 2], 1)
+        } else {
+            ([(self.start, v0), (end, v1)], 2)
+        }
     }
 
     /// Whether two transitions are equal within [`EPS`].

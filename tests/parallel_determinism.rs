@@ -9,7 +9,9 @@
 use proptest::prelude::*;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, Circuit};
-use topk_aggressors::topk::{Mode, TopKAnalysis, TopKConfig, TopKResult};
+use topk_aggressors::topk::{
+    MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKResult, WhatIfBatch, WhatIfSession,
+};
 
 /// Everything observable about a result except wall-clock time.
 #[derive(Debug, PartialEq)]
@@ -80,6 +82,73 @@ fn full_suite_is_thread_invariant() {
         let name = format!("i{i}");
         let circuit = suite::benchmark(&name, 42).expect("known benchmark");
         assert_thread_invariant(&name, &circuit, 10);
+    }
+}
+
+/// What the validation pool decides: the measured winner, its sink and
+/// both delays, bit for bit.
+fn validated(r: &TopKResult) -> (Vec<usize>, usize, u64, u64) {
+    (
+        r.couplings().iter().map(|c| c.index()).collect(),
+        r.sink().index(),
+        r.delay_after().to_bits(),
+        r.predicted_delay().to_bits(),
+    )
+}
+
+/// With validation on (the default pool of 16 measured options), the
+/// pool's parallel measurement must pick the serial winner at any thread
+/// count.
+#[test]
+fn validation_pool_is_thread_invariant() {
+    for name in ["i1", "i3"] {
+        let circuit = suite::benchmark(name, 42).expect("known benchmark");
+        for mode in [Mode::Addition, Mode::Elimination] {
+            for k in [3, 10] {
+                let run = |threads: usize| {
+                    let config = TopKConfig { threads, ..TopKConfig::default() };
+                    assert!(config.validate && config.validation_pool == 16);
+                    let engine = TopKAnalysis::new(&circuit, config);
+                    let mask = topk_aggressors::noise::CouplingMask::all(&circuit);
+                    validated(&engine.run_with_mask(mode, k, &mask).expect("top-k succeeds"))
+                };
+                let serial = run(1);
+                for threads in [2, 4] {
+                    assert_eq!(
+                        serial,
+                        run(threads),
+                        "{name} {} k={k}: validated result at threads={threads} diverged",
+                        mode.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Batch scenarios finishing in parallel validate serially inside each
+/// scenario; the nested path must still match the serial answer.
+#[test]
+fn batch_validation_is_thread_invariant() {
+    let circuit = suite::benchmark("i1", 42).expect("known benchmark");
+    let ids: Vec<_> = circuit.coupling_ids().take(3).collect();
+    let batch = WhatIfBatch::from_deltas(vec![
+        MaskDelta::default(),
+        MaskDelta::remove(&ids[..1]),
+        MaskDelta::remove(&ids[1..]),
+    ]);
+    for mode in [Mode::Addition, Mode::Elimination] {
+        let run = |threads: usize| {
+            let engine =
+                TopKAnalysis::new(&circuit, TopKConfig { threads, ..TopKConfig::default() });
+            let session = WhatIfSession::start(&engine, mode, 3).expect("session starts");
+            let out = session.apply_batch(&batch).expect("batch apply succeeds");
+            out.scenarios().iter().map(|o| validated(o.result())).collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_eq!(serial, run(threads), "{} batch diverged at threads={threads}", mode.name());
+        }
     }
 }
 
