@@ -224,6 +224,15 @@ if [[ "${CI_FULL:-0}" == "1" ]]; then
     }
   done
 
+  # Isolation stress: fault hooks are engine-scoped, so suites that arm
+  # faults share one process with the identity properties without a
+  # lock. Repeat them; any single failure is a cross-test leak.
+  echo "== fault isolation stress (10 runs)"
+  for run in $(seq 1 10); do
+    cargo test --release --offline -q --test sched_determinism --test fault_injection \
+      --test serve_soak >/dev/null || { echo "isolation stress: run $run failed"; exit 1; }
+  done
+
   # Pedantic clippy is triage only: surface new findings without gating
   # the build on them. The accepted baseline lives in-tree as
   # crate-level `#![allow(clippy::...)]` attributes; anything printed

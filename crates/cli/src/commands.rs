@@ -851,85 +851,8 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
         Err(e) => return Err(format!("cannot derive timing windows: {e}")),
     }
 
-    // --deep additionally runs a small top-k analysis end to end and
-    // verifies the engine's answer, then exercises an incremental what-if
-    // session and checks its dirty-set bookkeeping against the L035
-    // session-cache-coherence rule and every emitted clean certificate
-    // against the L05x rules (each certificate is re-derived from scratch
-    // and compared bitwise, so an unsound or stale certificate — e.g. one
-    // injected through the `faultsim` prover hook — fails the lint).
     if opts.has("deep") {
-        let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-        let result = engine.addition_set(2).map_err(|e| e.to_string())?;
-        diags.merge(lint_result(&circuit, &result, &CouplingSet::new()));
-
-        let mut session = WhatIfSession::start(&engine, Mode::Elimination, 2)
-            .map_err(|e| format!("deep lint: cannot start what-if session: {e}"))?;
-        let worst: Vec<_> = session.result().couplings().to_vec();
-        let pre_mask = session.mask().clone();
-        let outcome = session
-            .apply(&MaskDelta::remove(&worst))
-            .map_err(|e| format!("deep lint: what-if apply failed: {e}"))?;
-        let witness = engine
-            .derive_clean_witness(Mode::Elimination, &pre_mask, session.mask())
-            .map_err(|e| format!("deep lint: cannot re-derive clean witness: {e}"))?;
-        diags.merge(lint_dirty_closure_certified(
-            &circuit,
-            &pre_mask,
-            session.mask(),
-            outcome.dirty_flags(),
-            outcome.certificates(),
-            &witness,
-        ));
-
-        // Batch scenario results must not depend on submission order
-        // (L043): evaluate a small scenario menu forward and reversed and
-        // compare each pair.
-        let ids: Vec<CouplingId> = circuit.coupling_ids().take(2).collect();
-        if !ids.is_empty() {
-            let mut deltas: Vec<MaskDelta> = ids.iter().map(|&c| MaskDelta::remove(&[c])).collect();
-            deltas.push(MaskDelta::remove(&ids));
-            let forward = session
-                .apply_batch(&WhatIfBatch::from_deltas(deltas.clone()))
-                .map_err(|e| format!("deep lint: batch what-if failed: {e}"))?;
-            deltas.reverse();
-            let reversed = session
-                .apply_batch(&WhatIfBatch::from_deltas(deltas))
-                .map_err(|e| format!("deep lint: reversed batch what-if failed: {e}"))?;
-            let fwd: Vec<TopKResult> =
-                forward.scenarios().iter().map(|sc| sc.result().clone()).collect();
-            let mut rev: Vec<TopKResult> =
-                reversed.scenarios().iter().map(|sc| sc.result().clone()).collect();
-            rev.reverse();
-            diags.merge(lint_batch_order(&fwd, &rev));
-        }
-
-        // Scheduler determinism (L060): replay the work-stealing sweep
-        // serially and compare every published result slot and budget
-        // share against the parallel run.
-        let audit = engine.sched_audit(Mode::Addition, 2).map_err(|e| e.to_string())?;
-        diags.merge(lint_sched_replay(&audit));
-
-        // Chain integrity (L07x): round-trip the touched session through
-        // a scratch generation chain — checkpoint base plus one appended
-        // delta — and verify the file's record order, links and replay
-        // against the chain rules.
-        let dir = std::env::temp_dir().join("dna_lint_deep_chain");
-        fs::create_dir_all(&dir).map_err(|e| format!("deep lint: cannot create {dir:?}: {e}"))?;
-        let chain = dir.join(format!("lint-{}.dnawifa", std::process::id()));
-        commit_chain(&mut session, &chain, &CommitOptions::default())
-            .map_err(|e| format!("deep lint: cannot commit scratch chain: {e}"))?;
-        session
-            .apply(&MaskDelta::new(&[], &worst))
-            .map_err(|e| format!("deep lint: what-if restore failed: {e}"))?;
-        commit_chain(&mut session, &chain, &CommitOptions::default())
-            .map_err(|e| format!("deep lint: cannot append to scratch chain: {e}"))?;
-        let bytes =
-            fs::read(&chain).map_err(|e| format!("deep lint: cannot read scratch chain: {e}"))?;
-        let _ = fs::remove_file(&chain);
-        let summary = chain_summary_checked(&engine, &bytes)
-            .map_err(|e| format!("deep lint: scratch chain unreadable: {e}"))?;
-        diags.merge(lint_chain(&summary));
+        diags.merge(deep_lint(&TopKAnalysis::new(&circuit, TopKConfig::default()))?);
     }
 
     diags.sort();
@@ -939,6 +862,91 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
     } else {
         Ok(())
     }
+}
+
+/// `lint --deep`: runs a small top-k analysis on `engine` end to end and
+/// verifies its answer, then exercises an incremental what-if session and
+/// checks its dirty-set bookkeeping against the L035
+/// session-cache-coherence rule and every emitted clean certificate
+/// against the L05x rules (each certificate is re-derived from scratch
+/// and compared bitwise, so an unsound or stale certificate — e.g. one
+/// forged by an engine built with the `force_clean_victim` fault hook —
+/// fails the lint).
+fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
+    let circuit = engine.circuit();
+    let result = engine.addition_set(2).map_err(|e| e.to_string())?;
+    let mut diags = lint_result(circuit, &result, &CouplingSet::new());
+
+    let mut session = WhatIfSession::start(engine, Mode::Elimination, 2)
+        .map_err(|e| format!("deep lint: cannot start what-if session: {e}"))?;
+    let worst: Vec<_> = session.result().couplings().to_vec();
+    let pre_mask = session.mask().clone();
+    let outcome = session
+        .apply(&MaskDelta::remove(&worst))
+        .map_err(|e| format!("deep lint: what-if apply failed: {e}"))?;
+    let witness = engine
+        .derive_clean_witness(Mode::Elimination, &pre_mask, session.mask())
+        .map_err(|e| format!("deep lint: cannot re-derive clean witness: {e}"))?;
+    diags.merge(lint_dirty_closure_certified(
+        circuit,
+        &pre_mask,
+        session.mask(),
+        outcome.dirty_flags(),
+        outcome.certificates(),
+        &witness,
+    ));
+
+    // Batch scenario results must not depend on submission order
+    // (L043): evaluate a small scenario menu forward and reversed and
+    // compare each pair.
+    let ids: Vec<CouplingId> = circuit.coupling_ids().take(2).collect();
+    if !ids.is_empty() {
+        let mut deltas: Vec<MaskDelta> = ids.iter().map(|&c| MaskDelta::remove(&[c])).collect();
+        deltas.push(MaskDelta::remove(&ids));
+        let forward = session
+            .apply_batch(&WhatIfBatch::from_deltas(deltas.clone()))
+            .map_err(|e| format!("deep lint: batch what-if failed: {e}"))?;
+        deltas.reverse();
+        let reversed = session
+            .apply_batch(&WhatIfBatch::from_deltas(deltas))
+            .map_err(|e| format!("deep lint: reversed batch what-if failed: {e}"))?;
+        let fwd: Vec<TopKResult> =
+            forward.scenarios().iter().map(|sc| sc.result().clone()).collect();
+        let mut rev: Vec<TopKResult> =
+            reversed.scenarios().iter().map(|sc| sc.result().clone()).collect();
+        rev.reverse();
+        diags.merge(lint_batch_order(&fwd, &rev));
+    }
+
+    // Scheduler determinism (L060): replay the work-stealing sweep
+    // serially and compare every published result slot and budget
+    // share against the parallel run.
+    let audit = engine.sched_audit(Mode::Addition, 2).map_err(|e| e.to_string())?;
+    diags.merge(lint_sched_replay(&audit));
+
+    // Chain integrity (L07x): round-trip the touched session through
+    // a scratch generation chain — checkpoint base plus one appended
+    // delta — and verify the file's record order, links and replay
+    // against the chain rules. One scratch file per process and thread,
+    // so concurrent deep lints never share a chain.
+    let dir = std::env::temp_dir().join("dna_lint_deep_chain");
+    fs::create_dir_all(&dir).map_err(|e| format!("deep lint: cannot create {dir:?}: {e}"))?;
+    let thread = std::thread::current().id();
+    let chain = dir.join(format!("lint-{}-{thread:?}.dnawifa", std::process::id()));
+    commit_chain(&mut session, &chain, &CommitOptions::default())
+        .map_err(|e| format!("deep lint: cannot commit scratch chain: {e}"))?;
+    session
+        .apply(&MaskDelta::new(&[], &worst))
+        .map_err(|e| format!("deep lint: what-if restore failed: {e}"))?;
+    commit_chain(&mut session, &chain, &CommitOptions::default())
+        .map_err(|e| format!("deep lint: cannot append to scratch chain: {e}"))?;
+    let bytes =
+        fs::read(&chain).map_err(|e| format!("deep lint: cannot read scratch chain: {e}"))?;
+    let _ = fs::remove_file(&chain);
+    let summary = chain_summary_checked(engine, &bytes)
+        .map_err(|e| format!("deep lint: scratch chain unreadable: {e}"))?;
+    diags.merge(lint_chain(&summary));
+    Ok(diags)
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
@@ -1002,17 +1010,6 @@ fn render_lint(diags: &Diagnostics, json: bool) {
 mod tests {
     use super::*;
 
-    /// The `dna_topk::faultsim` registry is process-global, so the one
-    /// test that arms it holds the write half of this lock while every
-    /// other test that drives a semantic what-if refinement (whatif,
-    /// lint --deep) holds the read half — they stay parallel among
-    /// themselves but never overlap an armed injection.
-    static FAULTSIM: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-    fn faultsim_read() -> std::sync::RwLockReadGuard<'static, ()> {
-        FAULTSIM.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn argv(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
@@ -1059,7 +1056,6 @@ mod tests {
 
     #[test]
     fn whatif_runs_and_audits() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_whatif");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.ckt");
@@ -1090,15 +1086,7 @@ mod tests {
 
     #[test]
     fn deep_lint_catches_injected_unsound_certificate() {
-        use dna_topk::faultsim;
-        let _g = FAULTSIM.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                faultsim::disarm_all();
-            }
-        }
-        let _d = Disarm;
+        use dna_topk::faultsim::Faults;
 
         let dir = std::env::temp_dir().join("dna_cli_test_faultsim");
         fs::create_dir_all(&dir).unwrap();
@@ -1131,22 +1119,20 @@ mod tests {
             .position(|&d| d)
             .expect("removing the worst set must leave at least one dirty victim");
 
-        // With the prover hook armed, the session fabricates an unsound
-        // clean certificate for that victim; the L05x re-derivation in
-        // `lint --deep` must refuse it.
-        faultsim::arm_force_clean_victim(victim);
-        let e = dispatch(&argv(&["lint", &path_s, "--deep"])).unwrap_err();
-        assert!(e.contains("lint failed"), "{e}");
-        faultsim::disarm_all();
+        // On an engine with the prover hook armed, the session fabricates
+        // an unsound clean certificate for that victim; the L05x
+        // re-derivation of `lint --deep` must refuse it.
+        let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
+        let forging = TopKAnalysis::with_faults(&circuit, TopKConfig::default(), faults);
+        assert!(deep_lint(&forging).unwrap().has_errors());
 
-        // Disarmed, the same command is clean again.
-        dispatch(&argv(&["lint", &path_s, "--deep"])).unwrap();
+        // On a default engine, the same pass is clean again.
+        assert!(!deep_lint(&engine).unwrap().has_errors());
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn lint_passes_on_generated_circuit() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_lint");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.ckt");
@@ -1199,7 +1185,6 @@ mod tests {
 
     #[test]
     fn whatif_save_load_round_trip_and_corrupt_fallback() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_artifact");
         fs::create_dir_all(&dir).unwrap();
         let ckt = dir.join("t.ckt");
@@ -1243,7 +1228,6 @@ mod tests {
 
     #[test]
     fn whatif_batch_runs_audits_and_rejects_bad_tokens() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_batch");
         fs::create_dir_all(&dir).unwrap();
         let ckt = dir.join("t.ckt");
@@ -1282,7 +1266,6 @@ mod tests {
 
     #[test]
     fn whatif_save_after_load_appends_a_delta_record() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_save_delta");
         fs::create_dir_all(&dir).unwrap();
         let ckt = dir.join("t.ckt");
@@ -1353,7 +1336,6 @@ mod tests {
 
     #[test]
     fn whatif_history_lists_and_replays_generations() {
-        let _g = faultsim_read();
         let dir = std::env::temp_dir().join("dna_cli_test_history");
         fs::create_dir_all(&dir).unwrap();
         let ckt = dir.join("t.ckt");

@@ -23,7 +23,7 @@ use dna_waveform::Envelope;
 use crate::dominance::{irredundant_with_discard, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
-use crate::{arena, faultsim, Candidate, CouplingSet, TopKError};
+use crate::{arena, Candidate, CouplingSet, TopKError};
 
 /// How many of the best fanin candidates combine with lower-cardinality
 /// sets (beyond plain primary extension). Keeps the cross-product bounded
@@ -225,7 +225,7 @@ fn victim_lists(
                 None => atom.envelope.clone_into(arena::take_buf()),
                 Some(m) => m.envelope().sum_into(&atom.envelope, arena::take_buf()),
             };
-            let dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &env));
+            let dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &env));
             debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
             cands.push(Candidate::try_new(set, env, dn)?);
             Ok(())

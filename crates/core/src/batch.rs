@@ -50,9 +50,7 @@ use crate::engine::{self, Prepared, Swept};
 use crate::result::FaultPhase;
 use crate::sched::SchedStats;
 use crate::session::changed_and_seeds;
-use crate::{
-    faultsim, par_map, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession,
-};
+use crate::{par_map, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession};
 
 /// A set of independent what-if scenarios to evaluate against one
 /// [`WhatIfSession`] snapshot with [`WhatIfSession::apply_batch`].
@@ -370,10 +368,10 @@ impl WhatIfSession<'_, '_> {
         // structural closure is swept as is.
         let mut certs_of: Vec<Vec<CleanCertificate>> = vec![Vec::new(); scenarios.len()];
         let mut semantic_of: Vec<Option<SemanticState>> = Vec::with_capacity(scenarios.len());
-        let forced = faultsim::forced_clean_victim();
         for (s, prepared) in prepareds.iter().enumerate() {
             semantic_of.push(match &self.semantic {
                 Some(old) => {
+                    let forced = prepared.faults.force_clean_victim;
                     let (refined, state) = bounds::refine(prepared, old, &dirty_of[s], forced);
                     certs_of[s] = refined.certificates;
                     dirty_of[s] = refined.dirty;

@@ -713,9 +713,9 @@ pub(crate) fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TopKConfig;
+    use crate::{TopKAnalysis, TopKConfig};
     use dna_netlist::{CellKind, Circuit, CircuitBuilder, Library};
-    use dna_noise::{CouplingMask, NoiseAnalysis};
+    use dna_noise::CouplingMask;
     use dna_waveform::NoisePulse;
 
     /// Minimal deterministic PRNG (xorshift64*) — no external deps.
@@ -888,16 +888,16 @@ mod tests {
     fn digests_are_deterministic_and_mask_sensitive() {
         let c = two_cones();
         let config = TopKConfig::default();
-        let noise = NoiseAnalysis::new(&c, config.noise);
+        let engine = TopKAnalysis::new(&c, config);
         let full = CouplingMask::all(&c);
-        let p1 = Prepared::build(&c, config, Mode::Addition, &noise, full.clone()).unwrap();
-        let p2 = Prepared::build(&c, config, Mode::Addition, &noise, full.clone()).unwrap();
+        let p1 = Prepared::build(&engine, Mode::Addition, full.clone()).unwrap();
+        let p2 = Prepared::build(&engine, Mode::Addition, full.clone()).unwrap();
         let s1 = SemanticState::capture(&p1);
         let s2 = SemanticState::capture(&p2);
         assert_eq!(s1.digests, s2.digests, "capture must be deterministic");
 
         let masked = full.clone().without(&[CouplingId::new(0)]);
-        let p3 = Prepared::build(&c, config, Mode::Addition, &noise, masked).unwrap();
+        let p3 = Prepared::build(&engine, Mode::Addition, masked).unwrap();
         let s3 = SemanticState::capture(&p3);
         let cc = c.coupling(CouplingId::new(0));
         assert_ne!(
@@ -916,13 +916,13 @@ mod tests {
     fn refine_proves_disjoint_cone_clean_and_stays_inside_structural() {
         let c = two_cones();
         let config = TopKConfig::default();
-        let noise = NoiseAnalysis::new(&c, config.noise);
+        let engine = TopKAnalysis::new(&c, config);
         let full = CouplingMask::all(&c);
         for mode in [Mode::Addition, Mode::Elimination] {
-            let p_old = Prepared::build(&c, config, mode, &noise, full.clone()).unwrap();
+            let p_old = Prepared::build(&engine, mode, full.clone()).unwrap();
             let old = SemanticState::capture(&p_old);
             let masked = full.clone().without(&[CouplingId::new(0)]);
-            let p_new = Prepared::build(&c, config, mode, &noise, masked).unwrap();
+            let p_new = Prepared::build(&engine, mode, masked).unwrap();
             let structural = vec![true; c.num_nets()]; // worst-case closure
             let (refined, _) = refine(&p_new, &old, &structural, None);
             for name in ["p", "q", "r", "s", "t"] {
@@ -951,12 +951,12 @@ mod tests {
     fn refine_respects_structural_intersection() {
         let c = two_cones();
         let config = TopKConfig::default();
-        let noise = NoiseAnalysis::new(&c, config.noise);
+        let engine = TopKAnalysis::new(&c, config);
         let full = CouplingMask::all(&c);
-        let p_old = Prepared::build(&c, config, Mode::Addition, &noise, full.clone()).unwrap();
+        let p_old = Prepared::build(&engine, Mode::Addition, full.clone()).unwrap();
         let old = SemanticState::capture(&p_old);
         let masked = full.clone().without(&[CouplingId::new(0)]);
-        let p_new = Prepared::build(&c, config, Mode::Addition, &noise, masked).unwrap();
+        let p_new = Prepared::build(&engine, Mode::Addition, masked).unwrap();
         let structural = vec![false; c.num_nets()];
         let (refined, _) = refine(&p_new, &old, &structural, None);
         assert!(refined.dirty.iter().all(|&d| !d), "dirty must be within structural");
@@ -967,12 +967,12 @@ mod tests {
     fn forced_clean_fabricates_a_certificate() {
         let c = two_cones();
         let config = TopKConfig::default();
-        let noise = NoiseAnalysis::new(&c, config.noise);
+        let engine = TopKAnalysis::new(&c, config);
         let full = CouplingMask::all(&c);
-        let p_old = Prepared::build(&c, config, Mode::Addition, &noise, full.clone()).unwrap();
+        let p_old = Prepared::build(&engine, Mode::Addition, full.clone()).unwrap();
         let old = SemanticState::capture(&p_old);
         let masked = full.clone().without(&[CouplingId::new(0)]);
-        let p_new = Prepared::build(&c, config, Mode::Addition, &noise, masked).unwrap();
+        let p_new = Prepared::build(&engine, Mode::Addition, masked).unwrap();
         let structural = vec![true; c.num_nets()];
         let honest = refine(&p_new, &old, &structural, None).0;
         let victim = c.coupling(CouplingId::new(0)).a();

@@ -20,7 +20,7 @@ use crate::addition::{EnumerationOutcome, SinkOption};
 use crate::dominance::{irredundant_with_discard, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
-use crate::{arena, faultsim, Candidate, CouplingSet, TopKError};
+use crate::{arena, Candidate, CouplingSet, TopKError};
 
 /// Mirror of the addition-side combination breadth.
 const COMBO_BREADTH: usize = 4;
@@ -212,7 +212,7 @@ fn victim_lists(
     // The baseline (nothing-fixed) candidate bypasses the budget: even a
     // zero allowance keeps the seed, so every downstream consumer still
     // has the victim's total envelope to anchor on.
-    let total_dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &total));
+    let total_dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &total));
     lists.push(vec![Candidate::try_new(CouplingSet::new(), total.clone(), total_dn)?]);
     for i in 1..=k {
         let mut cands: Vec<Candidate> = Vec::new();
@@ -231,7 +231,7 @@ fn victim_lists(
             generated += 1;
             let member_env = member.map_or(&total, Candidate::envelope);
             let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
-            let dn = faultsim::corrupt_delay_noise(v, p.delay_noise_at(v, &env));
+            let dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &env));
             debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
             cands.push(Candidate::try_new(set, env, dn)?);
             Ok(())

@@ -5,13 +5,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use dna_netlist::{Circuit, CouplingId, NetId, NetSource};
-use dna_noise::{envelope_calc, CouplingMask, NoiseAnalysis, NoiseReport};
+use dna_noise::{envelope_calc, CouplingMask, NoiseReport};
 use dna_sta::{NetTiming, TimingReport};
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, TimeInterval, Transition};
 
+use crate::faultsim::Faults;
 use crate::result::{Fault, FaultPhase};
 use crate::sched::{self, BudgetPartition, SchedStats, Slots};
-use crate::{addition, elimination, faultsim, Candidate, TopKConfig, TopKError};
+use crate::{addition, elimination, Candidate, TopKAnalysis, TopKConfig, TopKError};
 
 /// Couplings in a net's fanin cone ranked by the delay noise each can add
 /// to that net's arrival, descending. `Arc`, not `Rc`: the memo is shared
@@ -151,6 +152,8 @@ pub(crate) struct Prepared<'c> {
     pub shift_bound: Vec<f64>,
     /// Couplings participating in this run.
     pub mask: CouplingMask,
+    /// The owning engine's fault-injection hooks.
+    pub faults: Faults,
     /// Per net: memoized fanin wideners of that net as an aggressor —
     /// couplings in its transitive fanin cone ranked by the delay noise
     /// they can add to its arrival, descending. One `OnceLock` slot per
@@ -162,17 +165,17 @@ pub(crate) struct Prepared<'c> {
 }
 
 impl<'c> Prepared<'c> {
-    /// Builds all shared state for one run over the couplings enabled in
-    /// `mask` (the full mask for ordinary runs; restricted masks support
-    /// the peeled-elimination extension).
+    /// Builds all shared state for one run of `analysis` over the
+    /// couplings enabled in `mask` (the full mask for ordinary runs;
+    /// restricted masks support what-if sessions and peeled elimination).
     pub fn build(
-        circuit: &'c Circuit,
-        config: TopKConfig,
+        analysis: &TopKAnalysis<'c>,
         mode: Mode,
-        noise: &NoiseAnalysis<'c>,
         mask: CouplingMask,
     ) -> Result<Self, TopKError> {
-        faultsim::maybe_panic_in_prepare();
+        let (circuit, config, noise, faults) =
+            (analysis.circuit, analysis.config, &analysis.noise, analysis.faults);
+        faults.maybe_panic_in_prepare();
         let base =
             TimingReport::run(circuit, &dna_sta::LinearDelayModel::new(), &config.noise.sta)?;
         let noisy = match mode {
@@ -306,6 +309,7 @@ impl<'c> Prepared<'c> {
             clip_iv,
             shift_bound,
             mask,
+            faults,
             wideners: (0..circuit.num_nets()).map(|_| OnceLock::new()).collect(),
         })
     }
@@ -492,6 +496,7 @@ fn run_one(
     skip: bool,
     allowance: usize,
     per_victim: &PerVictim<'_>,
+    faults: &Faults,
 ) -> (VictimLists, Option<Fault>) {
     if skip {
         return (VictimLists::empty(Curtailment::Skipped), None);
@@ -502,7 +507,7 @@ fn run_one(
     // memo — is a `OnceLock` that stays internally consistent at every
     // point.
     let guarded = catch_unwind(AssertUnwindSafe(|| {
-        faultsim::maybe_panic_at_victim(v);
+        faults.maybe_panic_at_victim(v);
         per_victim(v, ilists, allowance)
     }));
     match guarded {
@@ -624,22 +629,25 @@ pub(crate) fn sweep(
 
     let threads = first.prepared.config.effective_threads();
     let parallel = threads > 1 && tasks.len() > 1;
-    let corrupt_slot = faultsim::corrupt_sched_slot();
     let slots: Vec<Slots> =
         scenarios.iter().map(|sc| Slots::from_seeds(sc.lists, sc.dirty)).collect();
     let (done, sched) = sched::execute(&tasks, threads, |t| {
         let (s, v) = order[t];
         let (skip_share, allowance) = partitions[s].share(rank_of[s][v.index()]);
         let skip = skip_share || partitions[s].expired();
-        let (out, fault) = run_one(v, &slots[s], skip, allowance, &per_victims[s]);
+        let faults = &scenarios[s].prepared.faults;
+        let (out, fault) = run_one(v, &slots[s], skip, allowance, &per_victims[s], faults);
         // Fault-sim hook for the L060 audit: corrupt the parallel
         // scheduler's published slot (never the serial replay's) so the
         // slot comparison has something real to catch.
-        let lists =
-            if parallel && corrupt_slot == Some(v.index()) { Vec::new() } else { out.lists };
+        let lists = if parallel && faults.corrupt_sched_slot == Some(v.index()) {
+            Vec::new()
+        } else {
+            out.lists
+        };
         // Fault-sim hook for the quarantine path: a dropped publication
         // leaves a hole for `into_lists` to detect and degrade on.
-        if faultsim::drop_sched_publish() != Some(v.index()) {
+        if faults.drop_sched_publish != Some(v.index()) {
             slots[s].publish(v, Arc::new(lists));
         }
         (s, v, out.counters, fault)
@@ -747,7 +755,6 @@ fn pulse_for(
 mod tests {
     use super::*;
     use dna_netlist::{CellKind, CircuitBuilder, Library};
-    use dna_noise::NoiseConfig;
 
     fn coupled() -> Circuit {
         let mut b = CircuitBuilder::new(Library::cmos013());
@@ -792,8 +799,8 @@ mod tests {
     #[test]
     fn build_addition_has_no_noisy_report() {
         let (c, config) = prepared(Mode::Addition);
-        let noise = NoiseAnalysis::new(&c, NoiseConfig::default());
-        let p = Prepared::build(&c, config, Mode::Addition, &noise, CouplingMask::all(&c)).unwrap();
+        let engine = TopKAnalysis::new(&c, config);
+        let p = Prepared::build(&engine, Mode::Addition, CouplingMask::all(&c)).unwrap();
         assert!(p.noisy.is_none());
         assert_eq!(p.window_timings.len(), c.num_nets());
         // Windows equal the noiseless timing.
@@ -805,9 +812,8 @@ mod tests {
     #[test]
     fn build_elimination_windows_are_noisy() {
         let (c, config) = prepared(Mode::Elimination);
-        let noise = NoiseAnalysis::new(&c, NoiseConfig::default());
-        let p =
-            Prepared::build(&c, config, Mode::Elimination, &noise, CouplingMask::all(&c)).unwrap();
+        let engine = TopKAnalysis::new(&c, config);
+        let p = Prepared::build(&engine, Mode::Elimination, CouplingMask::all(&c)).unwrap();
         assert!(p.noisy.is_some());
         // At least one window extends past its noiseless counterpart.
         let widened =
@@ -818,8 +824,8 @@ mod tests {
     #[test]
     fn primaries_cover_couplings_per_victim() {
         let (c, config) = prepared(Mode::Addition);
-        let noise = NoiseAnalysis::new(&c, NoiseConfig::default());
-        let p = Prepared::build(&c, config, Mode::Addition, &noise, CouplingMask::all(&c)).unwrap();
+        let engine = TopKAnalysis::new(&c, config);
+        let p = Prepared::build(&engine, Mode::Addition, CouplingMask::all(&c)).unwrap();
         let v = c.net_by_name("v").unwrap();
         let g = c.net_by_name("g").unwrap();
         assert_eq!(p.primaries[v.index()].len(), 1);
@@ -835,8 +841,8 @@ mod tests {
     #[test]
     fn wideners_ranked_descending() {
         let (c, config) = prepared(Mode::Addition);
-        let noise = NoiseAnalysis::new(&c, NoiseConfig::default());
-        let p = Prepared::build(&c, config, Mode::Addition, &noise, CouplingMask::all(&c)).unwrap();
+        let engine = TopKAnalysis::new(&c, config);
+        let p = Prepared::build(&engine, Mode::Addition, CouplingMask::all(&c)).unwrap();
         let w = c.net_by_name("w").unwrap();
         let wd = p.wideners_of(w);
         for pair in wd.windows(2) {
@@ -858,8 +864,8 @@ mod tests {
     #[test]
     fn dominance_interval_anchored_at_t50() {
         let (c, config) = prepared(Mode::Addition);
-        let noise = NoiseAnalysis::new(&c, NoiseConfig::default());
-        let p = Prepared::build(&c, config, Mode::Addition, &noise, CouplingMask::all(&c)).unwrap();
+        let engine = TopKAnalysis::new(&c, config);
+        let p = Prepared::build(&engine, Mode::Addition, CouplingMask::all(&c)).unwrap();
         for n in c.net_ids() {
             let iv = p.dominance_iv[n.index()];
             assert!((iv.lo() - p.victim_tr[n.index()].t50()).abs() < 1e-9);

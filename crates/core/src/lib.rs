@@ -103,6 +103,7 @@ use dna_netlist::Circuit;
 use dna_noise::{CouplingMask, NoiseAnalysis};
 
 use engine::{Prepared, Swept};
+use faultsim::Faults;
 
 /// Runs `f` inside a panic boundary for an engine phase that cannot be
 /// isolated to one victim: an escaping panic is contained and converted
@@ -215,14 +216,24 @@ pub struct TopKAnalysis<'c> {
     circuit: &'c Circuit,
     config: TopKConfig,
     noise: NoiseAnalysis<'c>,
+    faults: Faults,
 }
 
 impl<'c> TopKAnalysis<'c> {
     /// Creates an engine over `circuit`.
     #[must_use]
     pub fn new(circuit: &'c Circuit, config: TopKConfig) -> Self {
+        Self::with_faults(circuit, config, Faults::default())
+    }
+
+    /// Creates an engine whose runs consult the fault-injection hooks in
+    /// `faults` (see [`faultsim`]). The hooks belong to this engine alone
+    /// and never enter its configuration, results or artifacts.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_faults(circuit: &'c Circuit, config: TopKConfig, faults: Faults) -> Self {
         let noise = NoiseAnalysis::new(circuit, config.noise);
-        Self { circuit, config, noise }
+        Self { circuit, config, noise, faults }
     }
 
     /// The analyzed circuit.
@@ -300,13 +311,7 @@ impl<'c> TopKAnalysis<'c> {
         while chosen.len() < k {
             let budget = (k - chosen.len()).min(step);
             let prepared = guard(FaultPhase::Prepare, || {
-                Prepared::build(
-                    self.circuit,
-                    self.config,
-                    Mode::Elimination,
-                    &self.noise,
-                    mask.clone(),
-                )
+                Prepared::build(self, Mode::Elimination, mask.clone())
             })?;
             let (outcome, round_faults, round_sched) = guard(FaultPhase::Selection, || {
                 let (swept, sched) = engine::sweep_full(&prepared, budget)?;
@@ -427,9 +432,7 @@ impl<'c> TopKAnalysis<'c> {
     ) -> Result<Prepared<'c>, TopKError> {
         validate_circuit_finite(self.circuit)?;
         let start = Instant::now();
-        let prepared = guard(FaultPhase::Prepare, || {
-            Prepared::build(self.circuit, self.config, mode, &self.noise, mask.clone())
-        })?;
+        let prepared = guard(FaultPhase::Prepare, || Prepared::build(self, mode, mask.clone()))?;
         if std::env::var_os("DNA_PROFILE").is_some() {
             eprintln!("[profile] prepare: {:.2?}", start.elapsed());
         }
@@ -458,7 +461,8 @@ impl<'c> TopKAnalysis<'c> {
     /// A from-scratch sweep under the full mask at `threads` workers,
     /// without selection: the replay the scheduler audit compares.
     fn sweep_at(&self, mode: Mode, k: usize, threads: usize) -> Result<Swept, TopKError> {
-        let analysis = TopKAnalysis::new(self.circuit, TopKConfig { threads, ..self.config });
+        let config = TopKConfig { threads, ..self.config };
+        let analysis = TopKAnalysis::with_faults(self.circuit, config, self.faults);
         let prepared = analysis.prepare(mode, &CouplingMask::all(self.circuit))?;
         engine::sweep_full(&prepared, k).map(|(swept, _)| swept)
     }
@@ -468,7 +472,7 @@ impl<'c> TopKAnalysis<'c> {
     /// one [`CleanCertificate`] per proven-clean victim, computed from
     /// nothing but the circuit, the mode and the two masks. The deep lint
     /// pass compares a session's claims against this witness, and the
-    /// fault-injection hooks are deliberately **not** consulted here — a
+    /// forced-clean hook is deliberately **not** consulted here — a
     /// corrupted session cannot corrupt its own audit.
     ///
     /// # Errors

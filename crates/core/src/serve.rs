@@ -74,6 +74,7 @@ use std::time::Duration;
 use dna_netlist::Circuit;
 
 use crate::engine::panic_message;
+use crate::faultsim::Faults;
 use crate::persist::{commit_chain, fnv1a64, CommitOptions, SaveKind, SaveReport};
 use crate::{
     truncate_chain_file, MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKError, WhatIfBatch,
@@ -380,6 +381,7 @@ struct Boot {
     mode: Mode,
     k: usize,
     config: TopKConfig,
+    faults: Faults,
     artifact: Option<Vec<u8>>,
     /// Chain file this worker commits to on [`Job::Persist`]; `None`
     /// for non-durable tenants.
@@ -398,7 +400,7 @@ fn resume_reason(e: &TopKError) -> String {
 }
 
 fn tenant_loop(boot: &Boot) {
-    let analysis = TopKAnalysis::new(&boot.circuit, boot.config);
+    let analysis = TopKAnalysis::with_faults(&boot.circuit, boot.config, boot.faults);
     let started = match &boot.artifact {
         Some(bytes) => match WhatIfSession::resume(&analysis, bytes) {
             Ok(session) => Ok((session, None)),
@@ -604,6 +606,8 @@ struct Tenant {
     mode: Mode,
     k: usize,
     config: TopKConfig,
+    /// Fault-injection hooks every worker of this tenant runs with.
+    faults: Faults,
     state: TenantState,
     last_used: u64,
     pending: Arc<AtomicUsize>,
@@ -721,6 +725,22 @@ impl SessionManager {
         self.open_with_source(tenant, circuit, None, mode, k, config)
     }
 
+    /// Opens an in-memory tenant whose engine runs with the
+    /// fault-injection hooks in `faults` — at open and at every reload —
+    /// so one tenant can be poisoned while its neighbours stay clean.
+    #[doc(hidden)]
+    pub fn open_with_faults(
+        &self,
+        tenant: &str,
+        circuit: Circuit,
+        mode: Mode,
+        k: usize,
+        config: TopKConfig,
+        faults: Faults,
+    ) -> Response {
+        self.open_tenant(tenant, circuit, None, mode, k, config, faults)
+    }
+
     /// Opens a new tenant, optionally naming the circuit `source` it
     /// was resolved from. On a durable manager a sourced open is
     /// write-ahead: the base session is checkpointed to its chain file
@@ -736,6 +756,20 @@ impl SessionManager {
         mode: Mode,
         k: usize,
         config: TopKConfig,
+    ) -> Response {
+        self.open_tenant(tenant, circuit, source, mode, k, config, Faults::default())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn open_tenant(
+        &self,
+        tenant: &str,
+        circuit: Circuit,
+        source: Option<&str>,
+        mode: Mode,
+        k: usize,
+        config: TopKConfig,
+        faults: Faults,
     ) -> Response {
         let config = self.admit(config);
         {
@@ -756,11 +790,12 @@ impl SessionManager {
             _ => None,
         };
         let store = self.store_path(durable.as_ref());
-        let (info, handle) =
-            match spawn_tenant(tenant, &circuit, mode, k, config, None, store, &self.coalesced) {
-                Ok(pair) => pair,
-                Err(message) => return self.count(Response::err(ErrorCode::Engine, message)),
-            };
+        let spawned =
+            spawn_tenant(tenant, &circuit, mode, k, config, faults, None, store, &self.coalesced);
+        let (info, handle) = match spawned {
+            Ok(pair) => pair,
+            Err(message) => return self.count(Response::err(ErrorCode::Engine, message)),
+        };
         if let Some(d) = &durable {
             // Write-ahead: checkpoint + manifest record before the open
             // is acknowledged or the tenant becomes visible.
@@ -793,6 +828,7 @@ impl SessionManager {
                 mode,
                 k,
                 config,
+                faults,
                 state: TenantState::Hot(handle),
                 last_used,
                 pending: Arc::new(AtomicUsize::new(0)),
@@ -1144,6 +1180,7 @@ impl SessionManager {
                     t.mode,
                     t.k,
                     t.config,
+                    t.faults,
                     Some(artifact.clone()),
                     store,
                     &self.coalesced,
@@ -1189,6 +1226,7 @@ impl SessionManager {
                     t.mode,
                     t.k,
                     t.config,
+                    t.faults,
                     Some(bytes),
                     Some(path),
                     &self.coalesced,
@@ -1393,6 +1431,7 @@ impl SessionManager {
                 mode: rec.mode,
                 k: rec.k,
                 config: rec_config(rec),
+                faults: Faults::default(),
                 state,
                 last_used,
                 pending: Arc::new(AtomicUsize::new(0)),
@@ -1564,6 +1603,7 @@ fn spawn_tenant(
     mode: Mode,
     k: usize,
     config: TopKConfig,
+    faults: Faults,
     artifact: Option<Vec<u8>>,
     store: Option<PathBuf>,
     coalesced: &Arc<AtomicU64>,
@@ -1576,6 +1616,7 @@ fn spawn_tenant(
         mode,
         k,
         config,
+        faults,
         artifact,
         store,
         startup: startup_tx,

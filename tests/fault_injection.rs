@@ -7,36 +7,22 @@
 //! **degraded-but-sound** result. Never a process panic, and never a
 //! silently wrong answer.
 //!
-//! The injection registry in `topk::faultsim` is process-global, so every
-//! test that arms it serializes on [`FAULT_LOCK`] and disarms on drop
-//! (including on assertion failure) via the [`Armed`] guard.
-
-use std::sync::{Mutex, MutexGuard};
+//! Faults are armed per engine (`TopKAnalysis::with_faults`), so the
+//! tests run in parallel without a lock and an injection can never leak
+//! into a neighbouring test's engine.
 
 use topk_aggressors::netlist::{suite, Circuit, CouplingId, NetId};
+use topk_aggressors::topk::faultsim::{self, Faults};
 use topk_aggressors::topk::{
-    faultsim, FaultPhase, MaskDelta, Mode, Soundness, TopKAnalysis, TopKConfig, TopKError,
-    TopKResult, WhatIfSession,
+    FaultPhase, MaskDelta, Mode, Soundness, TopKAnalysis, TopKConfig, TopKError, TopKResult,
+    WhatIfSession,
 };
 
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the registry lock with all faults disarmed on entry and exit.
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        faultsim::disarm_all();
-    }
-}
-
-fn armed() -> Armed {
-    // A test that failed an assertion while holding the lock poisons it;
-    // the registry state is still safe to reset, so recover the guard.
-    let guard = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+/// An engine whose runs consult `faults`, with the expected injected
+/// panics kept out of the test output.
+fn faulty(circuit: &Circuit, config: TopKConfig, faults: Faults) -> TopKAnalysis<'_> {
     faultsim::silence_injected_panics();
-    faultsim::disarm_all();
-    Armed(guard)
+    TopKAnalysis::with_faults(circuit, config, faults)
 }
 
 fn i1() -> Circuit {
@@ -58,7 +44,6 @@ fn fingerprint(r: &TopKResult) -> (Vec<CouplingId>, NetId, u64, u64, u64, usize,
 
 #[test]
 fn clean_run_is_exact_with_empty_fault_report() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let result = engine.addition_set(3).expect("clean run succeeds");
@@ -71,13 +56,12 @@ fn clean_run_is_exact_with_empty_fault_report() {
 
 #[test]
 fn panicking_victim_is_quarantined_not_fatal() {
-    let _guard = armed();
     let circuit = i1();
     let victim = 5;
     assert!(victim < circuit.num_nets());
-    faultsim::arm_panic_at_victim(victim);
+    let faults = Faults { panic_at_victim: Some(victim), ..Faults::default() };
 
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
+    let engine = faulty(&circuit, TopKConfig::default(), faults);
     let result = engine.elimination_set(2).expect("the panic must not escape");
 
     assert_eq!(result.faults().len(), 1, "exactly the armed victim is quarantined");
@@ -95,15 +79,14 @@ fn panicking_victim_is_quarantined_not_fatal() {
 
 #[test]
 fn dropped_result_slot_degrades_with_a_typed_scheduler_invariant() {
-    let _guard = armed();
     let circuit = i1();
     let victim = 5;
     assert!(victim < circuit.num_nets());
-    faultsim::arm_drop_sched_publish(victim);
+    let faults = Faults { drop_sched_publish: Some(victim), ..Faults::default() };
 
     for threads in [1, 4] {
         let config = TopKConfig { threads, ..TopKConfig::default() };
-        let engine = TopKAnalysis::new(&circuit, config);
+        let engine = faulty(&circuit, config, faults);
         // The lost publication must never abort or hang the process:
         // the hole becomes a typed `SchedulerInvariant` quarantining the
         // victim (empty lists, a sound lower bound) and the result
@@ -130,13 +113,12 @@ fn dropped_result_slot_degrades_with_a_typed_scheduler_invariant() {
 
 #[test]
 fn quarantine_is_bit_identical_across_thread_counts() {
-    let _guard = armed();
     let circuit = i1();
-    faultsim::arm_panic_at_victim(5);
+    let faults = Faults { panic_at_victim: Some(5), ..Faults::default() };
 
     let run = |threads: usize| {
         let config = TopKConfig { threads, ..TopKConfig::default() };
-        TopKAnalysis::new(&circuit, config).elimination_set(2).expect("quarantined, not fatal")
+        faulty(&circuit, config, faults).elimination_set(2).expect("quarantined, not fatal")
     };
     let serial = run(1);
     let parallel = run(4);
@@ -150,15 +132,14 @@ fn quarantine_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn nan_delay_noise_becomes_a_typed_quarantine() {
-    let _guard = armed();
     let circuit = i1();
     let victim = 9;
     assert!(victim < circuit.num_nets());
-    faultsim::arm_nan_at_victim(victim);
+    let faults = Faults { nan_at_victim: Some(victim), ..Faults::default() };
 
     // Elimination seeds every victim with its baseline envelope, so the
     // corrupted delay noise is guaranteed to reach candidate validation.
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
+    let engine = faulty(&circuit, TopKConfig::default(), faults);
     let result = engine.elimination_set(2).expect("NaN is caught, not propagated");
 
     assert_eq!(result.faults().len(), 1);
@@ -172,11 +153,10 @@ fn nan_delay_noise_becomes_a_typed_quarantine() {
 
 #[test]
 fn prepare_panic_is_a_typed_error_not_a_crash() {
-    let _guard = armed();
     let circuit = i1();
-    faultsim::arm_panic_in_prepare();
+    let faults = Faults { panic_in_prepare: true, ..Faults::default() };
 
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
+    let engine = faulty(&circuit, TopKConfig::default(), faults);
     let err = engine.addition_set(2).expect_err("preparation cannot be isolated per victim");
     match err {
         TopKError::EnginePanic { phase, cause } => {
@@ -187,9 +167,43 @@ fn prepare_panic_is_a_typed_error_not_a_crash() {
     }
 }
 
+/// Faults belong to one engine: poisoned engines sweeping on other
+/// threads at the same time can never reach a clean engine's answer.
+#[test]
+fn armed_engines_never_leak_into_concurrent_clean_engines() {
+    let circuit = &i1();
+    let clean =
+        |threads| TopKAnalysis::new(circuit, TopKConfig { threads, ..TopKConfig::default() });
+    let reference = clean(1).elimination_set(2).expect("clean run").identity_fingerprint();
+    let poisons = [
+        Faults { panic_at_victim: Some(5), ..Faults::default() },
+        Faults { nan_at_victim: Some(9), ..Faults::default() },
+        Faults { corrupt_sched_slot: Some(5), ..Faults::default() },
+        Faults { drop_sched_publish: Some(5), ..Faults::default() },
+    ];
+    std::thread::scope(|scope| {
+        for faults in poisons {
+            scope.spawn(move || {
+                let config = TopKConfig { threads: 2, ..TopKConfig::default() };
+                for _ in 0..3 {
+                    faulty(circuit, config, faults).elimination_set(2).expect("not fatal");
+                }
+            });
+        }
+        for threads in [1, 4] {
+            scope.spawn(move || {
+                for _ in 0..3 {
+                    let r = clean(threads).elimination_set(2).expect("clean run");
+                    assert!(r.faults().is_empty(), "threads={threads}: a fault leaked in");
+                    assert_eq!(r.identity_fingerprint(), reference, "threads={threads} diverged");
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn zero_budgets_degrade_soundly_in_both_modes() {
-    let _guard = armed();
     let circuit = i1();
     let config = TopKConfig { global_candidate_budget: Some(0), ..TopKConfig::default() };
     let engine = TopKAnalysis::new(&circuit, config);
@@ -210,15 +224,15 @@ fn zero_budgets_degrade_soundly_in_both_modes() {
 
 #[test]
 fn artifact_round_trip_preserves_results_and_faults() {
-    let _guard = armed();
     let circuit = i1();
-    faultsim::arm_panic_at_victim(5);
+    let faults = Faults { panic_at_victim: Some(5), ..Faults::default() };
 
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-    let session = WhatIfSession::start(&engine, Mode::Elimination, 2).expect("session starts");
+    let poisoned = faulty(&circuit, TopKConfig::default(), faults);
+    let session = WhatIfSession::start(&poisoned, Mode::Elimination, 2).expect("session starts");
     assert_eq!(session.result().faults().len(), 1, "the session carries a quarantine");
-    faultsim::disarm_all();
 
+    // The artifact moves the session onto a clean engine.
+    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let artifact = session.save_artifact();
     let resumed = WhatIfSession::resume(&engine, &artifact).expect("clean artifact loads");
     assert_eq!(fingerprint(session.result()), fingerprint(resumed.result()));
@@ -230,7 +244,6 @@ fn artifact_round_trip_preserves_results_and_faults() {
 
 #[test]
 fn loaded_session_applies_bit_identically_to_a_live_one() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
 
@@ -247,7 +260,6 @@ fn loaded_session_applies_bit_identically_to_a_live_one() {
 
 #[test]
 fn every_single_bit_flip_is_detected() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let session = WhatIfSession::start(&engine, Mode::Addition, 2).expect("session starts");
@@ -269,7 +281,6 @@ fn every_single_bit_flip_is_detected() {
 
 #[test]
 fn truncated_artifacts_are_detected_at_every_length_class() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let session = WhatIfSession::start(&engine, Mode::Addition, 2).expect("session starts");
@@ -286,7 +297,6 @@ fn truncated_artifacts_are_detected_at_every_length_class() {
 
 #[test]
 fn artifact_for_a_different_circuit_or_config_is_rejected() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let session = WhatIfSession::start(&engine, Mode::Addition, 2).expect("session starts");
@@ -312,7 +322,6 @@ fn artifact_for_a_different_circuit_or_config_is_rejected() {
 
 #[test]
 fn forced_clean_certificate_fails_the_audit_spot_check() {
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
 
@@ -334,11 +343,11 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
             if !outcome.dirty_flags()[victim] {
                 continue;
             }
-            faultsim::arm_force_clean_victim(victim);
+            let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
+            let forging = faulty(&circuit, TopKConfig::default(), faults);
             let mut forged =
-                WhatIfSession::start(&engine, Mode::Elimination, 3).expect("session starts");
+                WhatIfSession::start(&forging, Mode::Elimination, 3).expect("session starts");
             let forged_out = forged.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
-            faultsim::disarm_all();
             assert!(
                 !forged_out.dirty_flags()[victim],
                 "the armed hook must force victim {victim} out of the dirty set"
@@ -361,20 +370,20 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
 fn forced_clean_certificate_fails_lint_rederivation() {
     use topk_aggressors::lint::lint_dirty_closure_certified;
 
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-    let mut session = WhatIfSession::start(&engine, Mode::Elimination, 3).expect("session starts");
-    let fix: Vec<CouplingId> = session.result().couplings().to_vec();
-    let probe = session.fork().apply(&MaskDelta::remove(&fix)).expect("probe apply succeeds");
+    let clean = WhatIfSession::start(&engine, Mode::Elimination, 3).expect("session starts");
+    let fix: Vec<CouplingId> = clean.result().couplings().to_vec();
+    let probe = clean.fork().apply(&MaskDelta::remove(&fix)).expect("probe apply succeeds");
     let victim = probe.dirty_flags().iter().position(|&d| d).expect("the fix dirties some victim");
 
-    faultsim::arm_force_clean_victim(victim);
+    let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
+    let forging = faulty(&circuit, TopKConfig::default(), faults);
+    let mut session = WhatIfSession::start(&forging, Mode::Elimination, 3).expect("session starts");
     let before = session.mask().clone();
     let outcome = session.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
-    faultsim::disarm_all();
 
-    // The independent re-derivation runs with the hook disarmed, so the
+    // The independent re-derivation runs on a clean engine, so the
     // fabricated certificate contradicts the witness: L050 (and a stale
     // corridor counterpart, L051) must fire.
     let witness = engine
@@ -395,14 +404,15 @@ fn forced_clean_certificate_fails_lint_rederivation() {
 
 #[test]
 fn whatif_apply_recovers_after_a_quarantined_start() {
-    let _guard = armed();
     let circuit = i1();
-    faultsim::arm_panic_at_victim(5);
+    let faults = Faults { panic_at_victim: Some(5), ..Faults::default() };
 
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-    let mut session = WhatIfSession::start(&engine, Mode::Elimination, 2).expect("session starts");
+    let poisoned = faulty(&circuit, TopKConfig::default(), faults);
+    let session = WhatIfSession::start(&poisoned, Mode::Elimination, 2).expect("session starts");
     assert_eq!(session.result().faults().len(), 1);
-    faultsim::disarm_all();
+    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
+    let mut session =
+        WhatIfSession::resume(&engine, &session.save_artifact()).expect("clean artifact loads");
 
     // With the fault gone, applying a delta re-sweeps the dirty cone
     // healthy; the engine never panics and the outcome stays finite.
@@ -415,7 +425,6 @@ fn whatif_apply_recovers_after_a_quarantined_start() {
 fn strided_bit_flips_over_delta_records_are_typed_and_lenient_recoverable() {
     use topk_aggressors::topk::{chain_summary, commit_chain, CommitOptions, SaveKind};
 
-    let _guard = armed();
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let mut session = WhatIfSession::start(&engine, Mode::Elimination, 2).expect("session starts");

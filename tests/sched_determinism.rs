@@ -10,34 +10,12 @@
 //! random budgets, steal-order shuffling, a panicking stolen task, and a
 //! corrupted result slot that the L060 serial-replay audit must catch.
 
-use std::sync::{Mutex, MutexGuard};
-
 use proptest::prelude::*;
 use topk_aggressors::lint::lint_sched_replay;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, CellKind, Circuit, CircuitBuilder, Library};
-use topk_aggressors::topk::{faultsim, Mode, TopKAnalysis, TopKConfig, TopKResult};
-
-/// The injection registry (and the `DNA_SCHED_SHUFFLE` environment
-/// variable) are process-global; tests that touch either serialize here
-/// and disarm on drop, even across assertion failures.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        faultsim::disarm_all();
-        std::env::remove_var("DNA_SCHED_SHUFFLE");
-    }
-}
-
-fn armed() -> Armed {
-    let guard = FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    faultsim::silence_injected_panics();
-    faultsim::disarm_all();
-    Armed(guard)
-}
+use topk_aggressors::topk::faultsim::{self, Faults};
+use topk_aggressors::topk::{Mode, TopKAnalysis, TopKConfig, TopKResult};
 
 /// Everything observable about a result, with f64 payloads compared by
 /// bit pattern — "close enough" is a scheduler bug here.
@@ -72,7 +50,19 @@ fn fingerprint(r: &TopKResult) -> Fingerprint {
 }
 
 fn run(circuit: &Circuit, mode: Mode, k: usize, config: TopKConfig) -> TopKResult {
-    let engine = TopKAnalysis::new(circuit, config);
+    run_faulty(circuit, mode, k, config, Faults::default())
+}
+
+/// [`run`] on an engine whose sweeps consult `faults`.
+fn run_faulty(
+    circuit: &Circuit,
+    mode: Mode,
+    k: usize,
+    config: TopKConfig,
+    faults: Faults,
+) -> TopKResult {
+    faultsim::silence_injected_panics();
+    let engine = TopKAnalysis::with_faults(circuit, config, faults);
     match mode {
         Mode::Addition => engine.addition_set(k),
         Mode::Elimination => engine.elimination_set(k),
@@ -148,7 +138,6 @@ fn long_tail_circuit() -> Circuit {
 
 #[test]
 fn long_tail_victim_is_thread_invariant() {
-    let _guard = armed();
     let circuit = long_tail_circuit();
     for mode in [Mode::Addition, Mode::Elimination] {
         for make in [unbudgeted as fn(usize) -> TopKConfig, budgeted as fn(usize) -> TopKConfig] {
@@ -179,10 +168,11 @@ fn long_tail_victim_is_thread_invariant() {
 
 /// Steal-order shuffling (the CI_FULL stress axis): `DNA_SCHED_SHUFFLE`
 /// perturbs deque seeding and steal direction but may never change an
-/// output bit.
+/// output bit. The variable is process-wide, so neighbouring tests may
+/// sweep under a shuffle while it is set — by this very contract, that
+/// cannot change their answers either.
 #[test]
 fn steal_order_shuffle_never_changes_a_bit() {
-    let _guard = armed();
     let circuit = suite::benchmark("i1", 42).expect("known benchmark");
     std::env::remove_var("DNA_SCHED_SHUFFLE");
     let reference = fingerprint(&run(&circuit, Mode::Addition, 3, budgeted(1)));
@@ -193,6 +183,7 @@ fn steal_order_shuffle_never_changes_a_bit() {
             assert_eq!(reference, shuffled, "shuffle seed {seed} threads={threads} diverged");
         }
     }
+    std::env::remove_var("DNA_SCHED_SHUFFLE");
 }
 
 /// A stolen task that panics quarantines exactly its own victim — the
@@ -200,15 +191,14 @@ fn steal_order_shuffle_never_changes_a_bit() {
 /// under the same fault.
 #[test]
 fn panicking_stolen_task_quarantines_only_its_victim() {
-    let _guard = armed();
     let circuit = suite::benchmark("i1", 7).expect("known benchmark");
     let victim = 5;
     assert!(victim < circuit.num_nets());
-    faultsim::arm_panic_at_victim(victim);
+    let faults = Faults { panic_at_victim: Some(victim), ..Faults::default() };
 
-    let serial = run(&circuit, Mode::Elimination, 2, unbudgeted(1));
+    let serial = run_faulty(&circuit, Mode::Elimination, 2, unbudgeted(1), faults);
     for threads in [2, 4, 8] {
-        let parallel = run(&circuit, Mode::Elimination, 2, unbudgeted(threads));
+        let parallel = run_faulty(&circuit, Mode::Elimination, 2, unbudgeted(threads), faults);
         assert_eq!(parallel.faults().len(), 1, "threads={threads}: exactly one quarantine");
         assert_eq!(parallel.faults().faults()[0].victim().index(), victim);
         assert_eq!(parallel.sweep_stats().quarantined_victims, 1);
@@ -226,7 +216,6 @@ fn panicking_stolen_task_quarantines_only_its_victim() {
 /// struct and by the lint rule built on it.
 #[test]
 fn corrupted_result_slot_is_caught_by_the_replay_audit() {
-    let _guard = armed();
     let circuit = suite::benchmark("i1", 7).expect("known benchmark");
     let config = TopKConfig { validate: false, ..TopKConfig::default() };
     let engine = TopKAnalysis::new(&circuit, config);
@@ -245,9 +234,9 @@ fn corrupted_result_slot_is_caught_by_the_replay_audit() {
     for &cc in result.couplings() {
         let coupling = circuit.coupling(cc);
         for victim in [coupling.a().index(), coupling.b().index()] {
-            faultsim::arm_corrupt_sched_slot(victim);
-            let audit = engine.sched_audit(Mode::Addition, 2).expect("audit runs");
-            faultsim::disarm_all();
+            let faults = Faults { corrupt_sched_slot: Some(victim), ..Faults::default() };
+            let corrupting = TopKAnalysis::with_faults(&circuit, config, faults);
+            let audit = corrupting.sched_audit(Mode::Addition, 2).expect("audit runs");
             if audit.is_clean() {
                 continue;
             }

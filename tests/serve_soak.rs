@@ -9,21 +9,13 @@
 //! and then replay every recorded request against fresh solo sessions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, Circuit, CouplingId};
+use topk_aggressors::topk::faultsim::{self, Faults};
 use topk_aggressors::topk::serve::{Response, ServeConfig, SessionManager};
-use topk_aggressors::topk::{faultsim, MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfSession};
-
-/// The faultsim registry is process-global, and every test here drives
-/// engine sweeps; serialize the whole file so an armed injection can
-/// never leak into a neighbouring test's circuits.
-static FAULTSIM: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    FAULTSIM.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use topk_aggressors::topk::{MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfSession};
 
 fn small_circuit(seed: u64) -> Circuit {
     generate(&GeneratorConfig::new(24, 18).with_seed(seed)).expect("generator succeeds")
@@ -187,7 +179,6 @@ fn soak(manager: &Arc<SessionManager>, threads: usize, per_thread: usize, k: usi
 
 #[test]
 fn interleaved_tenants_bit_match_sequential_replay() {
-    let _g = serial();
     let manager = Arc::new(SessionManager::new(ServeConfig::default()));
     soak(&manager, 3, 8, 2);
     let Response::Stats(stats) = manager.stats() else { panic!("stats") };
@@ -200,7 +191,6 @@ fn interleaved_tenants_bit_match_sequential_replay() {
 #[test]
 #[ignore = "heavyweight soak; run with --ignored (CI_FULL)"]
 fn soak_hundreds_of_requests_across_a_thrashing_lru() {
-    let _g = serial();
     let manager =
         Arc::new(SessionManager::new(ServeConfig { capacity: 1, ..ServeConfig::default() }));
     soak(&manager, 6, 34, 2);
@@ -216,7 +206,6 @@ fn soak_hundreds_of_requests_across_a_thrashing_lru() {
 /// manager (spill after every request) produces one fingerprint.
 #[test]
 fn evict_reload_and_zero_capacity_preserve_identity() {
-    let _g = serial();
     let circuit = small_circuit(9);
     let delta = MaskDelta::remove(&[CouplingId::new(2)]);
 
@@ -265,22 +254,15 @@ fn evict_reload_and_zero_capacity_preserve_identity() {
 /// tenant keeps getting bit-exact answers from the same daemon.
 #[test]
 fn poisoned_tenant_degrades_while_clean_tenant_serves() {
-    let _g = serial();
     faultsim::silence_injected_panics();
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            faultsim::disarm_all();
-        }
-    }
-    let _d = Disarm;
 
     let clean = small_circuit(9);
     let big = suite::benchmark("i1", 7).expect("suite circuit");
-    // Arm a panic at a victim index that exists only in the big circuit,
-    // so the injection can never leak into the clean tenant.
-    let poison_victim = clean.num_nets();
-    assert!(poison_victim < big.num_nets(), "victim must exist in the big circuit");
+    // Poison a victim index both circuits have: the fault belongs to the
+    // poisoned tenant's engine, so the clean tenant never sees it.
+    let poison_victim = 5;
+    assert!(poison_victim < clean.num_nets(), "victim must exist in both circuits");
+    let faults = Faults { panic_at_victim: Some(poison_victim), ..Faults::default() };
 
     let manager = SessionManager::new(ServeConfig::default());
     assert!(matches!(
@@ -288,13 +270,17 @@ fn poisoned_tenant_degrades_while_clean_tenant_serves() {
         Response::Opened { .. }
     ));
 
-    faultsim::arm_panic_at_victim(poison_victim);
     // The poisoned tenant's base sweep quarantines the victim instead of
-    // aborting: open succeeds, the daemon lives. The fault stays armed
-    // for the whole test — its index cannot exist in the clean circuit,
-    // so the clean tenant (and its solo replay) never see it.
+    // aborting: open succeeds, the daemon lives.
     assert!(matches!(
-        manager.open("poisoned", big.clone(), Mode::Elimination, 2, TopKConfig::default()),
+        manager.open_with_faults(
+            "poisoned",
+            big.clone(),
+            Mode::Elimination,
+            2,
+            TopKConfig::default(),
+            faults
+        ),
         Response::Opened { .. }
     ));
 
