@@ -7,6 +7,14 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== one result identity (no local fingerprint helpers)"
+# Which result fields define bit-identity is decided once, by
+# `TopKResult::fingerprint` in crates/core/src/result.rs; a local copy
+# drifts from it, as the old per-suite tuples did.
+if grep -rn --include='*.rs' 'fn fingerprint(' crates tests | grep -v '^crates/core/src/result.rs:'; then
+  echo "local fingerprint helper found: compare TopKResult::fingerprint() instead"; exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -30,8 +38,8 @@ cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --mode add --k 3 --audi
 
 echo "== damping identity smoke (semantic == structural, certificates audited)"
 # Both dampings must pass the same from-scratch audit on the same circuit;
-# the semantic run additionally re-verifies its certificates and
-# spot-checks proven-clean victims.
+# the semantic run additionally re-verifies its certificates, and the
+# oracle diffs every proven-clean victim's cached state.
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --damping structural --audit >/dev/null
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --damping semantic --audit >/dev/null
 

@@ -12,10 +12,10 @@
 
 use std::time::Instant;
 
-use dna_netlist::{suite, CouplingId, NetId};
+use dna_netlist::{suite, CouplingId};
 use dna_topk::{
-    commit_chain, CommitOptions, Damping, MaskDelta, Mode, SaveKind, TopKAnalysis, TopKConfig,
-    TopKResult, WhatIfBatch, WhatIfSession,
+    commit_chain, CommitOptions, Damping, Fingerprint, MaskDelta, Mode, SaveKind, TopKAnalysis,
+    TopKConfig, WhatIfBatch, WhatIfSession,
 };
 
 use crate::{Table, DEFAULT_SEED};
@@ -386,31 +386,6 @@ pub struct BenchReport {
     pub damping: Vec<DampingEntry>,
 }
 
-/// Everything that must agree between a serial and a parallel run.
-/// Wall-clock time and the embedded runtime are deliberately excluded.
-#[derive(PartialEq)]
-struct Fingerprint {
-    set: Vec<CouplingId>,
-    sink: NetId,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    Fingerprint {
-        set: r.couplings().to_vec(),
-        sink: r.sink(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-    }
-}
-
 /// The thread configurations one run measures: the serial reference and
 /// auto parallelism, plus a forced 4-thread run on single-core hosts so
 /// the parallel sweep (and its identity to serial) is exercised even
@@ -473,7 +448,7 @@ pub fn run(spec: &BenchSpec) -> Result<BenchReport, String> {
                     result = Some(r);
                 }
                 let r = result.expect("samples >= 1");
-                let fp = fingerprint(&r);
+                let fp = r.fingerprint();
                 let identical_to_serial = match &serial {
                     // The first configuration *is* the serial reference.
                     None => {
@@ -569,8 +544,8 @@ fn bench_damping(
 
         let scratch =
             sem_engine.run_with_mask(mode, spec.k, sem.mask()).map_err(|e| e.to_string())?;
-        let identical = fingerprint(sem_out.result()) == fingerprint(str_out.result())
-            && fingerprint(sem_out.result()) == fingerprint(&scratch);
+        let identical = sem_out.result().fingerprint() == str_out.result().fingerprint()
+            && sem_out.result().fingerprint() == scratch.fingerprint();
         measured = Some((
             sem_out.structural_dirty_victims(),
             sem_out.proven_clean_victims(),
@@ -637,7 +612,7 @@ fn bench_batch(
             .scenarios()
             .iter()
             .zip(&sequential)
-            .all(|(b, s)| fingerprint(b.result()) == fingerprint(s.result()));
+            .all(|(b, s)| b.result().fingerprint() == s.result().fingerprint());
         measured = Some((scenarios.len(), out.stats(), identical));
     }
     let (submitted, stats, identical_to_sequential) = measured.expect("samples >= 1");
@@ -686,7 +661,7 @@ fn bench_whatif(
         let scratch =
             engine.run_with_mask(mode, spec.k, session.mask()).map_err(|e| e.to_string())?;
         full_ms = full_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        let identical = fingerprint(outcome.result()) == fingerprint(&scratch);
+        let identical = outcome.result().fingerprint() == scratch.fingerprint();
         measured = Some((
             outcome.recomputed_victims(),
             outcome.total_victims(),
@@ -752,7 +727,7 @@ fn bench_persist(
         let outcome = loaded.apply(&MaskDelta::remove(&fix)).map_err(|e| e.to_string())?;
         let scratch =
             engine.run_with_mask(mode, spec.k, loaded.mask()).map_err(|e| e.to_string())?;
-        identical = Some(fingerprint(outcome.result()) == fingerprint(&scratch));
+        identical = Some(outcome.result().fingerprint() == scratch.fingerprint());
     }
     Ok(PersistEntry {
         circuit: name.to_owned(),
@@ -825,7 +800,7 @@ fn bench_versioned_store(
         let bytes = std::fs::read(&chain).map_err(|e| e.to_string())?;
         let replayed = WhatIfSession::resume_at(&engine, &bytes, delta.generation)
             .map_err(|e| e.to_string())?;
-        let identical = fingerprint(replayed.result()) == fingerprint(session.result());
+        let identical = replayed.result().fingerprint() == session.result().fingerprint();
         measured = Some((
             delta.bytes_written as usize,
             checkpoint.bytes_written as usize,

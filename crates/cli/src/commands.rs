@@ -4,8 +4,8 @@ use std::fs;
 
 use dna_bench::topk_bench;
 use dna_lint::{
-    lint_batch_order, lint_chain, lint_circuit, lint_config, lint_dirty_closure,
-    lint_dirty_closure_certified, lint_result, lint_sched_replay, lint_timing, Diagnostics,
+    lint_chain, lint_circuit, lint_config, lint_dirty_closure, lint_dirty_closure_certified,
+    lint_divergence, lint_result, lint_timing, Diagnostics,
 };
 use dna_netlist::generator::{generate, GeneratorConfig};
 use dna_netlist::{format, suite, Circuit, CouplingId};
@@ -13,8 +13,9 @@ use dna_noise::{glitch, CouplingMask, NoiseAnalysis, NoiseConfig};
 use dna_sta::{critical_path, top_k_paths, LinearDelayModel, StaConfig, TimingReport};
 use dna_topk::CouplingSet;
 use dna_topk::{
-    chain_summary_checked, commit_chain, ChainFault, CommitOptions, Damping, MaskDelta, Mode,
-    RecordKind, SaveKind, TopKAnalysis, TopKConfig, TopKResult, WhatIfBatch, WhatIfSession,
+    chain_summary_checked, commit_chain, BatchOutcome, ChainFault, CommitOptions, Damping,
+    MaskDelta, Mode, Oracle, RecordKind, SaveKind, TopKAnalysis, TopKConfig, TopKResult,
+    WhatIfBatch, WhatIfOutcome, WhatIfSession,
 };
 
 use crate::opts::Opts;
@@ -44,8 +45,8 @@ commands:
                                           prover certifies clean, never
                                           changing an output bit; --audit
                                           re-verifies certificates and
-                                          spot-checks proven-clean victims
-                                          against from-scratch; sessions
+                                          diffs every victim against a
+                                          serial from-scratch run; sessions
                                           persist to crash-safe generation
                                           chains: --save after --load
                                           appends a delta record of only
@@ -457,59 +458,89 @@ fn cmd_whatif(opts: &Opts) -> Result<(), String> {
     report_scheduler(engine.config(), fixed);
     report_resilience(&circuit, fixed);
 
-    // --audit cross-checks the incremental answer against a from-scratch
-    // run under the same mask, the dirty set and its clean certificates
-    // against the L035/L05x rules, and spot-checks a sample of
-    // proven-clean victims against the from-scratch per-victim results.
+    // --audit diffs the session against the serial from-scratch oracle
+    // under its mask (the result and every victim's cached lists and
+    // counters, so an unsound clean certificate is caught even though
+    // nothing re-swept its victim), re-sweeps the oracle's world in
+    // parallel against it, and checks the dirty set and its clean
+    // certificates against the L035/L05x rules.
     if opts.has("audit") {
-        let scratch = engine.run_with_mask(mode, k, session.mask()).map_err(|e| e.to_string())?;
-        let same = fixed.couplings() == scratch.couplings()
-            && fixed.sink() == scratch.sink()
-            && fixed.delay_before().to_bits() == scratch.delay_before().to_bits()
-            && fixed.delay_after().to_bits() == scratch.delay_after().to_bits()
-            && fixed.predicted_delay().to_bits() == scratch.predicted_delay().to_bits();
-        if !same {
-            return Err("audit failed: incremental result diverged from from-scratch".into());
-        }
-        let diags = if outcome.certificates().is_empty() {
-            lint_dirty_closure(&circuit, &pre_mask, session.mask(), outcome.dirty_flags())
-        } else {
-            let witness = engine
-                .derive_clean_witness(mode, &pre_mask, session.mask())
-                .map_err(|e| e.to_string())?;
-            lint_dirty_closure_certified(
-                &circuit,
-                &pre_mask,
-                session.mask(),
-                outcome.dirty_flags(),
-                outcome.certificates(),
-                &witness,
-            )
-        };
+        let oracle = Oracle::new(&engine, mode, k, session.mask()).map_err(|e| e.to_string())?;
+        let threads = engine.config().effective_threads();
+        let mut diags =
+            lint_divergence(&circuit, "incremental session", oracle.check_session(&session));
+        diags.merge(lint_divergence(&circuit, "parallel sweep", oracle.check_parallel(threads)));
+        diags.merge(audit_dirty_set(&engine, &pre_mask, session.mask(), &outcome)?);
         if diags.has_errors() {
-            return Err(format!("audit failed: dirty set incoherent\n{}", diags.render_text()));
-        }
-        let checked = session.audit_clean_victims(&outcome, 8).map_err(|e| e.to_string())?;
-        // Scheduler determinism (L060): replay the work-stealing sweep on
-        // the serial reference schedule and compare every result slot and
-        // budget share.
-        let sched = engine.sched_audit(mode, k).map_err(|e| e.to_string())?;
-        let sched_diags = lint_sched_replay(&sched);
-        if sched_diags.has_errors() {
-            return Err(format!(
-                "audit failed: scheduler replay diverged\n{}",
-                sched_diags.render_text()
-            ));
+            return Err(format!("audit failed\n{}", diags.render_text()));
         }
         println!(
-            "audit: incremental == from-scratch (bit-identical), dirty closure coherent, \
-             {} certificate(s) verified, {checked} proven-clean victim(s) spot-checked, \
-             scheduler replay clean ({} slot(s))",
+            "audit: incremental == from-scratch (bit-identical, all {} victim(s)), dirty \
+             closure coherent, {} certificate(s) verified, parallel sweep == serial reference",
+            circuit.num_nets(),
             outcome.certificates().len(),
-            sched.checked_victims,
         );
     }
     Ok(())
+}
+
+/// Checks the dirty set of a what-if step `before → after` against the
+/// mask-aware L035 rule, and its clean certificates (if any) against the
+/// L05x rules and an independently re-derived witness.
+fn audit_dirty_set(
+    engine: &TopKAnalysis<'_>,
+    before: &CouplingMask,
+    after: &CouplingMask,
+    outcome: &WhatIfOutcome,
+) -> Result<Diagnostics, String> {
+    let circuit = engine.circuit();
+    if outcome.certificates().is_empty() {
+        return Ok(lint_dirty_closure(circuit, before, after, outcome.dirty_flags()));
+    }
+    let witness = engine
+        .derive_clean_witness(outcome.result().mode(), before, after)
+        .map_err(|e| e.to_string())?;
+    Ok(lint_dirty_closure_certified(
+        circuit,
+        before,
+        after,
+        outcome.dirty_flags(),
+        outcome.certificates(),
+        &witness,
+    ))
+}
+
+/// Re-evaluates `deltas` against `session` in reversed submission order
+/// and checks every scenario, in both orders, against the from-scratch
+/// oracle of its own mask (L061) — both orders equal the reference, so
+/// the batch is also order-independent — and each forward scenario's
+/// dirty set against L035/L05x.
+fn audit_batch(
+    engine: &TopKAnalysis<'_>,
+    session: &WhatIfSession<'_, '_>,
+    deltas: &[MaskDelta],
+    forward: &BatchOutcome,
+) -> Result<Diagnostics, String> {
+    let reversed = session
+        .apply_batch(&WhatIfBatch::from_deltas(deltas.iter().rev().cloned().collect()))
+        .map_err(|e| format!("reversed batch what-if failed: {e}"))?;
+    let mut diags = Diagnostics::new();
+    for (i, delta) in deltas.iter().enumerate() {
+        let mask = session.mask().clone().without(delta.removed()).with(delta.added());
+        let oracle = Oracle::new(engine, session.mode(), session.k(), &mask)
+            .map_err(|e| format!("cannot run the from-scratch reference: {e}"))?;
+        let twins = [(forward, i, ""), (&reversed, deltas.len() - 1 - i, " (reversed)")];
+        for (out, j, order) in twins {
+            let verdict = oracle.check_result(out.scenarios()[j].result());
+            diags.merge(lint_divergence(
+                engine.circuit(),
+                &format!("scenario {i}{order}"),
+                verdict,
+            ));
+        }
+        diags.merge(audit_dirty_set(engine, session.mask(), &mask, &forward.scenarios()[i])?);
+    }
+    Ok(diags)
 }
 
 /// Commits the session to the chain file at `path` — delta append when
@@ -664,8 +695,8 @@ fn parse_batch_file(text: &str, circuit: &Circuit) -> Result<WhatIfBatch, String
 
 /// The `whatif --batch` path: evaluate every scenario of the file against
 /// the session snapshot through one shared batch run, and (with --audit)
-/// cross-check each scenario against a from-scratch run, its dirty set
-/// against L035, and order independence against L043.
+/// check each scenario, in both submission orders, against the
+/// from-scratch oracle of its mask and its dirty set against L035.
 fn whatif_batch(
     circuit: &Circuit,
     engine: &TopKAnalysis<'_>,
@@ -736,59 +767,14 @@ fn whatif_batch(
     }
 
     if opts.has("audit") {
-        // Per-scenario: bit-identity against from-scratch, dirty-set
-        // coherence against the mask-aware L035 rule.
-        for (i, (delta, sc)) in batch.deltas().iter().zip(out.scenarios()).enumerate() {
-            let mask = session.mask().clone().without(delta.removed()).with(delta.added());
-            let scratch = engine.run_with_mask(mode, k, &mask).map_err(|e| e.to_string())?;
-            let r = sc.result();
-            let same = r.couplings() == scratch.couplings()
-                && r.sink() == scratch.sink()
-                && r.delay_before().to_bits() == scratch.delay_before().to_bits()
-                && r.delay_after().to_bits() == scratch.delay_after().to_bits()
-                && r.predicted_delay().to_bits() == scratch.predicted_delay().to_bits();
-            if !same {
-                return Err(format!("audit failed: scenario {i} diverged from from-scratch"));
-            }
-            let diags = if sc.certificates().is_empty() {
-                lint_dirty_closure(circuit, session.mask(), &mask, sc.dirty_flags())
-            } else {
-                let witness = engine
-                    .derive_clean_witness(mode, session.mask(), &mask)
-                    .map_err(|e| e.to_string())?;
-                lint_dirty_closure_certified(
-                    circuit,
-                    session.mask(),
-                    &mask,
-                    sc.dirty_flags(),
-                    sc.certificates(),
-                    &witness,
-                )
-            };
-            if diags.has_errors() {
-                return Err(format!(
-                    "audit failed: scenario {i} dirty set incoherent\n{}",
-                    diags.render_text()
-                ));
-            }
-        }
-        // Order independence (L043): re-evaluate the scenarios reversed
-        // and compare each result to its forward-order twin.
-        let reversed = WhatIfBatch::from_deltas(batch.deltas().iter().rev().cloned().collect());
-        let rev_out = session.apply_batch(&reversed).map_err(|e| e.to_string())?;
-        let forward: Vec<TopKResult> =
-            out.scenarios().iter().map(|sc| sc.result().clone()).collect();
-        let mut aligned: Vec<TopKResult> =
-            rev_out.scenarios().iter().map(|sc| sc.result().clone()).collect();
-        aligned.reverse();
-        let diags = lint_batch_order(&forward, &aligned);
+        let diags = audit_batch(engine, session, batch.deltas(), &out)?;
         if diags.has_errors() {
-            return Err(format!("audit failed: batch is order-dependent\n{}", diags.render_text()));
+            return Err(format!("audit failed\n{}", diags.render_text()));
         }
         let certs: usize = out.scenarios().iter().map(|sc| sc.certificates().len()).sum();
         println!(
-            "audit: all {} scenario(s) == from-scratch (bit-identical), dirty closures \
-             coherent, {certs} certificate(s) verified, order-independent",
+            "audit: all {} scenario(s) == from-scratch (bit-identical, both submission \
+             orders), dirty closures coherent, {certs} certificate(s) verified",
             out.stats().scenarios()
         );
     }
@@ -871,7 +857,9 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
 /// against the L05x rules (each certificate is re-derived from scratch
 /// and compared bitwise, so an unsound or stale certificate — e.g. one
 /// forged by an engine built with the `force_clean_victim` fault hook —
-/// fails the lint).
+/// fails the lint). The session, a batch menu in both orders and a
+/// parallel re-sweep are diffed against the from-scratch oracle (L061),
+/// and the batch scenarios' dirty sets are linted too.
 fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
     let circuit = engine.circuit();
     let result = engine.addition_set(2).map_err(|e| e.to_string())?;
@@ -884,21 +872,20 @@ fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
     let outcome = session
         .apply(&MaskDelta::remove(&worst))
         .map_err(|e| format!("deep lint: what-if apply failed: {e}"))?;
-    let witness = engine
-        .derive_clean_witness(Mode::Elimination, &pre_mask, session.mask())
-        .map_err(|e| format!("deep lint: cannot re-derive clean witness: {e}"))?;
-    diags.merge(lint_dirty_closure_certified(
-        circuit,
-        &pre_mask,
-        session.mask(),
-        outcome.dirty_flags(),
-        outcome.certificates(),
-        &witness,
-    ));
+    diags.merge(
+        audit_dirty_set(engine, &pre_mask, session.mask(), &outcome)
+            .map_err(|e| format!("deep lint: cannot re-derive clean witness: {e}"))?,
+    );
 
-    // Batch scenario results must not depend on submission order
-    // (L043): evaluate a small scenario menu forward and reversed and
-    // compare each pair.
+    // Reference identity (L061): the session's cached state, a small
+    // batch menu in both submission orders, and a parallel re-sweep of
+    // the addition run must all equal the serial from-scratch oracle.
+    let reference = |mode, mask: &CouplingMask| {
+        Oracle::new(engine, mode, 2, mask)
+            .map_err(|e| format!("deep lint: cannot run the from-scratch reference: {e}"))
+    };
+    let verdict = reference(Mode::Elimination, session.mask())?.check_session(&session);
+    diags.merge(lint_divergence(circuit, "what-if session", verdict));
     let ids: Vec<CouplingId> = circuit.coupling_ids().take(2).collect();
     if !ids.is_empty() {
         let mut deltas: Vec<MaskDelta> = ids.iter().map(|&c| MaskDelta::remove(&[c])).collect();
@@ -906,23 +893,15 @@ fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
         let forward = session
             .apply_batch(&WhatIfBatch::from_deltas(deltas.clone()))
             .map_err(|e| format!("deep lint: batch what-if failed: {e}"))?;
-        deltas.reverse();
-        let reversed = session
-            .apply_batch(&WhatIfBatch::from_deltas(deltas))
-            .map_err(|e| format!("deep lint: reversed batch what-if failed: {e}"))?;
-        let fwd: Vec<TopKResult> =
-            forward.scenarios().iter().map(|sc| sc.result().clone()).collect();
-        let mut rev: Vec<TopKResult> =
-            reversed.scenarios().iter().map(|sc| sc.result().clone()).collect();
-        rev.reverse();
-        diags.merge(lint_batch_order(&fwd, &rev));
+        diags.merge(
+            audit_batch(engine, &session, &deltas, &forward)
+                .map_err(|e| format!("deep lint: {e}"))?,
+        );
     }
-
-    // Scheduler determinism (L060): replay the work-stealing sweep
-    // serially and compare every published result slot and budget
-    // share against the parallel run.
-    let audit = engine.sched_audit(Mode::Addition, 2).map_err(|e| e.to_string())?;
-    diags.merge(lint_sched_replay(&audit));
+    let oracle = reference(Mode::Addition, &CouplingMask::all(circuit))?;
+    diags.merge(lint_divergence(circuit, "addition run", oracle.check_result(&result)));
+    let threads = engine.config().effective_threads();
+    diags.merge(lint_divergence(circuit, "parallel sweep", oracle.check_parallel(threads)));
 
     // Chain integrity (L07x): round-trip the touched session through
     // a scratch generation chain — checkpoint base plus one appended

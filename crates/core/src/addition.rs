@@ -95,8 +95,9 @@ pub(crate) fn select(
 /// slice of the global pool) bounds how many candidates may be admitted;
 /// on breach the remaining candidates are dropped — dominance keeps the
 /// strongest survivors of what exists, a sound lower bound — and the
-/// victim is marked [`Curtailment::Truncated`] — which the L060 audit
-/// cross-checks against the victim's pre-partitioned share.
+/// victim is marked [`Curtailment::Truncated`] — which
+/// [`Oracle::check_parallel`](crate::Oracle::check_parallel) cross-checks
+/// against the serial reference.
 fn victim_lists(
     p: &Prepared<'_>,
     k: usize,

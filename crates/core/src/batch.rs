@@ -398,7 +398,7 @@ impl WhatIfSession<'_, '_> {
                 dirty,
             })
             .collect();
-        let (swept, sched) = engine::sweep(&sweep_in, self.k)?;
+        let (swept, sched) = engine::sweep(&sweep_in, self.k, threads)?;
         stats.sched = sched;
 
         // --- Per-scenario selection + validation ---------------------
@@ -462,18 +462,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn fingerprint(r: &TopKResult) -> (Vec<u32>, usize, u64, u64, u64, usize, usize) {
-        (
-            r.couplings().iter().map(|c| c.index() as u32).collect(),
-            r.sink().index(),
-            r.delay_before().to_bits(),
-            r.delay_after().to_bits(),
-            r.predicted_delay().to_bits(),
-            r.peak_list_width(),
-            r.generated_candidates(),
-        )
-    }
-
     fn deltas() -> Vec<MaskDelta> {
         let id = CouplingId::new;
         vec![
@@ -500,8 +488,8 @@ mod tests {
                     let seq = session.fork().apply(delta).unwrap();
                     let got = &out.scenarios()[i];
                     assert_eq!(
-                        fingerprint(got.result()),
-                        fingerprint(seq.result()),
+                        got.result().fingerprint(),
+                        seq.result().fingerprint(),
                         "{} threads={threads} scenario {i} diverged from fork().apply",
                         mode.name()
                     );
@@ -526,8 +514,8 @@ mod tests {
         assert_eq!(out.stats().scenarios(), 5);
         assert_eq!(out.stats().distinct_scenarios(), 4);
         assert_eq!(
-            fingerprint(out.scenarios()[0].result()),
-            fingerprint(out.scenarios()[4].result())
+            out.scenarios()[0].result().fingerprint(),
+            out.scenarios()[4].result().fingerprint()
         );
     }
 
@@ -552,12 +540,12 @@ mod tests {
         let circuit = two_cones();
         let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
         let session = WhatIfSession::start(&engine, Mode::Addition, 2).unwrap();
-        let before = fingerprint(session.result());
+        let before = session.result().fingerprint();
         let mask_before = session.mask().clone();
         session
             .apply_batch(&WhatIfBatch::from_deltas(vec![MaskDelta::remove(&[CouplingId::new(0)])]))
             .unwrap();
-        assert_eq!(fingerprint(session.result()), before);
+        assert_eq!(session.result().fingerprint(), before);
         assert_eq!(*session.mask(), mask_before);
     }
 

@@ -529,8 +529,9 @@ type PerVictim<'p> =
     Box<dyn Fn(NetId, &Slots, usize) -> Result<VictimLists, TopKError> + Sync + 'p>;
 
 /// The scenario sweep: builds the irredundant lists of every dirty victim
-/// of every scenario, serving clean victims from each scenario's cache,
-/// and returns each scenario's merged state plus the scheduler counters.
+/// of every scenario on `threads` workers, serving clean victims from
+/// each scenario's cache, and returns each scenario's merged state plus
+/// the scheduler counters.
 ///
 /// A full run (and every peel round) is one all-dirty scenario over
 /// [`Swept::empty`]; a what-if apply and a batch of what-ifs are
@@ -562,6 +563,7 @@ type PerVictim<'p> =
 pub(crate) fn sweep(
     scenarios: &[Scenario<'_, '_>],
     k: usize,
+    threads: usize,
 ) -> Result<(Vec<Swept>, SchedStats), TopKError> {
     let Some(first) = scenarios.first() else {
         return Ok((Vec::new(), SchedStats::default()));
@@ -627,7 +629,6 @@ pub(crate) fn sweep(
         }
     }
 
-    let threads = first.prepared.config.effective_threads();
     let parallel = threads > 1 && tasks.len() > 1;
     let slots: Vec<Slots> =
         scenarios.iter().map(|sc| Slots::from_seeds(sc.lists, sc.dirty)).collect();
@@ -637,9 +638,9 @@ pub(crate) fn sweep(
         let skip = skip_share || partitions[s].expired();
         let faults = &scenarios[s].prepared.faults;
         let (out, fault) = run_one(v, &slots[s], skip, allowance, &per_victims[s], faults);
-        // Fault-sim hook for the L060 audit: corrupt the parallel
-        // scheduler's published slot (never the serial replay's) so the
-        // slot comparison has something real to catch.
+        // Fault-sim hook for the oracle: corrupt the parallel scheduler's
+        // published slot (never the serial reference's) so
+        // `Oracle::check_parallel` has something real to catch.
         let lists = if parallel && faults.corrupt_sched_slot == Some(v.index()) {
             Vec::new()
         } else {
@@ -676,12 +677,16 @@ pub(crate) fn sweep(
     Ok((swept, sched))
 }
 
-/// A from-scratch sweep of one prepared world: one all-dirty scenario
-/// over an empty cache.
-pub(crate) fn sweep_full(p: &Prepared<'_>, k: usize) -> Result<(Swept, SchedStats), TopKError> {
+/// A from-scratch sweep of one prepared world on `threads` workers: one
+/// all-dirty scenario over an empty cache.
+pub(crate) fn sweep_full(
+    p: &Prepared<'_>,
+    k: usize,
+    threads: usize,
+) -> Result<(Swept, SchedStats), TopKError> {
     let n = p.circuit.num_nets();
     let (empty, dirty) = (Swept::empty(n), vec![true; n]);
-    let (mut swept, sched) = sweep(&[Scenario::cached(p, &empty, &dirty)], k)?;
+    let (mut swept, sched) = sweep(&[Scenario::cached(p, &empty, &dirty)], k, threads)?;
     Ok((swept.pop().expect("one scenario in, one out"), sched))
 }
 

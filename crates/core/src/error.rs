@@ -48,8 +48,8 @@ pub enum TopKError {
     /// result or fanin slot — a dependency edge was missing or a task's
     /// result was never published. In a long-lived process this must
     /// quarantine the affected victim (a `Degraded` result) instead of
-    /// aborting; the L060 serial-replay audit remains the loud path that
-    /// pinpoints the divergence.
+    /// aborting; [`Oracle::check_parallel`](crate::Oracle::check_parallel)
+    /// remains the loud path that pinpoints the divergence.
     SchedulerInvariant {
         /// Net index of the victim whose slot was missing.
         victim: usize,

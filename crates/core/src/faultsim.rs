@@ -18,13 +18,15 @@
 //! * [`Faults::force_clean_victim`] — the corridor prover fabricates an
 //!   *unsound* [`CleanCertificate`](crate::CleanCertificate) claiming the
 //!   given victim is provably clean (simulates a prover bug; the
-//!   certificate verifier in `dna-lint` and the `whatif --audit`
-//!   spot-check must both catch it);
+//!   certificate verifier in `dna-lint` and
+//!   [`Oracle::check_session`](crate::Oracle::check_session) must both
+//!   catch it);
 //! * [`Faults::corrupt_sched_slot`] — the parallel work-stealing sweep
 //!   publishes empty lists into the given victim's result slot while the
 //!   serial reference path stays intact (simulates a scheduler
-//!   publication bug; the L060 replay audit in `dna-lint` must catch the
-//!   slot divergence);
+//!   publication bug; it exists to prove that
+//!   [`Oracle::check_parallel`](crate::Oracle::check_parallel) catches a
+//!   corrupted slot and blames its victim);
 //! * [`Faults::drop_sched_publish`] — the sweep never publishes the given
 //!   victim's result slot at all (simulates a lost publication; the
 //!   collection path must quarantine the victim behind a typed
@@ -70,8 +72,8 @@ pub struct Faults {
     /// so downstream certificate verification must flag the run.
     pub force_clean_victim: Option<usize>,
     /// Publish empty lists into this victim's result slot on parallel
-    /// sweeps (the serial reference path is untouched), so the L060
-    /// replay audit has a real divergence to catch.
+    /// sweeps (the serial reference path is untouched), so the oracle's
+    /// parallel check has a real divergence to catch.
     pub corrupt_sched_slot: Option<usize>,
     /// Never publish this victim's result slot, leaving a hole the
     /// collection path must turn into a typed

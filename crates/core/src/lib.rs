@@ -17,6 +17,8 @@
 //! Baselines for the paper's evaluation are included: the exhaustive
 //! [`brute_force`] search (Table 1) and the [`naive`] per-victim
 //! top-N-by-capacitance heuristic the introduction argues against.
+//! Every fast configuration (parallel sweeps, incremental and batch
+//! what-if) is checked against one serial from-scratch [`Oracle`].
 //!
 //! # Example
 //!
@@ -69,6 +71,7 @@ mod config;
 mod elimination;
 mod engine;
 mod error;
+mod oracle;
 mod persist;
 mod result;
 mod sched;
@@ -88,12 +91,13 @@ pub use candidate::Candidate;
 pub use config::TopKConfig;
 pub use engine::Mode;
 pub use error::{ArtifactError, TopKError};
+pub use oracle::{Divergence, Oracle};
 pub use persist::{
     chain_summary, chain_summary_checked, chain_tip, commit_chain, truncate_chain_file,
     ChainAnchor, ChainFault, ChainRecovery, ChainSummary, CommitOptions, RecordKind, RecordMeta,
     SaveKind, SaveReport, ARTIFACT_VERSION,
 };
-pub use result::{Fault, FaultPhase, FaultReport, Soundness, SweepStats, TopKResult};
+pub use result::{Fault, FaultPhase, FaultReport, Fingerprint, Soundness, SweepStats, TopKResult};
 pub use sched::SchedStats;
 pub use session::{MaskDelta, WhatIfOutcome, WhatIfSession};
 
@@ -180,29 +184,6 @@ fn validate_circuit_finite(circuit: &Circuit) -> Result<(), TopKError> {
         }
     }
     Ok(())
-}
-
-/// Outcome of [`TopKAnalysis::sched_audit`]: a serial replay of the
-/// work-stealing sweep compared slot-by-slot against a parallel run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedAudit {
-    /// Victims compared (every net of the circuit).
-    pub checked_victims: usize,
-    /// Net indices whose published I-lists or enumeration counters
-    /// differ between the parallel scheduler and the serial replay.
-    pub mismatched_slots: Vec<usize>,
-    /// Net indices whose curtailment state contradicts their
-    /// pre-partitioned budget share (skipped without a zero share, or a
-    /// zero share that was not skipped).
-    pub share_violations: Vec<usize>,
-}
-
-impl SchedAudit {
-    /// Whether the parallel sweep matched the serial replay everywhere.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.mismatched_slots.is_empty() && self.share_violations.is_empty()
-    }
 }
 
 /// The top-k aggressor-set engine.
@@ -314,7 +295,7 @@ impl<'c> TopKAnalysis<'c> {
                 Prepared::build(self, Mode::Elimination, mask.clone())
             })?;
             let (outcome, round_faults, round_sched) = guard(FaultPhase::Selection, || {
-                let (swept, sched) = engine::sweep_full(&prepared, budget)?;
+                let (swept, sched) = engine::sweep_full(&prepared, budget, threads)?;
                 let outcome =
                     elimination::select(&prepared, budget, &swept.lists, &swept.counters)?;
                 Ok((outcome, swept.faults, sched))
@@ -398,27 +379,13 @@ impl<'c> TopKAnalysis<'c> {
         k: usize,
         mask: &CouplingMask,
     ) -> Result<TopKResult, TopKError> {
-        self.run_swept(mode, k, mask).map(|(result, _)| result)
-    }
-
-    /// The full run pipeline, also handing back the per-victim sweep state
-    /// a what-if session caches.
-    ///
-    /// Timing preparation and sink selection run inside phase-level panic
-    /// boundaries (they cannot be isolated to one victim); the enumeration
-    /// sweep carries its own per-victim boundary.
-    pub(crate) fn run_swept(
-        &self,
-        mode: Mode,
-        k: usize,
-        mask: &CouplingMask,
-    ) -> Result<(TopKResult, Swept), TopKError> {
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
         let start = Instant::now();
         let prepared = self.prepare(mode, mask)?;
-        self.run_prepared(&prepared, k, start)
+        let threads = self.config.effective_threads();
+        self.run_prepared(&prepared, k, threads, start).map(|(result, _)| result)
     }
 
     /// The preparation front half of a run: input validation plus the
@@ -440,31 +407,23 @@ impl<'c> TopKAnalysis<'c> {
     }
 
     /// The sweep/select back half of a full run over an already-prepared
-    /// state. `start` anchors the reported runtime (callers pass the
-    /// instant the whole run began).
+    /// state on `threads` workers, also handing back the per-victim sweep
+    /// state a what-if session caches. `start` anchors the reported
+    /// runtime (callers pass the instant the whole run began).
     pub(crate) fn run_prepared(
         &self,
         prepared: &Prepared<'_>,
         k: usize,
+        threads: usize,
         start: Instant,
     ) -> Result<(TopKResult, Swept), TopKError> {
         let enum_start = Instant::now();
-        let (swept, sched) = engine::sweep_full(prepared, k)?;
+        let (swept, sched) = engine::sweep_full(prepared, k, threads)?;
         if std::env::var_os("DNA_PROFILE").is_some() {
             eprintln!("[profile] enumerate: {:.2?}", enum_start.elapsed());
         }
-        let result =
-            self.conclude(prepared, k, &swept, sched, self.config.effective_threads(), start)?;
+        let result = self.conclude(prepared, k, &swept, sched, threads, start)?;
         Ok((result, swept))
-    }
-
-    /// A from-scratch sweep under the full mask at `threads` workers,
-    /// without selection: the replay the scheduler audit compares.
-    fn sweep_at(&self, mode: Mode, k: usize, threads: usize) -> Result<Swept, TopKError> {
-        let config = TopKConfig { threads, ..self.config };
-        let analysis = TopKAnalysis::with_faults(self.circuit, config, self.faults);
-        let prepared = analysis.prepare(mode, &CouplingMask::all(self.circuit))?;
-        engine::sweep_full(&prepared, k).map(|(swept, _)| swept)
     }
 
     /// Independently re-derives the corridor prover's conclusion for a
@@ -494,55 +453,6 @@ impl<'c> TopKAnalysis<'c> {
         });
         let (refined, _) = bounds::refine(&new_prepared, &old_state, &structural, None);
         Ok(CleanWitness::new(refined.dirty, refined.certificates))
-    }
-
-    /// Replays a full sweep on the serial reference path and compares it
-    /// slot-by-slot against a parallel work-stealing run: every victim's
-    /// published I-lists and counters must be bit-identical, and every
-    /// victim's curtailment state must agree with its pre-partitioned
-    /// budget share. This is the semantic ground truth behind lint rule
-    /// L060 (`lint --deep`, `whatif --audit`): the serial path *is* the
-    /// determinism argument's reference schedule, so any divergence means
-    /// the scheduler published a wrong slot or moved a budget share.
-    ///
-    /// The parallel run uses the configured thread count, forced to at
-    /// least 2 so the deques and steal path are genuinely exercised even
-    /// on a single-core host.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopKError::ZeroK`] for `k == 0` and propagates timing
-    /// errors from the substrate analyses.
-    pub fn sched_audit(&self, mode: Mode, k: usize) -> Result<SchedAudit, TopKError> {
-        if k == 0 {
-            return Err(TopKError::ZeroK);
-        }
-        let par = self.sweep_at(mode, k, self.config.effective_threads().max(2))?;
-        let ser = self.sweep_at(mode, k, 1)?;
-
-        let n = self.circuit.num_nets();
-        // The audit re-derives the shares itself: a full sweep's work set
-        // is every net, ranked by index.
-        let partition = sched::BudgetPartition::new(&self.config, n);
-        let mut audit = SchedAudit { checked_victims: n, ..SchedAudit::default() };
-        for i in 0..n {
-            if *par.lists[i] != *ser.lists[i] || par.counters[i] != ser.counters[i] {
-                audit.mismatched_slots.push(i);
-            }
-            // Share consistency: a victim is Skipped exactly when its
-            // pre-partitioned share says so (modulo deadlines, the one
-            // budget that is wall-clock dependent by definition).
-            if self.config.deadline.is_none() {
-                let (skip, _) = partition.share(i);
-                let violates = [&par.counters[i], &ser.counters[i]]
-                    .iter()
-                    .any(|c| (c.curtailment == engine::Curtailment::Skipped) != skip);
-                if violates {
-                    audit.share_violations.push(i);
-                }
-            }
-        }
-        Ok(audit)
     }
 
     fn run(&self, mode: Mode, k: usize) -> Result<TopKResult, TopKError> {

@@ -328,17 +328,31 @@ impl TopKResult {
         }
     }
 
-    /// FNV-1a digest of everything two runs must agree on bit-for-bit:
-    /// the selected coupling ids in order, the sink, the raw `f64` bits
-    /// of the before/after/predicted delays, the peak list width and the
-    /// generated-candidate count — the same tuple the identity test
-    /// suites fingerprint. Wall-clock runtime and scheduler counters are
-    /// excluded. Used by the serve layer to let clients bit-compare a
-    /// daemon response against a local replay without shipping floats
-    /// through decimal formatting.
+    /// Everything two runs must agree on bit-for-bit.
+    #[must_use]
+    pub fn fingerprint(&self) -> Fingerprint {
+        Fingerprint {
+            couplings: self.couplings().to_vec(),
+            sink: self.sink,
+            delay_before: self.delay_before.to_bits(),
+            delay_after: self.delay_after.to_bits(),
+            predicted_delay: self.predicted_delay.to_bits(),
+            peak_list_width: self.peak_list_width,
+            generated_candidates: self.generated_candidates,
+            truncated: self.stats.truncated_victims,
+            skipped: self.stats.skipped_victims,
+            quarantined: self.stats.quarantined_victims,
+        }
+    }
+
+    /// FNV-1a digest of the first seven [`Fingerprint`] fields (all but
+    /// the degradation counts). The serve layer ships it so clients can
+    /// bit-compare a response against a local replay without pushing
+    /// floats through decimal formatting.
     #[must_use]
     pub fn identity_fingerprint(&self) -> u64 {
         const PRIME: u64 = 0x100_0000_01b3;
+        let fp = self.fingerprint();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |v: u64| {
             for b in v.to_le_bytes() {
@@ -346,18 +360,45 @@ impl TopKResult {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        eat(self.couplings().len() as u64);
-        for c in self.couplings() {
+        eat(fp.couplings.len() as u64);
+        for c in &fp.couplings {
             eat(c.index() as u64);
         }
-        eat(self.sink.index() as u64);
-        eat(self.delay_before.to_bits());
-        eat(self.delay_after.to_bits());
-        eat(self.predicted_delay.to_bits());
-        eat(self.peak_list_width as u64);
-        eat(self.generated_candidates as u64);
+        eat(fp.sink.index() as u64);
+        eat(fp.delay_before);
+        eat(fp.delay_after);
+        eat(fp.predicted_delay);
+        eat(fp.peak_list_width as u64);
+        eat(fp.generated_candidates as u64);
         h
     }
+}
+
+/// The identity of a [`TopKResult`], `f64`s as bit patterns: what every
+/// bit-identity contract compares. Runtime and scheduler counters are
+/// excluded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// The selected coupling ids, in order.
+    pub couplings: Vec<CouplingId>,
+    /// The sink the set was selected at.
+    pub sink: NetId,
+    /// Bits of [`TopKResult::delay_before`].
+    pub delay_before: u64,
+    /// Bits of [`TopKResult::delay_after`].
+    pub delay_after: u64,
+    /// Bits of [`TopKResult::predicted_delay`].
+    pub predicted_delay: u64,
+    /// [`TopKResult::peak_list_width`].
+    pub peak_list_width: usize,
+    /// [`TopKResult::generated_candidates`].
+    pub generated_candidates: usize,
+    /// [`SweepStats::truncated_victims`].
+    pub truncated: usize,
+    /// [`SweepStats::skipped_victims`].
+    pub skipped: usize,
+    /// [`SweepStats::quarantined_victims`].
+    pub quarantined: usize,
 }
 
 impl fmt::Display for TopKResult {

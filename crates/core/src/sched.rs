@@ -44,8 +44,9 @@
 //! dependency-respecting execution order produces bit-identical slots,
 //! counters and budget outcomes. The serial path (one worker, tasks in
 //! topological order) is therefore not just a fallback but the
-//! reference: `dna lint --deep` replays it and compares every slot and
-//! share against a parallel run (rule L060).
+//! reference: [`Oracle::check_parallel`](crate::Oracle::check_parallel)
+//! compares every slot and share of a parallel run against it
+//! (`whatif --audit`, `lint --deep`, rule L061).
 //!
 //! The steal-order axis can be perturbed deliberately (without touching
 //! results) via the `DNA_SCHED_SHUFFLE` environment variable — a

@@ -55,7 +55,7 @@ use dna_noise::CouplingMask;
 
 use crate::batch::Evaluated;
 use crate::bounds::{CleanCertificate, SemanticState};
-use crate::engine::{NetLists, Swept, VictimCounters};
+use crate::engine::{NetLists, VictimCounters};
 use crate::persist::{self, ChainAnchor};
 use crate::result::{Fault, FaultReport};
 use crate::{Damping, Mode, TopKAnalysis, TopKError, TopKResult};
@@ -380,7 +380,8 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
         let prepared = analysis.prepare(mode, &mask)?;
         let semantic = (analysis.config().damping == Damping::Semantic)
             .then(|| SemanticState::capture(&prepared));
-        let (result, swept) = analysis.run_prepared(&prepared, k, start)?;
+        let threads = analysis.config().effective_threads();
+        let (result, swept) = analysis.run_prepared(&prepared, k, threads, start)?;
         Ok(Self {
             analysis,
             mode,
@@ -560,58 +561,12 @@ impl<'a, 'c> WhatIfSession<'a, 'c> {
         }
         Ok(outcome)
     }
-
-    /// Spot-checks up to `sample` proven-clean victims of `outcome`
-    /// against a from-scratch run under the session's current mask: their
-    /// cached irredundant lists and enumeration counters must be
-    /// bit-identical to the recomputed ones. This is the audit teeth
-    /// behind the corridor prover — an unsound [`CleanCertificate`]
-    /// (wrong bound, lying digest) surfaces here even though the victim
-    /// was never re-swept. Returns how many victims were checked.
-    ///
-    /// Certificates are sampled at a deterministic stride so repeated
-    /// audits of the same outcome check the same victims.
-    ///
-    /// # Errors
-    ///
-    /// [`TopKError::Internal`] naming the first diverging victim, or a
-    /// propagated analysis error from the from-scratch reference run.
-    pub fn audit_clean_victims(
-        &self,
-        outcome: &WhatIfOutcome,
-        sample: usize,
-    ) -> Result<usize, TopKError> {
-        let certs = outcome.certificates();
-        if certs.is_empty() || sample == 0 {
-            return Ok(0);
-        }
-        let (_, Swept { lists, counters, .. }) =
-            self.analysis.run_swept(self.mode, self.k, &self.mask)?;
-        let stride = (certs.len() / sample).max(1);
-        let mut checked = 0;
-        for cert in certs.iter().step_by(stride) {
-            if checked == sample {
-                break;
-            }
-            let vi = cert.victim().index();
-            if *self.lists[vi] != *lists[vi] || self.counters[vi] != counters[vi] {
-                return Err(TopKError::Internal {
-                    what: format!(
-                        "proven-clean victim {vi} diverges from the from-scratch reference — \
-                         unsound clean certificate"
-                    ),
-                });
-            }
-            checked += 1;
-        }
-        Ok(checked)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TopKConfig;
+    use crate::{Oracle, TopKConfig};
     use dna_netlist::{CellKind, Circuit, CircuitBuilder, Library};
 
     /// Two disjoint cones sharing no nets: fixing a coupling in one cone
@@ -637,18 +592,6 @@ mod tests {
         b.coupling(r, s, 8.0).unwrap();
         b.coupling(t, s, 4.0).unwrap();
         b.build().unwrap()
-    }
-
-    fn fingerprint(r: &TopKResult) -> (Vec<u32>, usize, u64, u64, u64, usize, usize) {
-        (
-            r.couplings().iter().map(|c| c.index() as u32).collect(),
-            r.sink().index(),
-            r.delay_before().to_bits(),
-            r.delay_after().to_bits(),
-            r.predicted_delay().to_bits(),
-            r.peak_list_width(),
-            r.generated_candidates(),
-        )
     }
 
     #[test]
@@ -679,11 +622,11 @@ mod tests {
         let circuit = two_cones();
         let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
         let mut session = WhatIfSession::start(&engine, Mode::Addition, 2).unwrap();
-        let before = fingerprint(session.result());
+        let before = session.result().fingerprint();
         let outcome = session.apply(&MaskDelta::default()).unwrap();
         assert_eq!(outcome.recomputed_victims(), 0);
         assert_eq!(outcome.cached_victims(), circuit.num_nets());
-        assert_eq!(fingerprint(outcome.result()), before);
+        assert_eq!(outcome.result().fingerprint(), before);
     }
 
     #[test]
@@ -716,23 +659,11 @@ mod tests {
             let mut session = WhatIfSession::start(&engine, mode, 2).unwrap();
             let fix: Vec<CouplingId> = session.result().couplings().to_vec();
 
-            let outcome = session.apply(&MaskDelta::remove(&fix)).unwrap();
-            let scratch = engine.run_with_mask(mode, 2, session.mask()).unwrap();
-            assert_eq!(
-                fingerprint(outcome.result()),
-                fingerprint(&scratch),
-                "{}: remove delta diverged from from-scratch",
-                mode.name()
-            );
-
-            let outcome = session.apply(&MaskDelta::add(&fix)).unwrap();
-            let scratch = engine.run_with_mask(mode, 2, session.mask()).unwrap();
-            assert_eq!(
-                fingerprint(outcome.result()),
-                fingerprint(&scratch),
-                "{}: add delta diverged from from-scratch",
-                mode.name()
-            );
+            for delta in [MaskDelta::remove(&fix), MaskDelta::add(&fix)] {
+                session.apply(&delta).unwrap();
+                let oracle = Oracle::new(&engine, mode, 2, session.mask()).unwrap();
+                assert_eq!(oracle.check_session(&session), Ok(()), "{} {delta:?}", mode.name());
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use dna_netlist::Circuit;
 use dna_noise::CouplingMask;
 use dna_topk::dominance::{find_dominated_pair, DominanceDirection};
-use dna_topk::{Candidate, CleanCertificate, CleanWitness, CouplingSet, SchedAudit, TopKResult};
+use dna_topk::{Candidate, CleanCertificate, CleanWitness, CouplingSet, Divergence, TopKResult};
 use dna_waveform::TimeInterval;
 
 use crate::{lint_envelope, Diagnostics, Location, Rule};
@@ -415,93 +415,31 @@ pub fn lint_dirty_closure_certified(
     diags
 }
 
-/// Checks that batch what-if evaluation is submission-order independent
-/// (`L043`).
-///
-/// `forward` and `reordered` must hold results for the **same scenarios in
-/// the same index space** — the caller evaluates the batch twice (once as
-/// submitted, once under a permutation, mapped back to submission order)
-/// and hands both here. Scenarios are independent queries against one
-/// session snapshot, so every observable field must be f64-bit-identical;
-/// any divergence means scenario evaluation leaked state between
-/// scenarios.
+/// Renders the verdict of a [`dna_topk::Oracle`] check on `variant` (a
+/// parallel sweep, a what-if session, a batch scenario) as `L061`: no
+/// diagnostic for `Ok`, one at the divergent victim (or global, for a
+/// result field) for a [`Divergence`].
 #[must_use]
-pub fn lint_batch_order(forward: &[TopKResult], reordered: &[TopKResult]) -> Diagnostics {
+pub fn lint_divergence(
+    circuit: &Circuit,
+    variant: &str,
+    verdict: Result<(), Divergence>,
+) -> Diagnostics {
     let mut diags = Diagnostics::new();
-
-    if forward.len() != reordered.len() {
+    if let Err(divergence) = verdict {
+        let location = match divergence.victim {
+            Some(v) => Location::Net { id: v.index(), name: circuit.net(v).name().to_string() },
+            None => Location::Global,
+        };
         diags.report(
-            Rule::BatchOrderDependent,
-            Location::Global,
+            Rule::ReferenceDivergence,
+            location,
             format!(
-                "batch evaluated {} scenarios forward but {} reordered",
-                forward.len(),
-                reordered.len()
+                "{variant}: {} differs from the serial from-scratch reference",
+                divergence.field
             ),
         );
-        diags.sort();
-        return diags;
     }
-
-    for (i, (a, b)) in forward.iter().zip(reordered).enumerate() {
-        let mismatch = if a.couplings() != b.couplings() {
-            Some("worst coupling set")
-        } else if a.sink() != b.sink() {
-            Some("sink output")
-        } else if a.delay_before().to_bits() != b.delay_before().to_bits()
-            || a.delay_after().to_bits() != b.delay_after().to_bits()
-            || a.predicted_delay().to_bits() != b.predicted_delay().to_bits()
-        {
-            Some("delay (bitwise)")
-        } else if a.peak_list_width() != b.peak_list_width()
-            || a.generated_candidates() != b.generated_candidates()
-        {
-            Some("sweep counters")
-        } else {
-            None
-        };
-        if let Some(field) = mismatch {
-            diags.report(
-                Rule::BatchOrderDependent,
-                Location::Global,
-                format!("scenario {i}: {field} differs under batch reordering"),
-            );
-        }
-    }
-
-    diags.sort();
-    diags
-}
-
-/// Checks a scheduler determinism audit (`L060`).
-///
-/// The caller runs [`TopKAnalysis::sched_audit`](dna_topk::TopKAnalysis::sched_audit),
-/// which replays the work-stealing sweep on the serial reference
-/// schedule and compares every victim's published result slot (I-lists
-/// and counters, f64-bit-exact) plus its pre-partitioned budget share
-/// against the parallel run. Any surviving entry here means steal order
-/// or thread count leaked into the output — the determinism contract
-/// every identity test builds on is broken.
-#[must_use]
-pub fn lint_sched_replay(audit: &SchedAudit) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-
-    for &i in &audit.mismatched_slots {
-        diags.report(
-            Rule::SchedulerResultSlotMismatch,
-            Location::Net { id: i, name: String::new() },
-            "published I-lists or counters differ between the parallel sweep and its serial replay",
-        );
-    }
-    for &i in &audit.share_violations {
-        diags.report(
-            Rule::SchedulerResultSlotMismatch,
-            Location::Net { id: i, name: String::new() },
-            "skip decision contradicts the victim's pre-partitioned budget share",
-        );
-    }
-
-    diags.sort();
     diags
 }
 

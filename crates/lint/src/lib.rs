@@ -16,7 +16,7 @@
 //!   scripts and corpora can match on, grouped by pass
 //!   (`L00x` referential integrity, `L01x` topology, `L02x` waveforms,
 //!   `L03x` engine state, `L04x` library/config, `L05x` semantic damping
-//!   certificates, `L06x` scheduler determinism, `L07x` artifact chain
+//!   certificates, `L06x` reference identity, `L07x` artifact chain
 //!   integrity);
 //! * every finding is a [`Diagnostic`] with a severity and a span-like
 //!   [`Location`];
@@ -37,8 +37,8 @@
 //! * [`lint_dirty_closure_certified`] — a semantically damped dirty set
 //!   plus its clean certificates against an independently re-derived
 //!   prover verdict;
-//! * [`lint_sched_replay`] — a work-stealing sweep's result slots and
-//!   budget shares against their serial replay;
+//! * [`lint_divergence`] — a fast configuration's first divergence from
+//!   the serial from-scratch [`Oracle`](dna_topk::Oracle);
 //! * [`lint_chain`] — a session artifact chain's record ordering, links
 //!   and replayability (the crash-safe versioned store);
 //! * [`lint_config`] — sanity ranges on analysis knobs.
@@ -96,8 +96,7 @@ pub use circuit::lint_circuit;
 pub use config::lint_config;
 pub use diag::{Diagnostic, Diagnostics, Location, Severity};
 pub use engine::{
-    lint_batch_order, lint_dirty_closure, lint_dirty_closure_certified, lint_ilist, lint_result,
-    lint_sched_replay,
+    lint_dirty_closure, lint_dirty_closure_certified, lint_divergence, lint_ilist, lint_result,
 };
 pub use rules::Rule;
 pub use waveform::{lint_envelope, lint_pwl, lint_timing};

@@ -17,13 +17,15 @@ use crate::Severity;
 /// * `L04x` — library / configuration sanity,
 /// * `L05x` — semantic damping certificates (the corridor prover's
 ///   clean-victim proofs),
-/// * `L06x` — scheduler determinism (the work-stealing sweep against
-///   its serial replay),
+/// * `L06x` — reference identity (any fast configuration against the
+///   serial from-scratch [`dna_topk::Oracle`]),
 /// * `L07x` — artifact chain integrity (the crash-safe versioned
 ///   store's generation chain).
 ///
 /// Retired codes are never reused: `L080` (lazy-enumeration admission)
-/// left with bound-first culling.
+/// left with bound-first culling; `L043` (batch order dependence) and
+/// `L060` (scheduler slot mismatch) were folded into `L061`, since both
+/// submission orders and every thread count must equal the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
@@ -87,10 +89,6 @@ pub enum Rule {
     BadCapacitance,
     /// An analysis configuration field is out of its sane range.
     BadConfig,
-    /// A batch what-if scenario's result depends on the order scenarios
-    /// were submitted in: the same delta produced different answers in a
-    /// reordered batch.
-    BatchOrderDependent,
     /// A clean certificate is internally inconsistent or contradicts the
     /// independently re-derived prover verdict: it covers a victim the
     /// session still re-sweeps, records a changed semantic digest, is
@@ -105,12 +103,12 @@ pub enum Rule {
     /// envelope contribution at zero shift exceeds the claimed bound over
     /// the whole shift corridor.
     BoundNotMonotone,
-    /// A work-stealing sweep's result slot or budget share disagrees
-    /// with the serial replay: a victim's published I-lists or counters
-    /// differ from the single-threaded reference schedule, or its skip
-    /// decision contradicts the pre-partitioned budget share — the
-    /// scheduler's determinism contract is broken.
-    SchedulerResultSlotMismatch,
+    /// A fast configuration diverges from the serial from-scratch
+    /// reference ([`dna_topk::Oracle`]): a parallel sweep's result slot
+    /// or budget share, an incremental or batch what-if result, or a
+    /// session's cached per-victim state differs from what one worker
+    /// computes from an empty cache.
+    ReferenceDivergence,
     /// An artifact chain's records are out of order: the base is not a
     /// checkpoint, a checkpoint appears mid-chain, or generations are
     /// not contiguous.
@@ -164,11 +162,10 @@ impl Rule {
             Rule::CellNotMonotone => "L040",
             Rule::BadCapacitance => "L041",
             Rule::BadConfig => "L042",
-            Rule::BatchOrderDependent => "L043",
             Rule::CleanCertificateInvalid => "L050",
             Rule::CorridorCacheStale => "L051",
             Rule::BoundNotMonotone => "L052",
-            Rule::SchedulerResultSlotMismatch => "L060",
+            Rule::ReferenceDivergence => "L061",
             Rule::ChainOutOfOrder => "L070",
             Rule::ChainRecordCorrupt => "L071",
             Rule::ChainMaskDivergence => "L072",
@@ -217,11 +214,10 @@ impl Rule {
             Rule::CellNotMonotone => "cell model not monotone",
             Rule::BadCapacitance => "bad capacitance",
             Rule::BadConfig => "bad configuration",
-            Rule::BatchOrderDependent => "batch order dependent",
             Rule::CleanCertificateInvalid => "clean certificate invalid",
             Rule::CorridorCacheStale => "stale corridor cache",
             Rule::BoundNotMonotone => "bound not monotone",
-            Rule::SchedulerResultSlotMismatch => "scheduler result slot mismatch",
+            Rule::ReferenceDivergence => "diverges from reference",
             Rule::ChainOutOfOrder => "chain records out of order",
             Rule::ChainRecordCorrupt => "chain record corrupt or unlinked",
             Rule::ChainMaskDivergence => "chain mask digest divergence",
@@ -261,11 +257,10 @@ impl Rule {
             Rule::CellNotMonotone,
             Rule::BadCapacitance,
             Rule::BadConfig,
-            Rule::BatchOrderDependent,
             Rule::CleanCertificateInvalid,
             Rule::CorridorCacheStale,
             Rule::BoundNotMonotone,
-            Rule::SchedulerResultSlotMismatch,
+            Rule::ReferenceDivergence,
             Rule::ChainOutOfOrder,
             Rule::ChainRecordCorrupt,
             Rule::ChainMaskDivergence,

@@ -11,10 +11,10 @@
 //! tests run in parallel without a lock and an injection can never leak
 //! into a neighbouring test's engine.
 
-use topk_aggressors::netlist::{suite, Circuit, CouplingId, NetId};
+use topk_aggressors::netlist::{suite, Circuit, CouplingId};
 use topk_aggressors::topk::faultsim::{self, Faults};
 use topk_aggressors::topk::{
-    FaultPhase, MaskDelta, Mode, Soundness, TopKAnalysis, TopKConfig, TopKError, TopKResult,
+    FaultPhase, MaskDelta, Mode, Oracle, Soundness, TopKAnalysis, TopKConfig, TopKError,
     WhatIfSession,
 };
 
@@ -27,19 +27,6 @@ fn faulty(circuit: &Circuit, config: TopKConfig, faults: Faults) -> TopKAnalysis
 
 fn i1() -> Circuit {
     suite::benchmark("i1", 7).expect("known benchmark")
-}
-
-/// Everything two runs must agree on to count as bit-identical.
-fn fingerprint(r: &TopKResult) -> (Vec<CouplingId>, NetId, u64, u64, u64, usize, usize) {
-    (
-        r.couplings().to_vec(),
-        r.sink(),
-        r.delay_before().to_bits(),
-        r.delay_after().to_bits(),
-        r.predicted_delay().to_bits(),
-        r.peak_list_width(),
-        r.generated_candidates(),
-    )
 }
 
 #[test]
@@ -123,7 +110,7 @@ fn quarantine_is_bit_identical_across_thread_counts() {
     let serial = run(1);
     let parallel = run(4);
 
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+    assert_eq!(serial.fingerprint(), parallel.fingerprint());
     assert_eq!(serial.faults().len(), parallel.faults().len());
     for (a, b) in serial.faults().iter().zip(parallel.faults().iter()) {
         assert_eq!((a.victim(), a.phase(), a.cause()), (b.victim(), b.phase(), b.cause()));
@@ -235,7 +222,7 @@ fn artifact_round_trip_preserves_results_and_faults() {
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
     let artifact = session.save_artifact();
     let resumed = WhatIfSession::resume(&engine, &artifact).expect("clean artifact loads");
-    assert_eq!(fingerprint(session.result()), fingerprint(resumed.result()));
+    assert_eq!(session.result().fingerprint(), resumed.result().fingerprint());
     assert_eq!(session.result().faults().len(), resumed.result().faults().len());
     for (a, b) in session.result().faults().iter().zip(resumed.result().faults().iter()) {
         assert_eq!((a.victim(), a.phase(), a.cause()), (b.victim(), b.phase(), b.cause()));
@@ -255,7 +242,7 @@ fn loaded_session_applies_bit_identically_to_a_live_one() {
     let delta = MaskDelta::remove(&fix);
     let from_live = live.apply(&delta).expect("live apply");
     let from_loaded = loaded.apply(&delta).expect("loaded apply");
-    assert_eq!(fingerprint(from_live.result()), fingerprint(from_loaded.result()));
+    assert_eq!(from_live.result().fingerprint(), from_loaded.result().fingerprint());
 }
 
 #[test]
@@ -325,45 +312,55 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
     let circuit = i1();
     let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
 
-    // Honest run first: its certificates must pass the spot check.
+    // Honest run first: its session must equal the from-scratch oracle.
     let mut honest = WhatIfSession::start(&engine, Mode::Elimination, 3).expect("session starts");
     let fix: Vec<CouplingId> = honest.result().couplings().to_vec();
     let outcome = honest.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
-    honest.audit_clean_victims(&outcome, 8).expect("honest certificates pass the spot check");
+    let oracle = Oracle::new(&engine, Mode::Elimination, 3, honest.mask()).expect("reference runs");
+    assert_eq!(oracle.check_session(&honest), Ok(()), "honest certificates pass the oracle");
 
     // A structurally dirty victim whose cached answer happens to match
     // the new world would slip past the per-victim comparison, so aim
     // the hook at victims whose data certainly changed: the endpoints of
     // the removed couplings (their candidate lists lose the coupling).
-    // At least one of them must make the forged audit fail typed.
+    // At least one of them must be named by the oracle.
     let mut caught = false;
     for &cc in &fix {
         let coupling = circuit.coupling(cc);
-        for victim in [coupling.a().index(), coupling.b().index()] {
-            if !outcome.dirty_flags()[victim] {
+        for victim in [coupling.a(), coupling.b()] {
+            if !outcome.dirty_flags()[victim.index()] {
                 continue;
             }
-            let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
+            let faults = Faults { force_clean_victim: Some(victim.index()), ..Faults::default() };
             let forging = faulty(&circuit, TopKConfig::default(), faults);
             let mut forged =
                 WhatIfSession::start(&forging, Mode::Elimination, 3).expect("session starts");
             let forged_out = forged.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
             assert!(
-                !forged_out.dirty_flags()[victim],
-                "the armed hook must force victim {victim} out of the dirty set"
+                !forged_out.dirty_flags()[victim.index()],
+                "the armed hook must force victim {} out of the dirty set",
+                victim.index()
             );
             assert!(
-                forged_out.certificates().iter().any(|c| c.victim().index() == victim),
+                forged_out.certificates().iter().any(|c| c.victim() == victim),
                 "the forced skip must carry a (fabricated) certificate"
             );
-            match forged.audit_clean_victims(&forged_out, usize::MAX) {
-                Err(TopKError::Internal { .. }) => caught = true,
-                Err(other) => panic!("expected a typed internal error, got {other:?}"),
-                Ok(_) => {}
+            // The reference runs on the forging engine itself: the hook
+            // only touches what-if refinement, never a from-scratch run.
+            let oracle =
+                Oracle::new(&forging, Mode::Elimination, 3, forged.mask()).expect("reference runs");
+            if let Err(divergence) = oracle.check_session(&forged) {
+                caught = true;
+                assert_eq!(
+                    divergence.victim,
+                    Some(victim),
+                    "the forged victim {} is the one named: {divergence:?}",
+                    victim.index()
+                );
             }
         }
     }
-    assert!(caught, "the audit must reject at least one fabricated certificate");
+    assert!(caught, "the oracle must reject at least one fabricated certificate");
 }
 
 #[test]

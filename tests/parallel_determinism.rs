@@ -13,30 +13,6 @@ use topk_aggressors::topk::{
     MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKResult, WhatIfBatch, WhatIfSession,
 };
 
-/// Everything observable about a result except wall-clock time.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    set: Vec<usize>,
-    sink: usize,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    Fingerprint {
-        set: r.couplings().iter().map(|c| c.index()).collect(),
-        sink: r.sink().index(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-    }
-}
-
 /// Runs one mode with an explicit thread count. Validation is off so the
 /// fingerprint covers exactly what the sweep computes (the iterative
 /// noise analysis has its own tests and no thread dependence).
@@ -52,9 +28,9 @@ fn run_with_threads(circuit: &Circuit, mode: Mode, k: usize, threads: usize) -> 
 
 fn assert_thread_invariant(name: &str, circuit: &Circuit, k: usize) {
     for mode in [Mode::Addition, Mode::Elimination] {
-        let serial = fingerprint(&run_with_threads(circuit, mode, k, 1));
+        let serial = run_with_threads(circuit, mode, k, 1).fingerprint();
         for threads in [0, 3] {
-            let parallel = fingerprint(&run_with_threads(circuit, mode, k, threads));
+            let parallel = run_with_threads(circuit, mode, k, threads).fingerprint();
             assert_eq!(
                 serial,
                 parallel,
@@ -170,8 +146,8 @@ proptest! {
         threads in 2usize..6,
     ) {
         for mode in [Mode::Addition, Mode::Elimination] {
-            let serial = fingerprint(&run_with_threads(&circuit, mode, k, 1));
-            let parallel = fingerprint(&run_with_threads(&circuit, mode, k, threads));
+            let serial = run_with_threads(&circuit, mode, k, 1).fingerprint();
+            let parallel = run_with_threads(&circuit, mode, k, threads).fingerprint();
             prop_assert!(serial == parallel,
                 "{} k={} threads={} diverged", mode.name(), k, threads);
         }

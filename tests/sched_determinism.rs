@@ -8,46 +8,15 @@
 //! of charged at a barrier. These tests drive that argument: thread
 //! sweeps, an adversarial long-tail circuit, random circuits under
 //! random budgets, steal-order shuffling, a panicking stolen task, and a
-//! corrupted result slot that the L060 serial-replay audit must catch.
+//! corrupted result slot that the from-scratch oracle must catch.
 
 use proptest::prelude::*;
-use topk_aggressors::lint::lint_sched_replay;
+use topk_aggressors::lint::lint_divergence;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, CellKind, Circuit, CircuitBuilder, Library};
+use topk_aggressors::noise::CouplingMask;
 use topk_aggressors::topk::faultsim::{self, Faults};
-use topk_aggressors::topk::{Mode, TopKAnalysis, TopKConfig, TopKResult};
-
-/// Everything observable about a result, with f64 payloads compared by
-/// bit pattern — "close enough" is a scheduler bug here.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    set: Vec<usize>,
-    sink: usize,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-    truncated: usize,
-    skipped: usize,
-    quarantined: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    let s = r.sweep_stats();
-    Fingerprint {
-        set: r.couplings().iter().map(|c| c.index()).collect(),
-        sink: r.sink().index(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-        truncated: s.truncated_victims,
-        skipped: s.skipped_victims,
-        quarantined: s.quarantined_victims,
-    }
-}
+use topk_aggressors::topk::{Divergence, Mode, Oracle, TopKAnalysis, TopKConfig, TopKResult};
 
 fn run(circuit: &Circuit, mode: Mode, k: usize, config: TopKConfig) -> TopKResult {
     run_faulty(circuit, mode, k, config, Faults::default())
@@ -94,9 +63,9 @@ fn thread_count_never_changes_a_bit() {
         for (label, make) in
             [("unbudgeted", unbudgeted as fn(usize) -> TopKConfig), ("budgeted", budgeted)]
         {
-            let serial = fingerprint(&run(&circuit, mode, 3, make(1)));
+            let serial = run(&circuit, mode, 3, make(1)).fingerprint();
             for threads in [2, 3, 4, 8] {
-                let parallel = fingerprint(&run(&circuit, mode, 3, make(threads)));
+                let parallel = run(&circuit, mode, 3, make(threads)).fingerprint();
                 assert_eq!(
                     serial,
                     parallel,
@@ -141,9 +110,9 @@ fn long_tail_victim_is_thread_invariant() {
     let circuit = long_tail_circuit();
     for mode in [Mode::Addition, Mode::Elimination] {
         for make in [unbudgeted as fn(usize) -> TopKConfig, budgeted as fn(usize) -> TopKConfig] {
-            let serial = fingerprint(&run(&circuit, mode, 4, make(1)));
+            let serial = run(&circuit, mode, 4, make(1)).fingerprint();
             for threads in [2, 3, 4, 8] {
-                let parallel = fingerprint(&run(&circuit, mode, 4, make(threads)));
+                let parallel = run(&circuit, mode, 4, make(threads)).fingerprint();
                 assert_eq!(
                     serial,
                     parallel,
@@ -175,11 +144,11 @@ fn long_tail_victim_is_thread_invariant() {
 fn steal_order_shuffle_never_changes_a_bit() {
     let circuit = suite::benchmark("i1", 42).expect("known benchmark");
     std::env::remove_var("DNA_SCHED_SHUFFLE");
-    let reference = fingerprint(&run(&circuit, Mode::Addition, 3, budgeted(1)));
+    let reference = run(&circuit, Mode::Addition, 3, budgeted(1)).fingerprint();
     for seed in [1u64, 7, 0xdead_beef] {
         std::env::set_var("DNA_SCHED_SHUFFLE", seed.to_string());
         for threads in [2, 4] {
-            let shuffled = fingerprint(&run(&circuit, Mode::Addition, 3, budgeted(threads)));
+            let shuffled = run(&circuit, Mode::Addition, 3, budgeted(threads)).fingerprint();
             assert_eq!(reference, shuffled, "shuffle seed {seed} threads={threads} diverged");
         }
     }
@@ -203,55 +172,54 @@ fn panicking_stolen_task_quarantines_only_its_victim() {
         assert_eq!(parallel.faults().faults()[0].victim().index(), victim);
         assert_eq!(parallel.sweep_stats().quarantined_victims, 1);
         assert_eq!(
-            fingerprint(&serial),
-            fingerprint(&parallel),
+            serial.fingerprint(),
+            parallel.fingerprint(),
             "threads={threads}: quarantined sweep diverged from serial"
         );
         assert!(parallel.delay_after().is_finite(), "the surviving answer is still valid");
     }
 }
 
-/// The L060 pipeline end to end: a clean sweep passes the serial-replay
-/// audit; a corrupted parallel result slot is caught both by the audit
-/// struct and by the lint rule built on it.
+/// The oracle end to end: a clean parallel sweep equals the serial
+/// reference slot for slot; a corrupted parallel result slot is blamed on
+/// exactly its own victim (not on a dependent that read it) and renders
+/// as an L061 diagnostic.
 #[test]
 fn corrupted_result_slot_is_caught_by_the_replay_audit() {
     let circuit = suite::benchmark("i1", 7).expect("known benchmark");
     let config = TopKConfig { validate: false, ..TopKConfig::default() };
     let engine = TopKAnalysis::new(&circuit, config);
+    let all = CouplingMask::all(&circuit);
 
-    // Clean first: the audit must find nothing to flag.
-    let clean = engine.sched_audit(Mode::Addition, 2).expect("audit runs");
-    assert!(clean.is_clean(), "clean sweep must replay identically: {clean:?}");
-    assert_eq!(clean.checked_victims, circuit.num_nets());
-    assert!(lint_sched_replay(&clean).is_empty());
+    // Clean first: the oracle must find nothing to flag.
+    let clean = Oracle::new(&engine, Mode::Addition, 2, &all).expect("reference runs");
+    assert_eq!(clean.check_parallel(4), Ok(()), "clean sweep must equal the reference");
 
     // Corrupting the published slot of a victim whose true I-lists are
     // empty would be invisible (empty == empty), so aim at victims that
     // certainly carry candidates: the endpoints of the winning couplings.
-    let result = engine.addition_set(2).expect("clean run succeeds");
     let mut caught = false;
-    for &cc in result.couplings() {
+    for &cc in clean.result().couplings() {
         let coupling = circuit.coupling(cc);
-        for victim in [coupling.a().index(), coupling.b().index()] {
-            let faults = Faults { corrupt_sched_slot: Some(victim), ..Faults::default() };
+        for victim in [coupling.a(), coupling.b()] {
+            let faults = Faults { corrupt_sched_slot: Some(victim.index()), ..Faults::default() };
             let corrupting = TopKAnalysis::with_faults(&circuit, config, faults);
-            let audit = corrupting.sched_audit(Mode::Addition, 2).expect("audit runs");
-            if audit.is_clean() {
-                continue;
-            }
+            let oracle = Oracle::new(&corrupting, Mode::Addition, 2, &all).expect("reference runs");
+            let Err(divergence) = oracle.check_parallel(4) else { continue };
             caught = true;
-            assert!(
-                audit.mismatched_slots.contains(&victim),
-                "the corrupted slot {victim} is the one flagged: {audit:?}"
+            assert_eq!(
+                divergence,
+                Divergence { victim: Some(victim), field: "lists" },
+                "the corrupted slot {} is the one blamed",
+                victim.index()
             );
-            let diags = lint_sched_replay(&audit);
-            assert!(diags.has_errors(), "the audit mismatch surfaces as a lint error");
+            let diags = lint_divergence(&circuit, "parallel sweep", Err(divergence));
+            assert!(diags.has_errors(), "the divergence surfaces as a lint error");
             let text = diags.render_text();
-            assert!(text.contains("L060"), "expected L060 in:\n{text}");
+            assert!(text.contains("L061"), "expected L061 in:\n{text}");
         }
     }
-    assert!(caught, "at least one corrupted slot must diverge from the serial replay");
+    assert!(caught, "at least one corrupted slot must diverge from the serial reference");
 }
 
 fn tiny_circuit() -> impl Strategy<Value = Circuit> {
@@ -278,13 +246,13 @@ proptest! {
             ..unbudgeted(1)
         };
         for mode in [Mode::Addition, Mode::Elimination] {
-            let serial = fingerprint(&run(&circuit, mode, k, config));
-            let parallel = fingerprint(&run(
+            let serial = run(&circuit, mode, k, config).fingerprint();
+            let parallel = run(
                 &circuit,
                 mode,
                 k,
                 TopKConfig { threads, ..config },
-            ));
+            ).fingerprint();
             prop_assert!(
                 serial == parallel,
                 "{} k={} threads={} pool={} diverged",

@@ -10,32 +10,8 @@ use proptest::prelude::*;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, Circuit, CouplingId};
 use topk_aggressors::topk::{
-    MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKResult, WhatIfBatch, WhatIfSession,
+    MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfBatch, WhatIfSession,
 };
-
-/// Everything observable about a result except wall-clock time.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    set: Vec<usize>,
-    sink: usize,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    Fingerprint {
-        set: r.couplings().iter().map(|c| c.index()).collect(),
-        sink: r.sink().index(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-    }
-}
 
 fn config(threads: usize) -> TopKConfig {
     // Validation off: the fingerprint then covers exactly what the sweep
@@ -82,8 +58,8 @@ fn assert_batch_identity(
         let seq = session.fork().apply(delta).expect("sequential apply succeeds");
         let got = &out.scenarios()[i];
         assert_eq!(
-            fingerprint(got.result()),
-            fingerprint(seq.result()),
+            got.result().fingerprint(),
+            seq.result().fingerprint(),
             "{name} {} k={k} threads={threads} scenario {i}: batch diverged from fork().apply",
             mode.name()
         );
@@ -129,8 +105,8 @@ fn batch_results_are_submission_order_independent() {
         for i in 0..deltas.len() {
             let twin = deltas.len() - 1 - i;
             assert_eq!(
-                fingerprint(fwd.scenarios()[i].result()),
-                fingerprint(rev.scenarios()[twin].result()),
+                fwd.scenarios()[i].result().fingerprint(),
+                rev.scenarios()[twin].result().fingerprint(),
                 "{} scenario {i}: result depends on submission order",
                 mode.name()
             );

@@ -10,33 +10,7 @@
 
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, Circuit, CouplingId};
-use topk_aggressors::topk::{
-    Damping, MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKResult, WhatIfSession,
-};
-
-/// Everything observable about a result except wall-clock time.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    set: Vec<usize>,
-    sink: usize,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    Fingerprint {
-        set: r.couplings().iter().map(|c| c.index()).collect(),
-        sink: r.sink().index(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-    }
-}
+use topk_aggressors::topk::{Damping, MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfSession};
 
 fn config(threads: usize, damping: Damping) -> TopKConfig {
     TopKConfig { threads, damping, validate: false, ..TopKConfig::default() }
@@ -60,8 +34,8 @@ fn assert_damping_identity(
     let mut st =
         WhatIfSession::start(&str_engine, mode, k).expect("structural session start succeeds");
     assert_eq!(
-        fingerprint(sem.result()),
-        fingerprint(st.result()),
+        sem.result().fingerprint(),
+        st.result().fingerprint(),
         "{name}/{mode:?}/t{threads}: damping must not change the initial full run"
     );
 
@@ -73,13 +47,13 @@ fn assert_damping_identity(
         let scratch =
             sem_engine.run_with_mask(mode, k, sem.mask()).expect("from-scratch run succeeds");
         assert_eq!(
-            fingerprint(sem_out.result()),
-            fingerprint(str_out.result()),
+            sem_out.result().fingerprint(),
+            str_out.result().fingerprint(),
             "{name}/{mode:?}/t{threads}: semantic != structural"
         );
         assert_eq!(
-            fingerprint(sem_out.result()),
-            fingerprint(&scratch),
+            sem_out.result().fingerprint(),
+            scratch.fingerprint(),
             "{name}/{mode:?}/t{threads}: semantic != from-scratch"
         );
 
@@ -170,8 +144,8 @@ fn resumed_session_recaptures_semantic_state_on_first_apply() {
         let want = fresh.apply(delta).expect("fresh apply succeeds");
         let got = resumed.apply(delta).expect("resumed apply succeeds");
         let scratch = engine.run_with_mask(mode, k, resumed.mask()).expect("from-scratch run");
-        assert_eq!(fingerprint(want.result()), fingerprint(&scratch), "step {step}: fresh");
-        assert_eq!(fingerprint(got.result()), fingerprint(&scratch), "step {step}: resumed");
+        assert_eq!(want.result().fingerprint(), scratch.fingerprint(), "step {step}: fresh");
+        assert_eq!(got.result().fingerprint(), scratch.fingerprint(), "step {step}: resumed");
         if step == 0 {
             assert_eq!(got.proven_clean_victims(), 0, "no fingerprint survives a resume");
             assert!(got.certificates().is_empty());

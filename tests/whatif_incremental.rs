@@ -11,31 +11,7 @@ use proptest::prelude::*;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{suite, Circuit, CouplingId};
 use topk_aggressors::noise::CouplingMask;
-use topk_aggressors::topk::{MaskDelta, Mode, TopKAnalysis, TopKConfig, TopKResult, WhatIfSession};
-
-/// Everything observable about a result except wall-clock time.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    set: Vec<usize>,
-    sink: usize,
-    delay_before: u64,
-    delay_after: u64,
-    predicted: u64,
-    peak_list_width: usize,
-    generated: usize,
-}
-
-fn fingerprint(r: &TopKResult) -> Fingerprint {
-    Fingerprint {
-        set: r.couplings().iter().map(|c| c.index()).collect(),
-        sink: r.sink().index(),
-        delay_before: r.delay_before().to_bits(),
-        delay_after: r.delay_after().to_bits(),
-        predicted: r.predicted_delay().to_bits(),
-        peak_list_width: r.peak_list_width(),
-        generated: r.generated_candidates(),
-    }
-}
+use topk_aggressors::topk::{MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfSession};
 
 fn config(threads: usize) -> TopKConfig {
     // Validation off: the fingerprint then covers exactly what the sweep
@@ -62,8 +38,8 @@ fn assert_incremental_identity(
     let outcome = session.apply(delta).expect("apply succeeds");
     let scratch = engine.run_with_mask(mode, k, session.mask()).expect("from-scratch run succeeds");
     assert_eq!(
-        fingerprint(outcome.result()),
-        fingerprint(&scratch),
+        outcome.result().fingerprint(),
+        scratch.fingerprint(),
         "{name} {} k={k} threads={threads}: incremental diverged from from-scratch",
         mode.name()
     );
@@ -87,8 +63,8 @@ fn assert_fix_loop_identity(name: &str, circuit: &Circuit, k: usize) {
                     .run_with_mask(mode, k, session.mask())
                     .expect("from-scratch run succeeds");
                 assert_eq!(
-                    fingerprint(outcome.result()),
-                    fingerprint(&scratch),
+                    outcome.result().fingerprint(),
+                    scratch.fingerprint(),
                     "{name} {} k={k} threads={threads} delta={delta:?}: diverged",
                     mode.name()
                 );
