@@ -49,20 +49,26 @@ trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i1 --seed 42 --o "$smoke_i1" >/dev/null
 cargo run -q -p dna-cli --offline -- lint "$smoke_i1" --deep >/dev/null
 
-echo "== golden fingerprints (i1 seed 42, k 10: no numeric kernel drifted by a bit)"
+echo "== golden fingerprints (i1 and i3 seed 42, k 10: no numeric kernel drifted by a bit)"
 # Pinned what-if identity fingerprints of both modes. Every optimization
 # must leave them unchanged; a change here means an output bit moved.
-check_golden() { # $1 = pinned fingerprint, rest = extra whatif flags
-  local want="$1" got
-  shift
-  got="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_i1" --k 10 --fingerprint "$@" \
+smoke_i3="$(mktemp -t golden_i3.XXXXXX.ckt)"
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3"' EXIT
+cargo run -q -p dna-cli --offline -- generate --bench i3 --seed 42 --o "$smoke_i3" >/dev/null
+check_golden() { # $1 = circuit, $2 = pinned fingerprint, rest = extra whatif flags
+  local ckt="$1" want="$2" got
+  shift 2
+  got="$(cargo run -q -p dna-cli --offline -- whatif "$ckt" --k 10 --fingerprint "$@" \
     | sed -n 's/^ *fingerprint: \([0-9a-f]*\)$/\1/p')"
   [[ "$got" == "$want" ]] || {
-    echo "golden fingerprint drifted: whatif $* printed '${got}', pinned '${want}'"; exit 1
+    echo "golden fingerprint drifted: whatif $(basename "$ckt") $* printed '${got}', pinned '${want}'"
+    exit 1
   }
 }
-check_golden 681fd11e1aa2f099 --mode add
-check_golden 699ec29ae02c4819
+check_golden "$smoke_i1" 681fd11e1aa2f099 --mode add
+check_golden "$smoke_i1" 699ec29ae02c4819
+check_golden "$smoke_i3" 9a427b95f2698671 --mode add
+check_golden "$smoke_i3" 7395765d4909fca6
 
 echo "== scheduler smoke (i1: threads 4 bit-identical to threads 1)"
 # Strip the run-local diagnostics (wall-clock runtime, scheduler
@@ -81,7 +87,7 @@ t4="$(sched_fingerprint 4)"
 
 echo "== batch whatif smoke (shared sweep identity + order independence)"
 smoke_batch="$(mktemp -t whatif_smoke.XXXXXX.batch)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_batch"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_batch"' EXIT
 printf -- '-0\n-1\n-0 -2\n' > "$smoke_batch"
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --batch "$smoke_batch" --audit)"
 echo "$out" | grep -q "audit: all 3 scenario(s) == from-scratch" \
@@ -93,7 +99,7 @@ cargo test --offline -q --test fault_injection >/dev/null
 
 echo "== session artifact round trip (save -> load -> audit, then corrupt -> fallback)"
 smoke_art="$(mktemp -t whatif_smoke.XXXXXX.dna)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_batch" "$smoke_art"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_batch" "$smoke_art"' EXIT
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --save "$smoke_art" >/dev/null
 # A clean artifact must resume AND still pass the bit-identity audit.
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --load "$smoke_art" --audit)"
@@ -108,7 +114,7 @@ echo "$out" | grep -q "audit: incremental == from-scratch" \
 
 echo "== serve smoke (daemon scenario over loopback == local whatif, clean shutdown)"
 serve_log="$(mktemp -t serve_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
 cargo build -q -p dna-cli --offline
 cargo run -q -p dna-cli --offline -- serve --port 0 > "$serve_log" &
 serve_pid=$!
@@ -140,7 +146,7 @@ local_fp="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --bat
 
 echo "== crash recovery smoke (abort mid-save via DNA_CRASH_POINT, recover, bit-compare)"
 crash_dir="$(mktemp -d -t crash_smoke.XXXXXX)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
 
 start_crash_daemon() { # $1 = state dir, $2 (optional) = --recover
   : > "$serve_log"

@@ -11,16 +11,23 @@
 //! 3. higher-order aggressors — primaries with windows widened by their
 //!    strongest fanin wideners (paper §3.3, the `b1₂` construction),
 //!
-//! pruned by dominance (Theorem 1) after every step. Every admitted
-//! candidate's envelope is materialized through the scratch-arena sum
-//! kernels (`arena.rs`); dominance is the only pruning rule.
+//! pruned by dominance (Theorem 1) after every step. Each admitted
+//! `member ⊕ atom` is scored exactly — its delay noise streamed from the
+//! two operand envelopes without building the sum
+//! ([`Envelope::sum_delay_noise`]) — and recorded as a small
+//! [`Scored`] record. Ranking ([`Scored::rank`]: best-first order,
+//! dedupe by set, pre-truncation) picks the survivors, and only they get
+//! their union and envelope built, through the scratch-arena sum kernel
+//! (`arena.rs`), for the dominance pass. No candidate is dropped on a
+//! bound.
 
 use std::collections::HashSet;
 
 use dna_netlist::NetId;
 use dna_waveform::Envelope;
 
-use crate::dominance::{irredundant_with_discard, DominanceDirection};
+use crate::candidate::{checked_delay_noise, Scored};
+use crate::dominance::{prune, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
 use crate::{arena, Candidate, CouplingSet, TopKError};
@@ -58,10 +65,17 @@ pub(crate) struct EnumerationOutcome {
 }
 
 /// One addable atom: a coupling set with its envelope at the current
-/// victim.
+/// victim, and the set's key.
 struct Atom {
     set: CouplingSet,
     envelope: Envelope,
+    key: u64,
+}
+
+impl Atom {
+    fn new(set: CouplingSet, envelope: Envelope) -> Self {
+        Self { key: set.key(), set, envelope }
+    }
 }
 
 /// The per-victim enumeration as a closure for the scenario sweep
@@ -123,7 +137,7 @@ fn victim_lists(
             if envelope.is_zero() {
                 return None;
             }
-            Some(Atom { set: CouplingSet::singleton(info.coupling), envelope })
+            Some(Atom::new(CouplingSet::singleton(info.coupling), envelope))
         })
         .collect();
 
@@ -160,7 +174,7 @@ fn victim_lists(
             }
             pseudo_atoms = shifts
                 .into_iter()
-                .map(|(set, shift)| Atom { set, envelope: p.pseudo_envelope(v, shift) })
+                .map(|(set, shift)| Atom::new(set, p.pseudo_envelope(v, shift)))
                 .collect();
         }
     }
@@ -191,7 +205,7 @@ fn victim_lists(
                 set = grown;
                 delta = (delta + dn).min(cap);
                 let envelope = p.primary_envelope(v, info, delta);
-                higher_atoms.push(Atom { set: set.clone(), envelope });
+                higher_atoms.push(Atom::new(set.clone(), envelope));
             }
             // Individual wideners: primary plus one lower-ranked
             // widener, for sets where the top widener is spoken for.
@@ -199,81 +213,109 @@ fn victim_lists(
                 let set = CouplingSet::singleton(info.coupling).with(cc);
                 if set.len() == 2 {
                     let envelope = p.primary_envelope(v, info, dn.min(cap));
-                    higher_atoms.push(Atom { set, envelope });
+                    higher_atoms.push(Atom::new(set, envelope));
                 }
             }
         }
     }
     // --- Iterative list construction -------------------------------
+    // One pool: primaries first, then pseudo and higher-order atoms.
+    let n_primary = primary_atoms.len();
+    let mut atoms = primary_atoms;
+    atoms.extend(pseudo_atoms);
+    atoms.extend(higher_atoms);
     let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(k + 1);
+    let mut member_keys: Vec<Vec<u64>> = Vec::with_capacity(k + 1);
     lists.push(vec![Candidate::new(CouplingSet::new(), Envelope::zero(), 0.0)]);
+    member_keys.push(vec![0]);
+    let mut scored: Vec<Scored> = Vec::new();
     for i in 1..=k {
-        let mut cands: Vec<Candidate> = Vec::new();
-        // Admits `member ⊕ atom` (the atom alone when `member` is `None`)
-        // unless the budget is spent, materializing its envelope through
-        // the scratch arena.
-        let mut admit = |set: CouplingSet,
-                         member: Option<&Candidate>,
-                         atom: &Atom,
-                         cands: &mut Vec<Candidate>|
+        scored.clear();
+        // Scores `member ⊕ atom` (the atom alone when `member` is `None`)
+        // unless the budget is spent. Nothing is built: the sum's delay
+        // noise is streamed from the two operand envelopes.
+        let mut admit = |member: Option<(usize, usize)>,
+                         a: usize,
+                         scored: &mut Vec<Scored>|
          -> Result<(), TopKError> {
             if generated >= allowance {
                 truncated = true;
                 return Ok(());
             }
             generated += 1;
-            let env = match member {
-                None => atom.envelope.clone_into(arena::take_buf()),
-                Some(m) => m.envelope().sum_into(&atom.envelope, arena::take_buf()),
+            let atom = &atoms[a];
+            let (dn, key) = match member {
+                None => (p.delay_noise_at(v, &atom.envelope), atom.key),
+                Some((j, m)) => (
+                    p.sum_delay_noise_at(v, lists[j][m].envelope(), &atom.envelope),
+                    member_keys[j][m].wrapping_add(atom.key),
+                ),
             };
-            let dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &env));
-            debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
-            cands.push(Candidate::try_new(set, env, dn)?);
+            let dn = checked_delay_noise(p.faults.corrupt_delay_noise(v, dn))?;
+            let member = member.map(|(j, m)| (j as u32, m as u32));
+            scored.push(Scored { dn, key, member, atom: a as u32 });
             Ok(())
         };
 
         // 1. Extend I_{i-1} with one primary aggressor.
-        for s in &lists[i - 1] {
-            for atom in &primary_atoms {
+        for (m, s) in lists[i - 1].iter().enumerate() {
+            for (a, atom) in atoms[..n_primary].iter().enumerate() {
                 if s.set().intersects(&atom.set) {
                     continue;
                 }
-                admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
+                admit(Some((i - 1, m)), a, &mut scored)?;
             }
         }
         // 2 & 3. Pseudo and higher-order atoms of cardinality <= i,
         // standalone (j == 0) or combined with the best smaller sets.
-        for atom in pseudo_atoms.iter().chain(&higher_atoms) {
+        for (a, atom) in atoms.iter().enumerate().skip(n_primary) {
             let c = atom.set.len();
             if c > i || c == 0 {
                 continue;
             }
             let j = i - c;
             if j == 0 {
-                admit(atom.set.clone(), None, atom, &mut cands)?;
+                admit(None, a, &mut scored)?;
             } else {
-                for s in lists[j].iter().take(breadth) {
+                for (m, s) in lists[j].iter().enumerate().take(breadth) {
                     if s.set().intersects(&atom.set) {
                         continue;
                     }
-                    admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
+                    admit(Some((j, m)), a, &mut scored)?;
                 }
             }
         }
 
-        let pruned = irredundant_with_discard(
-            cands,
-            iv,
-            DominanceDirection::BiggerIsBetter,
-            p.config.dominance_pruning,
-            p.config.max_list_width,
-            |c| arena::give_buf(c.into_envelope().reclaim_points()),
-        );
+        // Rank the scores, then build only the survivors' sets and
+        // envelopes (through the scratch arena) for the dominance pass.
+        let direction = DominanceDirection::BiggerIsBetter;
+        let beam = p.config.max_list_width;
+        let order = Scored::rank(&scored, &lists, |a| &atoms[a].set, direction, beam);
+        let ranked: Vec<Candidate> = order
+            .iter()
+            .map(|&r| {
+                let s = &scored[r as usize];
+                let atom = &atoms[s.atom as usize];
+                let (set, env) = match s.member_index() {
+                    None => (atom.set.clone(), atom.envelope.clone_into(arena::take_buf())),
+                    Some((j, m)) => {
+                        let member = &lists[j][m];
+                        let env = member.envelope().sum_into(&atom.envelope, arena::take_buf());
+                        (member.set().union(&atom.set), env)
+                    }
+                };
+                debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
+                Candidate::new(set, env, s.dn)
+            })
+            .collect();
+        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam, |c| {
+            arena::give_buf(c.into_envelope().reclaim_points());
+        });
         peak_list_width = peak_list_width.max(pruned.len());
         // Sort by delay noise so downstream consumers (pseudo atoms,
         // combos) can take the best few deterministically.
-        let mut pruned = pruned;
         pruned.sort_by(|a, b| b.delay_noise().total_cmp(&a.delay_noise()));
+        member_keys.push(pruned.iter().map(|c| c.set().key()).collect());
         lists.push(pruned);
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };

@@ -119,6 +119,56 @@ impl CouplingSet {
         }
         false
     }
+
+    /// Order-independent digest of the set: the wrapping sum of a
+    /// SplitMix64 digest per member. The key of a union of disjoint sets
+    /// is the wrapping sum of their keys, so enumeration keys
+    /// `member ⊕ atom` without building the union. Equal sets have equal
+    /// keys; unequal sets rarely collide, and every user of a key match
+    /// confirms it with [`union_eq`].
+    #[must_use]
+    pub(crate) fn key(&self) -> u64 {
+        self.ids.iter().fold(0, |acc, id| acc.wrapping_add(id_key(*id)))
+    }
+}
+
+/// SplitMix64 finalizer of one coupling id.
+fn id_key(id: CouplingId) -> u64 {
+    let mut z = (id.index() as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether `a ∪ b` and `c ∪ d` hold the same ids, for sorted id lists
+/// whose pairs are each disjoint — compared without building either
+/// union.
+pub(crate) fn union_eq(
+    a: &[CouplingId],
+    b: &[CouplingId],
+    c: &[CouplingId],
+    d: &[CouplingId],
+) -> bool {
+    a.len() + b.len() == c.len() + d.len() && merged(a, b).eq(merged(c, d))
+}
+
+/// The ascending merge of two sorted, disjoint id lists.
+fn merged<'s>(a: &'s [CouplingId], b: &'s [CouplingId]) -> impl Iterator<Item = CouplingId> + 's {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x < y => x,
+            (Some(&x), None) => x,
+            (_, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        if a.get(i) == Some(&next) {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        Some(next)
+    })
 }
 
 impl FromIterator<CouplingId> for CouplingSet {
@@ -196,6 +246,26 @@ mod tests {
         let mut s = CouplingSet::singleton(id(4));
         s.extend([id(2), id(4), id(6)]);
         assert_eq!(s.ids(), &[id(2), id(4), id(6)]);
+    }
+
+    #[test]
+    fn keys_add_over_disjoint_unions() {
+        let a = CouplingSet::from_iter([id(1), id(7)]);
+        let b = CouplingSet::from_iter([id(3), id(4), id(9)]);
+        assert_eq!(a.union(&b).key(), a.key().wrapping_add(b.key()));
+        assert_eq!(CouplingSet::new().key(), 0);
+        assert_ne!(a.key(), b.key());
+    }
+
+    #[test]
+    fn union_eq_compares_ids_not_split() {
+        let (a, b) = (CouplingSet::from_iter([id(1), id(5)]), CouplingSet::singleton(id(3)));
+        let (c, d) = (CouplingSet::singleton(id(5)), CouplingSet::from_iter([id(1), id(3)]));
+        assert!(union_eq(a.ids(), b.ids(), c.ids(), d.ids()));
+        assert!(union_eq(a.ids(), b.ids(), a.union(&b).ids(), &[]));
+        let e = CouplingSet::from_iter([id(1), id(4)]);
+        assert!(!union_eq(a.ids(), b.ids(), e.ids(), b.ids()));
+        assert!(!union_eq(a.ids(), &[], a.ids(), b.ids()));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Per-worker scratch arena for envelope breakpoint buffers.
 //!
-//! The enumeration hot loop builds one envelope per admitted candidate
-//! and `irredundant` immediately discards most of them; without recycling
-//! every push pays a fresh `Vec` allocation. The arena is a thread-local
-//! free list: materialization takes a buffer ([`take_buf`]), the
-//! dominance pass hands the buffers of discarded candidates back
-//! ([`give_buf`]), and survivors simply keep theirs — promotion out of
-//! the arena is ownership transfer, no copy. Buffers stay with the worker
-//! thread across victims on the same deque, so a warmed-up sweep performs
-//! no per-push heap allocation for envelope sums.
+//! The enumeration scores every admitted candidate without building its
+//! envelope; only the candidates that survive ranking (at most
+//! `max(4·width, 64)` per round with a beam) are materialized, and the
+//! dominance pass then discards most of those. The arena is a
+//! thread-local free list: materialization takes a buffer
+//! ([`take_buf`]), the dominance pass hands the buffers of discarded
+//! candidates back ([`give_buf`]), and survivors simply keep theirs —
+//! promotion out of the arena is ownership transfer, no copy. Buffers
+//! stay with the worker thread across victims on the same deque, so a
+//! warmed-up sweep performs no per-survivor heap allocation for envelope
+//! sums.
 //!
 //! Counters are thread-local too; the scheduler harvests them into
 //! [`SchedStats`](crate::sched::SchedStats) at each worker's epilogue.

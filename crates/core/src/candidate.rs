@@ -4,6 +4,8 @@ use std::fmt;
 
 use dna_waveform::Envelope;
 
+use crate::aggressor::union_eq;
+use crate::dominance::{self, DominanceDirection};
 use crate::{CouplingSet, TopKError};
 
 /// One entry of an irredundant list: a set of couplings together with its
@@ -48,10 +50,7 @@ impl Candidate {
         envelope: Envelope,
         delay_noise: f64,
     ) -> Result<Self, TopKError> {
-        if !delay_noise.is_finite() || delay_noise < 0.0 {
-            return Err(TopKError::NonFiniteDelayNoise { delay_noise });
-        }
-        Ok(Self { set, envelope, delay_noise })
+        Ok(Self { set, envelope, delay_noise: checked_delay_noise(delay_noise)? })
     }
 
     /// Creates a candidate without validating the cached delay noise.
@@ -93,6 +92,65 @@ impl Candidate {
     #[must_use]
     pub fn into_envelope(self) -> Envelope {
         self.envelope
+    }
+}
+
+/// `delay_noise` itself when it is a finite, non-negative number — the
+/// one rule every cached delay noise passes.
+///
+/// # Errors
+///
+/// [`TopKError::NonFiniteDelayNoise`] when `delay_noise` is NaN,
+/// infinite, or negative.
+pub(crate) fn checked_delay_noise(delay_noise: f64) -> Result<f64, TopKError> {
+    if !delay_noise.is_finite() || delay_noise < 0.0 {
+        return Err(TopKError::NonFiniteDelayNoise { delay_noise });
+    }
+    Ok(delay_noise)
+}
+
+/// One admitted candidate before ranking: the exact delay noise of
+/// `member ⊕ atom`, the key of that set ([`CouplingSet::key`]), and where
+/// its parts live. `member` indexes the victim's I-lists as
+/// `(cardinality, index)` — `None` is the empty set, so the record is the
+/// atom alone (addition) or the victim's total minus the atom
+/// (elimination) — and `atom` indexes the mode's atom pool. Only the
+/// records that survive [`rank`](Scored::rank) are built into a
+/// [`Candidate`], with their union and envelope.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scored {
+    pub dn: f64,
+    pub key: u64,
+    pub member: Option<(u32, u32)>,
+    pub atom: u32,
+}
+
+impl Scored {
+    /// Steps 1–3 of [`irredundant`](crate::dominance::irredundant) over
+    /// one round's records: survivor indices, best first. Sets are
+    /// compared as `member ∪ atom` id lists, never built.
+    pub(crate) fn rank<'a>(
+        records: &[Scored],
+        lists: &'a [Vec<Candidate>],
+        atom_set: impl Fn(usize) -> &'a CouplingSet,
+        direction: DominanceDirection,
+        beam: Option<usize>,
+    ) -> Vec<u32> {
+        let parts = |s: &Scored| {
+            let member =
+                s.member.map_or(&[][..], |(j, m)| lists[j as usize][m as usize].set().ids());
+            (member, atom_set(s.atom as usize).ids())
+        };
+        let same_set = |x: &Scored, y: &Scored| {
+            let ((a, b), (c, d)) = (parts(x), parts(y));
+            union_eq(a, b, c, d)
+        };
+        dominance::rank(records, |s| s.dn, |s| s.key, same_set, direction, beam)
+    }
+
+    /// The member `(cardinality, index)` as I-list indices.
+    pub(crate) fn member_index(&self) -> Option<(usize, usize)> {
+        self.member.map(|(j, m)| (j as usize, m as usize))
     }
 }
 

@@ -1,10 +1,12 @@
 //! Dominance pruning: irredundant lists (paper §3.2, Theorem 1).
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dna_waveform::TimeInterval;
 
-use crate::{Candidate, CouplingSet};
+use crate::Candidate;
 
 /// Which way envelope encapsulation means "better".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +36,8 @@ pub enum DominanceDirection {
 /// 5. apply the optional beam cap, keeping the candidates that are best by
 ///    cached delay noise — largest for addition, smallest for elimination.
 ///
+/// Steps 1–3 are `rank`, which the enumeration also runs on its scored
+/// records before it builds any envelope; steps 4–5 need envelopes.
 /// Ties under mutual encapsulation (identical envelopes) keep the
 /// earlier candidate so the result is deterministic.
 #[must_use]
@@ -44,14 +48,129 @@ pub fn irredundant(
     use_dominance: bool,
     beam: Option<usize>,
 ) -> Vec<Candidate> {
-    irredundant_with_discard(candidates, dominance_interval, direction, use_dominance, beam, |_| {})
+    let order = rank(
+        &candidates,
+        Candidate::delay_noise,
+        |c| c.set().key(),
+        |a, b| a.set() == b.set(),
+        direction,
+        beam,
+    );
+    let mut slots: Vec<Option<Candidate>> = candidates.into_iter().map(Some).collect();
+    let ranked =
+        order.iter().map(|&i| slots[i as usize].take().expect("rank returns distinct indices"));
+    prune(ranked.collect(), dominance_interval, direction, use_dominance, beam, |_| {})
 }
 
-/// [`irredundant`] handing every dropped candidate to `discard` instead of
-/// silently dropping it — the enumeration hot loop recycles their envelope
-/// breakpoint buffers through the per-worker scratch arena. The kept list
-/// (contents and order) is identical to [`irredundant`]'s.
-pub fn irredundant_with_discard(
+/// Steps 1–3 of [`irredundant`] over any records with a score and a
+/// coupling-set key: the indices of the records that survive, best
+/// first.
+///
+/// 1. Sort best-first by `score`, direction-aware, equal scores in input
+///    order (an unstable sort on `(score, index)`, which is the stable
+///    order). Non-finite scores rank worst in either direction.
+/// 2. Keep the first occurrence of each coupling set. Records whose `key`s
+///    match are compared with `same_set`, so a key collision never merges
+///    two different sets.
+/// 3. With a beam, stop at `max(4·width, 64)` survivors.
+///
+/// Ordering first means the dedupe keeps the *best* record per set — the
+/// same set can be generated through different routes (e.g. as a fanin
+/// pseudo aggressor and as a window widener) with different envelopes.
+/// The pre-truncation bounds the quadratic dominance pass; its
+/// oversampling keeps enough diversity for dominance to matter.
+pub(crate) fn rank<T>(
+    records: &[T],
+    score: impl Fn(&T) -> f64,
+    key: impl Fn(&T) -> u64,
+    same_set: impl Fn(&T, &T) -> bool,
+    direction: DominanceDirection,
+    beam: Option<usize>,
+) -> Vec<u32> {
+    assert!(records.len() < NONE as usize, "a round ranks fewer than 2^32 - 1 records");
+    let mut order: Vec<(f64, u32)> =
+        records.iter().enumerate().map(|(i, r)| (score(r), i as u32)).collect();
+    // `total_cmp`, not `partial_cmp(..).expect(..)`: one degenerate
+    // candidate smuggled in with a NaN delay noise (e.g. through the
+    // raw-parts escape hatch) must not abort the whole sweep. Under the
+    // IEEE total order NaN sorts above every number, so `BiggerIsBetter`
+    // would rank it first; the explicit non-finite demotion keeps such
+    // records *worst* in either direction, where the beam cap and
+    // dominance pass dispose of them deterministically.
+    order.sort_unstable_by(|&(a, i), &(b, j)| {
+        let by_score = match (a.is_finite(), b.is_finite()) {
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            _ => match direction {
+                DominanceDirection::BiggerIsBetter => b.total_cmp(&a),
+                DominanceDirection::SmallerIsBetter => a.total_cmp(&b),
+            },
+        };
+        by_score.then(i.cmp(&j))
+    });
+
+    let cap = beam.map_or(usize::MAX, |width| width.saturating_mul(4).max(64));
+    let mut kept: Vec<u32> = Vec::with_capacity(order.len().min(cap));
+    // Key -> the latest kept record with that key; `chain[k]` links kept
+    // record `k` to the previous one with the same key.
+    let mut by_key: HashMap<u64, u32, BuildHasherDefault<KeyHasher>> =
+        HashMap::with_capacity_and_hasher(kept.capacity(), BuildHasherDefault::default());
+    let mut chain: Vec<u32> = Vec::with_capacity(kept.capacity());
+    for &(_, i) in &order {
+        if kept.len() >= cap {
+            break;
+        }
+        let rec = &records[i as usize];
+        let k = key(rec);
+        let head = by_key.get(&k).copied().unwrap_or(NONE);
+        let mut at = head;
+        let mut duplicate = false;
+        while at != NONE {
+            if same_set(&records[kept[at as usize] as usize], rec) {
+                duplicate = true;
+                break;
+            }
+            at = chain[at as usize];
+        }
+        if !duplicate {
+            by_key.insert(k, kept.len() as u32);
+            chain.push(head);
+            kept.push(i);
+        }
+    }
+    kept
+}
+
+/// End of a [`rank`] key chain.
+const NONE: u32 = u32::MAX;
+
+/// Hasher for [`rank`]'s keys, which are already well-mixed digests
+/// (`CouplingSet::key`: SplitMix64 of the engine's own coupling indices,
+/// never raw input), so hashing them again would only cost time.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k;
+    }
+}
+
+/// Steps 4–5 of [`irredundant`] on candidates already ranked by [`rank`],
+/// handing every dropped candidate to `discard` — the enumeration
+/// recycles their envelope breakpoint buffers through the per-worker
+/// scratch arena.
+pub(crate) fn prune(
     mut candidates: Vec<Candidate>,
     dominance_interval: TimeInterval,
     direction: DominanceDirection,
@@ -59,61 +178,6 @@ pub fn irredundant_with_discard(
     beam: Option<usize>,
     mut discard: impl FnMut(Candidate),
 ) -> Vec<Candidate> {
-    // 1. Sort best-delay-noise-first (direction-aware). Ordering first
-    // means the dedupe below keeps the *best* candidate per coupling set —
-    // the same set can be generated through different routes (e.g. as a
-    // fanin pseudo aggressor and as a window widener) with different
-    // envelopes.
-    // `total_cmp`, not `partial_cmp(..).expect(..)`: one degenerate
-    // candidate smuggled in with a NaN delay noise (e.g. through the
-    // raw-parts escape hatch, or a `0.0 / 0.0` in a broken envelope)
-    // must not abort the whole sweep. Under the IEEE total order NaN
-    // sorts above every number, so `BiggerIsBetter` would rank it first;
-    // the explicit non-finite demotion keeps such candidates *worst* in
-    // either direction, where the beam cap and dominance pass dispose of
-    // them deterministically.
-    candidates.sort_by(|a, b| {
-        match (a.delay_noise().is_finite(), b.delay_noise().is_finite()) {
-            (true, false) => return std::cmp::Ordering::Less,
-            (false, true) => return std::cmp::Ordering::Greater,
-            _ => {}
-        }
-        let ord = a.delay_noise().total_cmp(&b.delay_noise());
-        match direction {
-            DominanceDirection::BiggerIsBetter => ord.reverse(),
-            DominanceDirection::SmallerIsBetter => ord,
-        }
-    });
-
-    // 2. Dedupe by coupling set, keeping the best occurrence. The keep
-    // mask borrows the sets, so no candidate's set is cloned.
-    let keep: Vec<bool> = {
-        let mut seen: HashSet<&CouplingSet> = HashSet::with_capacity(candidates.len());
-        candidates.iter().map(|c| seen.insert(c.set())).collect()
-    };
-    let mut unique: Vec<Candidate> = Vec::with_capacity(candidates.len());
-    for (c, keep) in candidates.into_iter().zip(keep) {
-        if keep {
-            unique.push(c);
-        } else {
-            discard(c);
-        }
-    }
-    let mut candidates = unique;
-
-    // 3. With a beam configured, pre-truncate (already sorted) so the
-    // quadratic dominance pass below runs on a bounded set. The
-    // oversampling factor keeps enough diversity for dominance to matter;
-    // exact mode (no beam) skips this entirely.
-    if let Some(width) = beam {
-        let cap = width.saturating_mul(4).max(64);
-        if candidates.len() > cap {
-            for c in candidates.drain(cap..) {
-                discard(c);
-            }
-        }
-    }
-
     // 4. Dominance pruning, exploiting the ordering invariant: an
     // envelope that encapsulates another produces at least as much delay
     // noise (Theorem 1 with the empty extension), so only *earlier*
@@ -218,6 +282,7 @@ pub fn find_dominated_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CouplingSet;
     use dna_netlist::CouplingId;
     use dna_waveform::{Envelope, NoisePulse};
 
@@ -229,6 +294,121 @@ mod tests {
 
     fn interval() -> TimeInterval {
         TimeInterval::new(-5.0, 40.0)
+    }
+
+    /// Steps 1–3 as `irredundant` ran them before `rank`: a stable sort
+    /// with the non-finite demotion, a `HashSet` first-occurrence dedupe,
+    /// then the pre-truncation.
+    fn old_steps_1_to_3(
+        recs: &[(f64, CouplingSet)],
+        direction: DominanceDirection,
+        beam: Option<usize>,
+    ) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..recs.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (recs[a as usize].0, recs[b as usize].0);
+            match (a.is_finite(), b.is_finite()) {
+                (true, false) => return Ordering::Less,
+                (false, true) => return Ordering::Greater,
+                _ => {}
+            }
+            let ord = a.total_cmp(&b);
+            match direction {
+                DominanceDirection::BiggerIsBetter => ord.reverse(),
+                DominanceDirection::SmallerIsBetter => ord,
+            }
+        });
+        let mut seen = std::collections::HashSet::new();
+        let mut kept: Vec<u32> =
+            order.into_iter().filter(|&i| seen.insert(&recs[i as usize].1)).collect();
+        if let Some(width) = beam {
+            kept.truncate(width.saturating_mul(4).max(64));
+        }
+        kept
+    }
+
+    fn rank_records(
+        recs: &[(f64, CouplingSet)],
+        key: impl Fn(&(f64, CouplingSet)) -> u64,
+        direction: DominanceDirection,
+        beam: Option<usize>,
+    ) -> Vec<u32> {
+        rank(recs, |r| r.0, key, |a, b| a.1 == b.1, direction, beam)
+    }
+
+    #[test]
+    fn rank_matches_the_old_sort_dedupe_truncate() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        for case in 0..400 {
+            let n = rng.gen_range(0..300usize);
+            let recs: Vec<(f64, CouplingSet)> = (0..n)
+                .map(|_| {
+                    // Few distinct scores (ties) and few distinct sets
+                    // (duplicates), with the odd non-finite score.
+                    let score = match rng.gen_range(0..40u32) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => -0.0,
+                        x => f64::from(x % 7) * 0.5,
+                    };
+                    let a = CouplingId::new(rng.gen_range(0..12u32));
+                    let set = if rng.gen_bool(0.5) {
+                        CouplingSet::singleton(a)
+                    } else {
+                        CouplingSet::singleton(a).with(CouplingId::new(rng.gen_range(0..12u32)))
+                    };
+                    (score, set)
+                })
+                .collect();
+            for direction in
+                [DominanceDirection::BiggerIsBetter, DominanceDirection::SmallerIsBetter]
+            {
+                for beam in [None, Some(1), Some(5), Some(40)] {
+                    assert_eq!(
+                        rank_records(&recs, |r| r.1.key(), direction, beam),
+                        old_steps_1_to_3(&recs, direction, beam),
+                        "case {case}, {direction:?}, beam {beam:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_never_merges_different_sets_with_equal_keys() {
+        let recs: Vec<(f64, CouplingSet)> = [(2.0, 1), (3.0, 2), (1.0, 3), (2.5, 1), (3.0, 2)]
+            .into_iter()
+            .map(|(dn, id)| (dn, CouplingSet::singleton(CouplingId::new(id))))
+            .collect();
+        // Every record collides on the key; only true duplicates go.
+        for direction in [DominanceDirection::BiggerIsBetter, DominanceDirection::SmallerIsBetter] {
+            let kept = rank_records(&recs, |_| 42, direction, None);
+            assert_eq!(kept, old_steps_1_to_3(&recs, direction, None));
+            let mut sets: Vec<u32> =
+                kept.iter().map(|&i| recs[i as usize].1.ids()[0].index() as u32).collect();
+            sets.sort_unstable();
+            assert_eq!(sets, vec![1, 2, 3], "{direction:?}");
+        }
+        assert_eq!(
+            rank_records(&recs, |_| 42, DominanceDirection::BiggerIsBetter, None),
+            vec![1, 3, 2]
+        );
+    }
+
+    #[test]
+    fn rank_without_beam_keeps_every_distinct_set() {
+        // 200 distinct sets, each twice: far beyond the 64-record floor
+        // of the pre-truncation, which only a beam applies.
+        let recs: Vec<(f64, CouplingSet)> = (0..400u32)
+            .map(|i| (f64::from(i % 13), CouplingSet::singleton(CouplingId::new(i % 200))))
+            .collect();
+        let kept = rank_records(&recs, |r| r.1.key(), DominanceDirection::BiggerIsBetter, None);
+        assert_eq!(kept.len(), 200);
+        let beamed =
+            rank_records(&recs, |r| r.1.key(), DominanceDirection::BiggerIsBetter, Some(3));
+        assert_eq!(beamed, kept[..64]);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! left after subtracting what they eliminate, and dominance prefers
 //! smaller residuals.
 //!
-//! Candidates are admitted and materialized exactly as on the addition
-//! side, through the scratch-arena subtraction kernel.
+//! Candidates are admitted, scored and ranked exactly as on the addition
+//! side; the score streams the residual's delay noise
+//! ([`Envelope::saturating_sub_delay_noise`]), and only the ranking
+//! survivors get their residual built, through the scratch-arena
+//! subtraction kernel.
 
 use std::collections::HashSet;
 
@@ -17,7 +20,8 @@ use dna_netlist::NetId;
 use dna_waveform::Envelope;
 
 use crate::addition::{EnumerationOutcome, SinkOption};
-use crate::dominance::{irredundant_with_discard, DominanceDirection};
+use crate::candidate::{checked_delay_noise, Scored};
+use crate::dominance::{prune, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
 use crate::{arena, Candidate, CouplingSet, TopKError};
@@ -34,6 +38,13 @@ const WIDENER_POOL: usize = 4;
 struct RemovalAtom {
     set: CouplingSet,
     removal: Envelope,
+    key: u64,
+}
+
+impl RemovalAtom {
+    fn new(set: CouplingSet, removal: Envelope) -> Self {
+        Self { key: set.key(), set, removal }
+    }
 }
 
 /// The per-victim enumeration as a closure for the scenario sweep
@@ -106,8 +117,7 @@ fn victim_lists(
         if env.is_zero() {
             continue;
         }
-        atoms
-            .push(RemovalAtom { set: CouplingSet::singleton(info.coupling), removal: env.clone() });
+        atoms.push(RemovalAtom::new(CouplingSet::singleton(info.coupling), env.clone()));
     }
     // Higher-order eliminations: removing the j strongest wideners of
     // a primary's aggressor narrows that primary's noisy window.
@@ -129,19 +139,15 @@ fn victim_lists(
                 set = grown;
                 delta = (delta + dn).min(window_noise);
                 let narrowed = p.primary_envelope(v, info, -delta);
-                atoms.push(RemovalAtom {
-                    set: set.clone(),
-                    removal: p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed),
-                });
+                let removal = p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed);
+                atoms.push(RemovalAtom::new(set.clone(), removal));
             }
             // Individual wideners: a lower-ranked widener can still be
             // the best *single* fix when the top one is spoken for.
             for &(cc, dn) in wideners.iter().take(WIDENER_POOL).skip(1) {
                 let narrowed = p.primary_envelope(v, info, -dn.min(window_noise));
-                atoms.push(RemovalAtom {
-                    set: CouplingSet::singleton(cc),
-                    removal: p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed),
-                });
+                let removal = p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed);
+                atoms.push(RemovalAtom::new(CouplingSet::singleton(cc), removal));
             }
         }
     }
@@ -202,82 +208,103 @@ fn victim_lists(
                     continue; // fixing this upstream set does not help v
                 }
                 let removal = pseudo_full.saturating_sub(&p.pseudo_envelope(v, d_after));
-                atoms.push(RemovalAtom { set, removal });
+                atoms.push(RemovalAtom::new(set, removal));
             }
         }
     }
 
     // --- Iterative residual-list construction -----------------------
     let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(k + 1);
+    let mut member_keys: Vec<Vec<u64>> = Vec::with_capacity(k + 1);
     // The baseline (nothing-fixed) candidate bypasses the budget: even a
     // zero allowance keeps the seed, so every downstream consumer still
     // has the victim's total envelope to anchor on.
     let total_dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &total));
     lists.push(vec![Candidate::try_new(CouplingSet::new(), total.clone(), total_dn)?]);
+    member_keys.push(vec![0]);
+    let mut scored: Vec<Scored> = Vec::new();
     for i in 1..=k {
-        let mut cands: Vec<Candidate> = Vec::new();
-        // Admits `member ⊖ atom` (`total ⊖ atom` when `member` is `None`)
-        // unless the budget is spent, materializing the residual through
-        // the scratch arena.
-        let mut admit = |set: CouplingSet,
-                         member: Option<&Candidate>,
-                         atom: &RemovalAtom,
-                         cands: &mut Vec<Candidate>|
+        scored.clear();
+        // Scores `member ⊖ atom` (`total ⊖ atom` when `member` is `None`)
+        // unless the budget is spent. Nothing is built: the residual's
+        // delay noise is streamed from the two operand envelopes.
+        let mut admit = |member: Option<(usize, usize)>,
+                         a: usize,
+                         scored: &mut Vec<Scored>|
          -> Result<(), TopKError> {
             if generated >= allowance {
                 truncated = true;
                 return Ok(());
             }
             generated += 1;
-            let member_env = member.map_or(&total, Candidate::envelope);
-            let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
-            let dn = p.faults.corrupt_delay_noise(v, p.delay_noise_at(v, &env));
-            debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
-            cands.push(Candidate::try_new(set, env, dn)?);
+            let atom = &atoms[a];
+            let (member_env, member_key) = match member {
+                None => (&total, 0),
+                Some((j, m)) => (lists[j][m].envelope(), member_keys[j][m]),
+            };
+            let dn = p.saturating_sub_delay_noise_at(v, member_env, &atom.removal);
+            let dn = checked_delay_noise(p.faults.corrupt_delay_noise(v, dn))?;
+            let key = member_key.wrapping_add(atom.key);
+            let member = member.map(|(j, m)| (j as u32, m as u32));
+            scored.push(Scored { dn, key, member, atom: a as u32 });
             Ok(())
         };
 
         // Extend I_{i-1} with one primary removal.
-        for s in &lists[i - 1] {
-            for atom in &atoms {
+        for (m, s) in lists[i - 1].iter().enumerate() {
+            for (a, atom) in atoms.iter().enumerate() {
                 if atom.set.len() != 1 || s.set().intersects(&atom.set) {
                     continue;
                 }
-                admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
+                admit(Some((i - 1, m)), a, &mut scored)?;
             }
         }
         // Atoms standalone (exact cardinality) or, for multi-coupling
         // atoms, combined with the best smaller sets. Single-coupling
         // extension is already covered above.
-        for atom in &atoms {
+        for (a, atom) in atoms.iter().enumerate() {
             let c = atom.set.len();
             if c > i || c == 0 {
                 continue;
             }
             let j = i - c;
             if j == 0 {
-                admit(atom.set.clone(), None, atom, &mut cands)?;
+                admit(None, a, &mut scored)?;
             } else if c > 1 {
-                for s in lists[j].iter().take(breadth) {
+                for (m, s) in lists[j].iter().enumerate().take(breadth) {
                     if s.set().intersects(&atom.set) {
                         continue;
                     }
-                    admit(s.set().union(&atom.set), Some(s), atom, &mut cands)?;
+                    admit(Some((j, m)), a, &mut scored)?;
                 }
             }
         }
 
-        let pruned = irredundant_with_discard(
-            cands,
-            iv,
-            DominanceDirection::SmallerIsBetter,
-            p.config.dominance_pruning,
-            p.config.max_list_width,
-            |c| arena::give_buf(c.into_envelope().reclaim_points()),
-        );
+        // Rank the scores, then build only the survivors' sets and
+        // residuals (through the scratch arena) for the dominance pass.
+        let direction = DominanceDirection::SmallerIsBetter;
+        let beam = p.config.max_list_width;
+        let order = Scored::rank(&scored, &lists, |a| &atoms[a].set, direction, beam);
+        let ranked: Vec<Candidate> = order
+            .iter()
+            .map(|&r| {
+                let s = &scored[r as usize];
+                let atom = &atoms[s.atom as usize];
+                let (set, member_env) = match s.member_index() {
+                    None => (atom.set.clone(), &total),
+                    Some((j, m)) => (lists[j][m].set().union(&atom.set), lists[j][m].envelope()),
+                };
+                debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
+                let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
+                Candidate::new(set, env, s.dn)
+            })
+            .collect();
+        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam, |c| {
+            arena::give_buf(c.into_envelope().reclaim_points());
+        });
         peak_list_width = peak_list_width.max(pruned.len());
-        let mut pruned = pruned;
         pruned.sort_by(|a, b| a.delay_noise().total_cmp(&b.delay_noise()));
+        member_keys.push(pruned.iter().map(|c| c.set().key()).collect());
         lists.push(pruned);
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };

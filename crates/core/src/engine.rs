@@ -46,8 +46,8 @@ pub(crate) enum Curtailment {
 pub(crate) struct VictimCounters {
     /// Largest irredundant-list width at this victim.
     pub peak_list_width: usize,
-    /// Candidates generated (and materialized) at this victim before
-    /// pruning.
+    /// Candidates generated (admitted and scored) at this victim before
+    /// ranking and pruning.
     pub generated: usize,
     /// Whether (and how) a budget curtailed this victim.
     pub curtailment: Curtailment,
@@ -317,6 +317,18 @@ impl<'c> Prepared<'c> {
     /// Delay noise `envelope` produces on `victim`'s noiseless transition.
     pub fn delay_noise_at(&self, victim: NetId, envelope: &Envelope) -> f64 {
         superposition::delay_noise(&self.victim_tr[victim.index()], envelope)
+    }
+
+    /// Delay noise of `a.sum(b)` on `victim`, streamed without building
+    /// the sum ([`Envelope::sum_delay_noise`]).
+    pub fn sum_delay_noise_at(&self, victim: NetId, a: &Envelope, b: &Envelope) -> f64 {
+        a.sum_delay_noise(b, &self.victim_tr[victim.index()])
+    }
+
+    /// Delay noise of `a.saturating_sub(b)` on `victim`, streamed without
+    /// building the difference ([`Envelope::saturating_sub_delay_noise`]).
+    pub fn saturating_sub_delay_noise_at(&self, victim: NetId, a: &Envelope, b: &Envelope) -> f64 {
+        a.saturating_sub_delay_noise(b, &self.victim_tr[victim.index()])
     }
 
     /// The envelope of one primary aggressor at `victim`, with the LAT

@@ -376,8 +376,8 @@ fn curtailment_from_u8(v: u8) -> Result<Curtailment, ArtifactError> {
     }
 }
 
-/// The two per-victim counter slots bound-first culling used to fill
-/// (culled, materialized). Every candidate is materialized now, so they
+/// The two retired per-victim counter slots bound-first culling used to
+/// fill (culled, materialized). Nothing is culled on a bound now, so they
 /// are written as `0` and `generated` ...
 fn encode_retired_cull_slots(w: &mut Writer, generated: usize) {
     w.usize(0);

@@ -137,11 +137,15 @@ pub struct SweepStats {
     /// Victims quarantined by faults (see
     /// [`TopKResult::faults`]).
     pub quarantined_victims: usize,
-    /// Always 0: enumeration materializes every candidate it generates.
-    /// Kept so readers of the counter pair keep working.
+    /// Retired slot, always 0. It counted candidates culled on a bound
+    /// before bound-first admission was removed; every candidate now gets
+    /// its exact score. Kept because readers derive the generated count
+    /// from `bound_culled + materialized` and the session artifact (v3)
+    /// stores both slots.
     pub bound_culled: usize,
-    /// Candidates whose envelope was built during enumeration — always
-    /// [`TopKResult::generated_candidates`].
+    /// Retired slot, always [`TopKResult::generated_candidates`]. It no
+    /// longer counts built envelopes: candidates are scored without one,
+    /// and only those that survive ranking are materialized.
     pub materialized: usize,
 }
 

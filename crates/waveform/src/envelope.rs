@@ -3,7 +3,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-use crate::{NoisePulse, Pwl, TimeInterval, EPS};
+use crate::{superposition, NoisePulse, Pwl, TimeInterval, Transition, EPS};
 
 /// A noise envelope: an upper bound on the noise an aggressor (or a set of
 /// aggressors) can couple onto a victim at every instant.
@@ -302,6 +302,26 @@ impl Envelope {
         Envelope::from_raw(self.curve.add_simplified_into(&other.curve, EPS, buf))
     }
 
+    /// Delay noise of [`sum`](Self::sum) on `victim`, without building
+    /// the sum: bit for bit `superposition::delay_noise(victim,
+    /// &self.sum(other))`. The fused add-simplify pass streams each
+    /// breakpoint straight into the crossing tracker of
+    /// [`superposition::final_crossing`]; no point is written. This is
+    /// how the enumeration scores every admitted candidate before ranking
+    /// decides which few to materialize.
+    #[must_use]
+    pub fn sum_delay_noise(&self, other: &Envelope, victim: &Transition) -> f64 {
+        if self.is_zero() {
+            return superposition::delay_noise(victim, other);
+        }
+        if other.is_zero() {
+            return superposition::delay_noise(victim, self);
+        }
+        superposition::streamed_delay_noise(victim, |tracker| {
+            self.curve.add_simplified_to(&other.curve, EPS, tracker);
+        })
+    }
+
     /// A copy of this envelope whose breakpoints live in the recycled
     /// `buf`. The cached peak/support fields are copied verbatim (not
     /// recomputed), so the result is indistinguishable from
@@ -361,6 +381,20 @@ impl Envelope {
             return self.clone_into(buf);
         }
         Envelope::from_raw(self.curve.sub_clamped_simplified_into(&other.curve, EPS, buf))
+    }
+
+    /// Delay noise of [`saturating_sub`](Self::saturating_sub) on
+    /// `victim`, without building the difference: bit for bit
+    /// `superposition::delay_noise(victim, &self.saturating_sub(other))`,
+    /// streamed like [`sum_delay_noise`](Self::sum_delay_noise).
+    #[must_use]
+    pub fn saturating_sub_delay_noise(&self, other: &Envelope, victim: &Transition) -> f64 {
+        if other.is_zero() {
+            return superposition::delay_noise(victim, self);
+        }
+        superposition::streamed_delay_noise(victim, |tracker| {
+            self.curve.sub_clamped_simplified_to(&other.curve, EPS, tracker);
+        })
     }
 
     /// The envelope translated by `dt`.

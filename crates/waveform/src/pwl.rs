@@ -337,47 +337,6 @@ impl Pwl {
         f64::NEG_INFINITY
     }
 
-    /// [`last_time_at_or_below`](Self::last_time_at_or_below) of the curve
-    /// `combine(a(t), b(t))`, streamed without building it.
-    ///
-    /// `a` is a breakpoint list upholding the curve invariants (non-empty,
-    /// finite, times more than [`EPS`] apart) — typically a clean ramp the
-    /// caller holds on the stack. The result is bit-identical to
-    /// `Pwl::new(points).last_time_at_or_below(level)` where `points`
-    /// samples `combine` at the merged breakpoints (as the curve `+` and
-    /// `-` operators sample), but allocates nothing: this is the
-    /// delay-noise kernel every enumerated candidate is scored with.
-    #[must_use]
-    pub fn last_time_combined_at_or_below(
-        a: &[(f64, f64)],
-        b: &Pwl,
-        combine: impl Fn(f64, f64) -> f64,
-        level: f64,
-    ) -> f64 {
-        debug_assert!(
-            !a.is_empty() && a.windows(2).all(|w| w[1].0 - w[0].0 > EPS),
-            "streamed operand must uphold the breakpoint invariants"
-        );
-        let mut ca = SegmentCursor::new(a);
-        let mut cb = SegmentCursor::new(&b.points);
-        // The previous merged point, and the last segment whose left value
-        // is at or below `level` — the one a right-to-left scan stops at.
-        let mut prev: Option<(f64, f64)> = None;
-        let mut dip: Option<((f64, f64), (f64, f64))> = None;
-        merge_times(a, &b.points, |t| {
-            let p = (t, combine(ca.eval_monotone(t), cb.eval_monotone(t)));
-            if let Some(q) = prev.filter(|q| q.1 <= level) {
-                dip = Some((q, p));
-            }
-            prev = Some(p);
-        });
-        let (_, last) = prev.expect("non-empty operands emit a time");
-        if last <= level {
-            return f64::INFINITY;
-        }
-        dip.map_or(f64::NEG_INFINITY, |(p0, p1)| upward_crossing(p0, p1, level))
-    }
-
     /// Supremum of `{ t : v(t) >= level }`; mirror of
     /// [`last_time_at_or_below`](Self::last_time_at_or_below) for falling
     /// victims.
@@ -439,14 +398,21 @@ impl Pwl {
     /// path producing the point stream.
     #[must_use]
     pub fn add_simplified_into(&self, other: &Pwl, tol: f64, buf: Vec<(f64, f64)>) -> Pwl {
-        let mut out =
-            SimplifyingBuilder::with_buffer(buf, self.points.len() + other.points.len(), tol);
+        let buf = Self::sink_buffer(buf, self.points.len() + other.points.len());
+        Pwl::from_builder(self.add_simplified_to(other, tol, buf))
+    }
+
+    /// The breakpoint stream of [`add_simplified`](Self::add_simplified),
+    /// handed point by point to `sink` — a buffer, or a consumer (the
+    /// delay-noise crossing tracker) that never stores the curve.
+    pub(crate) fn add_simplified_to<S: PointSink>(&self, other: &Pwl, tol: f64, sink: S) -> S {
+        let mut out = SimplifyingBuilder::new(sink, tol);
         let mut a = SegmentCursor::new(&self.points);
         let mut b = SegmentCursor::new(&other.points);
         merge_times(&self.points, &other.points, |t| {
             out.push(t, a.eval_monotone(t) + b.eval_monotone(t));
         });
-        Pwl { points: out.finish() }
+        out.finish()
     }
 
     /// `max(self - other, 0)` pointwise with collinear breakpoints pruned,
@@ -467,8 +433,20 @@ impl Pwl {
     /// allocating variant, which delegates here.
     #[must_use]
     pub fn sub_clamped_simplified_into(&self, other: &Pwl, tol: f64, buf: Vec<(f64, f64)>) -> Pwl {
-        let mut out =
-            SimplifyingBuilder::with_buffer(buf, self.points.len() + other.points.len(), tol);
+        let buf = Self::sink_buffer(buf, self.points.len() + other.points.len());
+        Pwl::from_builder(self.sub_clamped_simplified_to(other, tol, buf))
+    }
+
+    /// The breakpoint stream of
+    /// [`sub_clamped_simplified`](Self::sub_clamped_simplified), handed
+    /// point by point to `sink`.
+    pub(crate) fn sub_clamped_simplified_to<S: PointSink>(
+        &self,
+        other: &Pwl,
+        tol: f64,
+        sink: S,
+    ) -> S {
+        let mut out = SimplifyingBuilder::new(sink, tol);
         let mut a = SegmentCursor::new(&self.points);
         let mut b = SegmentCursor::new(&other.points);
         // Difference at the previous merged time, for crossing detection.
@@ -488,7 +466,25 @@ impl Pwl {
             prev = Some((t, d));
             out.push(t, d.max(0.0));
         });
-        Pwl { points: out.finish() }
+        out.finish()
+    }
+
+    /// A recycled buffer readied as a point sink: cleared and grown to
+    /// `capacity`. Its old contents never influence the output, so
+    /// recycled and fresh buffers produce identical points.
+    fn sink_buffer(mut buf: Vec<(f64, f64)>, capacity: usize) -> Vec<(f64, f64)> {
+        buf.clear();
+        buf.reserve(capacity);
+        buf
+    }
+
+    /// Wraps a builder's output buffer.
+    fn from_builder(points: Vec<(f64, f64)>) -> Pwl {
+        debug_assert!(
+            !points.is_empty() && points.windows(2).all(|w| w[0].0 < w[1].0),
+            "builder output times must strictly increase"
+        );
+        Pwl { points }
     }
 
     /// Whether `self(t) >= other(t) - tol` for every `t` in `interval`.
@@ -496,19 +492,42 @@ impl Pwl {
     /// This is the *encapsulation* primitive behind the paper's dominance
     /// relation: both curves are linear between their merged breakpoints,
     /// so checking the merged breakpoints (clipped to the interval) plus the
-    /// interval endpoints is exact.
+    /// interval endpoints is exact. One ascending walk over both
+    /// breakpoint lists, with a cursor per curve.
     #[must_use]
     pub fn ge_over(&self, other: &Pwl, interval: TimeInterval, tol: f64) -> bool {
-        let check = |t: f64| self.eval(t) >= other.eval(t) - tol;
-        if !check(interval.lo()) || !check(interval.hi()) {
+        let (a, b) = (&self.points, &other.points);
+        let mut ca = SegmentCursor::new(a);
+        let mut cb = SegmentCursor::new(b);
+        let mut holds = |t: f64| ca.eval_monotone(t) >= cb.eval_monotone(t) - tol;
+        if !holds(interval.lo()) {
             return false;
         }
-        self.points
-            .iter()
-            .chain(other.points.iter())
-            .map(|&(t, _)| t)
-            .filter(|&t| interval.contains(t))
-            .all(check)
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let t = match (a.get(i), b.get(j)) {
+                (Some(&(ta, _)), Some(&(tb, _))) if ta <= tb => {
+                    i += 1;
+                    ta
+                }
+                (Some(&(ta, _)), None) => {
+                    i += 1;
+                    ta
+                }
+                (_, Some(&(tb, _))) => {
+                    j += 1;
+                    tb
+                }
+                (None, None) => break,
+            };
+            if t > interval.hi() {
+                break;
+            }
+            if t >= interval.lo() && !holds(t) {
+                return false;
+            }
+        }
+        holds(interval.hi())
     }
 
     /// Consumes the curve, returning its breakpoint buffer for recycling
@@ -532,7 +551,7 @@ impl Pwl {
 /// The time the segment `(t0, v0) -> (t1, v1)`, whose left value is at or
 /// below `level`, crosses it — the interpolation step of
 /// [`Pwl::last_time_at_or_below`] (which explains why it is exact).
-fn upward_crossing((t0, v0): (f64, f64), (t1, v1): (f64, f64), level: f64) -> f64 {
+pub(crate) fn upward_crossing((t0, v0): (f64, f64), (t1, v1): (f64, f64), level: f64) -> f64 {
     if v1 <= v0 {
         // Unreachable for curves upholding the scan invariant; kept as a
         // belt-and-braces guard against division by a non-positive span
@@ -544,49 +563,64 @@ fn upward_crossing((t0, v0): (f64, f64), (t1, v1): (f64, f64), level: f64) -> f6
 
 /// Calls `visit` with the merged, EPS-deduplicated breakpoint times of
 /// both point lists, in ascending order, without materializing them.
+/// Ties take `a`'s time first; each time is deduplicated against the
+/// last one visited, whichever list it came from.
 fn merge_times(a: &[(f64, f64)], b: &[(f64, f64)], mut visit: impl FnMut(f64)) {
     let (mut i, mut j) = (0, 0);
     let mut last: Option<f64> = None;
-    let mut emit = |t: f64, visit: &mut dyn FnMut(f64)| {
-        if !matches!(last, Some(l) if (t - l).abs() <= EPS) {
+    let mut emit = |t: f64| {
+        if last.is_none_or(|l| (t - l).abs() > EPS) {
             visit(t);
             last = Some(t);
         }
     };
     while i < a.len() && j < b.len() {
         if a[i].0 <= b[j].0 {
-            emit(a[i].0, &mut visit);
+            emit(a[i].0);
             i += 1;
         } else {
-            emit(b[j].0, &mut visit);
+            emit(b[j].0);
             j += 1;
         }
     }
-    while i < a.len() {
-        emit(a[i].0, &mut visit);
-        i += 1;
+    for &(t, _) in &a[i..] {
+        emit(t);
     }
-    while j < b.len() {
-        emit(b[j].0, &mut visit);
-        j += 1;
+    for &(t, _) in &b[j..] {
+        emit(t);
     }
+}
+
+/// Value at `t` of the segment `(t0, v0) -> (t1, v1)` with `t0 <= t`,
+/// exactly as [`Pwl::eval`] interpolates. At `t == t0` the division is
+/// skipped: `(v1 - v0) * 0.0 / (t1 - t0)` is a zero carrying the sign of
+/// `v1 - v0`, so adding that signed zero to `v0` is bit for bit the
+/// interpolated value (it differs from `v0` only when `v0` is `-0.0`).
+pub(crate) fn segment_value((t0, v0): (f64, f64), (t1, v1): (f64, f64), t: f64) -> f64 {
+    if t1 - t0 <= EPS {
+        return v1;
+    }
+    if t == t0 {
+        return v0 + 0.0_f64.copysign(v1 - v0);
+    }
+    v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 }
 
 /// Evaluates one curve at a non-decreasing sequence of times in overall
 /// linear time, replacing the per-time binary search of [`Pwl::eval`].
-struct SegmentCursor<'a> {
+pub(crate) struct SegmentCursor<'a> {
     pts: &'a [(f64, f64)],
     /// Index of the first breakpoint strictly after the last queried time.
     idx: usize,
 }
 
 impl<'a> SegmentCursor<'a> {
-    fn new(pts: &'a [(f64, f64)]) -> Self {
+    pub(crate) fn new(pts: &'a [(f64, f64)]) -> Self {
         Self { pts, idx: 0 }
     }
 
     /// Value at `t`; callers must query with non-decreasing `t`.
-    fn eval_monotone(&mut self, t: f64) -> f64 {
+    pub(crate) fn eval_monotone(&mut self, t: f64) -> f64 {
         let pts = self.pts;
         while self.idx < pts.len() && pts[self.idx].0 <= t {
             self.idx += 1;
@@ -594,36 +628,52 @@ impl<'a> SegmentCursor<'a> {
         if self.idx == 0 {
             return pts[0].1; // constant extension on the left
         }
-        let (t0, v0) = pts[self.idx - 1];
         if self.idx == pts.len() {
             return pts[pts.len() - 1].1; // constant extension on the right
         }
-        let (t1, v1) = pts[self.idx];
-        if t1 - t0 <= EPS {
-            return v1;
-        }
-        v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        segment_value(pts[self.idx - 1], pts[self.idx], t)
     }
 }
 
-/// Streaming breakpoint sink that prunes collinear interior points on the
-/// fly, reproducing [`Pwl::simplified`]'s keep/drop decisions (chord from
-/// the last kept point to the immediate next point) without a second pass.
-struct SimplifyingBuilder {
-    out: Vec<(f64, f64)>,
+/// Receiver of a finished breakpoint stream, in ascending time order: a
+/// buffer that becomes a curve, or a consumer that measures the curve
+/// without storing it.
+pub(crate) trait PointSink {
+    /// Takes the next breakpoint.
+    fn push_point(&mut self, t: f64, v: f64);
+}
+
+impl PointSink for Vec<(f64, f64)> {
+    fn push_point(&mut self, t: f64, v: f64) {
+        self.push((t, v));
+    }
+}
+
+impl<S: PointSink> PointSink for &mut S {
+    fn push_point(&mut self, t: f64, v: f64) {
+        (**self).push_point(t, v);
+    }
+}
+
+/// Streaming breakpoint filter that prunes collinear interior points on
+/// the fly, reproducing [`Pwl::simplified`]'s keep/drop decisions (chord
+/// from the last kept point to the immediate next point) without a second
+/// pass, and forwarding each point to its sink once it is final.
+struct SimplifyingBuilder<S> {
+    sink: S,
+    /// Last kept point, the chord's anchor. Until `pending` is first set
+    /// this is the curve's first point, which a successor within EPS may
+    /// still overwrite; it reaches the sink only when a second distinct
+    /// point arrives.
+    last: Option<(f64, f64)>,
     /// Interior point whose keep/drop decision waits on its successor.
     pending: Option<(f64, f64)>,
     tol: f64,
 }
 
-impl SimplifyingBuilder {
-    /// A builder writing into a recycled buffer. The buffer is cleared and
-    /// grown to `capacity`; its existing contents never influence the
-    /// output, so recycled and fresh buffers produce identical points.
-    fn with_buffer(mut buf: Vec<(f64, f64)>, capacity: usize, tol: f64) -> Self {
-        buf.clear();
-        buf.reserve(capacity);
-        Self { out: buf, pending: None, tol }
+impl<S: PointSink> SimplifyingBuilder<S> {
+    fn new(sink: S, tol: f64) -> Self {
+        Self { sink, last: None, pending: None, tol }
     }
 
     /// Appends a breakpoint; times must be non-decreasing. A point within
@@ -635,40 +685,38 @@ impl SimplifyingBuilder {
                 p.1 = v;
                 return;
             }
-        } else if let Some(last) = self.out.last_mut() {
-            if t - last.0 <= EPS {
-                last.1 = v;
+        } else if let Some(first) = &mut self.last {
+            if t - first.0 <= EPS {
+                first.1 = v;
                 return;
             }
         }
-        let Some(last) = self.out.last().copied() else {
-            self.out.push((t, v));
+        let Some((t0, v0)) = self.last else {
+            self.last = Some((t, v));
             return;
         };
         let Some((t1, v1)) = self.pending else {
+            // A second distinct point: the first can no longer change.
+            self.sink.push_point(t0, v0);
             self.pending = Some((t, v));
             return;
         };
         // Decide the held interior point against the chord last -> (t, v).
-        let (t0, v0) = last;
         let predicted =
             if (t - t0).abs() <= EPS { v0 } else { v0 + (v - v0) * (t1 - t0) / (t - t0) };
         if (v1 - predicted).abs() > self.tol {
-            self.out.push((t1, v1));
+            self.sink.push_point(t1, v1);
+            self.last = Some((t1, v1));
         }
         self.pending = Some((t, v));
     }
 
-    /// Final breakpoint list; the last point is always kept.
-    fn finish(mut self) -> Vec<(f64, f64)> {
-        if let Some(p) = self.pending.take() {
-            self.out.push(p);
+    /// Flushes the final point (always kept) and returns the sink.
+    fn finish(mut self) -> S {
+        if let Some((t, v)) = self.pending.or(self.last) {
+            self.sink.push_point(t, v);
         }
-        debug_assert!(
-            self.out.windows(2).all(|w| w[0].0 < w[1].0),
-            "builder output times must strictly increase"
-        );
-        self.out
+        self.sink
     }
 }
 
@@ -965,6 +1013,22 @@ mod tests {
             assert_eq!(z.eval(t).max(0.0), z.eval(t));
             assert!(z.eval(t) <= 1e-12);
         }
+    }
+
+    #[test]
+    fn builder_forwards_the_first_point_only_once_it_is_final() {
+        // While nothing is pending, a successor within EPS overwrites the
+        // first point; a sink that never stores the curve must not have
+        // seen the stale value.
+        let mut seen: Vec<(f64, f64)> = Vec::new();
+        let mut b = SimplifyingBuilder::new(&mut seen, EPS);
+        b.push(0.0, 0.1);
+        b.push(0.5 * EPS, 0.2);
+        b.push(1.0, 0.3);
+        b.push(1.0 + 0.5 * EPS, 0.4);
+        b.push(2.0, 0.1);
+        b.finish();
+        assert_eq!(seen, vec![(0.0, 0.2), (1.0, 0.4), (2.0, 0.1)]);
     }
 
     #[test]

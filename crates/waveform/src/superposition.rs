@@ -10,7 +10,8 @@
 //! noise is the rightward shift of the final 50 % crossing, floored at
 //! zero (noise can never help the worst case in this bounding framework).
 
-use crate::{Edge, Envelope, Pwl, Transition};
+use crate::pwl::{segment_value, upward_crossing, PointSink, SegmentCursor};
+use crate::{Edge, Envelope, Pwl, Transition, EPS};
 
 /// The noisy victim waveform: the transition with the envelope superimposed
 /// in the delay-increasing direction.
@@ -43,29 +44,194 @@ pub fn noisy_waveform(victim: &Transition, envelope: &Envelope) -> Pwl {
 ///
 /// Returns the noiseless `t50` when the envelope cannot produce a later
 /// crossing.
-///
-/// Allocation-free: the crossing is streamed over the clean ramp (held on
-/// the stack) and the envelope's breakpoints, bit-identical to measuring
-/// [`noisy_waveform`] with `last_time_at_or_below(0.5)` (rising) or
-/// `last_time_at_or_above(0.5)` (falling), which the falling edge reaches
-/// through `negated()` — hence its `-(c + e)` at level `-0.5`.
 #[must_use]
 pub fn noisy_t50(victim: &Transition, envelope: &Envelope) -> f64 {
     if envelope.is_zero() {
         return victim.t50();
     }
+    floored_t50(victim, final_crossing(victim, envelope))
+}
+
+/// The final 50 %-Vdd crossing of the noisy victim waveform, before
+/// [`noisy_t50`] floors it at the noiseless `t50`: bit for bit
+/// [`noisy_waveform`] measured with `last_time_at_or_below(0.5)`
+/// (rising) or `last_time_at_or_above(0.5)` (falling), `±INFINITY`
+/// included.
+///
+/// Allocation-free: the crossing is streamed over the clean ramp (held on
+/// the stack) and the envelope's breakpoints by a `CrossingTracker` —
+/// the same tracker that scores an envelope sum or difference without
+/// building it ([`Envelope::sum_delay_noise`],
+/// [`Envelope::saturating_sub_delay_noise`]).
+#[must_use]
+pub fn final_crossing(victim: &Transition, envelope: &Envelope) -> f64 {
+    let (_, crossing) = track(victim, |tracker| {
+        for &(t, v) in envelope.as_pwl().points() {
+            tracker.push_point(t, v);
+        }
+    });
+    crossing
+}
+
+/// Delay noise of the envelope whose breakpoints `feed` streams into the
+/// tracker it is handed: bit for bit [`delay_noise`] of that envelope once
+/// built, zero-envelope rule included, but no point is stored.
+pub(crate) fn streamed_delay_noise(
+    victim: &Transition,
+    feed: impl FnOnce(&mut CrossingTracker<'_>),
+) -> f64 {
+    let (peak, crossing) = track(victim, feed);
+    // `Envelope::is_zero` of the streamed curve.
+    let t50 = if peak.max(0.0) <= EPS { victim.t50() } else { floored_t50(victim, crossing) };
+    (t50 - victim.t50()).max(0.0)
+}
+
+/// Runs `feed` against a tracker for `victim`'s ramp and edge: the
+/// streamed envelope's raw peak and the final crossing.
+fn track(victim: &Transition, feed: impl FnOnce(&mut CrossingTracker<'_>)) -> (f64, f64) {
     let (ramp, n) = victim.ramp_points();
-    let (clean, env) = (&ramp[..n], envelope.as_pwl());
-    let crossing = match victim.edge() {
-        Edge::Rising => Pwl::last_time_combined_at_or_below(clean, env, |c, e| c - e, 0.5),
-        Edge::Falling => Pwl::last_time_combined_at_or_below(clean, env, |c, e| -(c + e), -0.5),
-    };
+    let mut tracker = CrossingTracker::new(&ramp[..n], victim.edge());
+    feed(&mut tracker);
+    tracker.finish()
+}
+
+/// `crossing` floored at the noiseless `t50`; a crossing at `±INFINITY`
+/// (the waveform never settles, or the envelope never disturbs it) is the
+/// noiseless `t50` itself.
+fn floored_t50(victim: &Transition, crossing: f64) -> f64 {
     if crossing.is_finite() {
         crossing.max(victim.t50())
     } else {
-        // Envelope never lets the waveform settle (cannot happen for
-        // envelopes with decaying tails) or never disturbs it.
         victim.t50()
+    }
+}
+
+/// Point sink measuring where the noisy victim waveform last sits at or
+/// below 50 % Vdd while the envelope's breakpoints stream in.
+///
+/// The noisy waveform is sampled at the merged, EPS-deduplicated
+/// breakpoint times of the clean ramp (at most 2) and the envelope, as
+/// the curve `+`/`-` operators sample it: `c - e` at level 0.5 for a
+/// rising victim, `-(c + e)` at −0.5 for a falling one (bit for bit the
+/// `negated()` of `c + e`). The envelope's value at a merged time equal
+/// to a breakpoint needs the breakpoint after it, so that one time is
+/// held until the next breakpoint or the end of the stream. The tracker
+/// keeps the previous sample and the last segment whose left value is at
+/// or below the level — the one a right-to-left scan of the built curve
+/// stops at — and the envelope's raw peak, for the zero-envelope rule.
+pub(crate) struct CrossingTracker<'r> {
+    /// Clean ramp breakpoints, and the first one not yet merged.
+    ramp: &'r [(f64, f64)],
+    next_ramp: usize,
+    ramp_at: SegmentCursor<'r>,
+    falling: bool,
+    level: f64,
+    /// Last merged time emitted, from either source (`-INFINITY` before
+    /// the first).
+    last_time: f64,
+    /// The emitted time equal to the latest breakpoint, whose envelope
+    /// value waits on the next one.
+    held: Option<f64>,
+    /// The latest envelope breakpoint.
+    env_last: Option<(f64, f64)>,
+    /// Raw maximum of the envelope values (`Envelope`'s cached peak).
+    peak: f64,
+    /// The previous sample; its value starts above every level.
+    prev: (f64, f64),
+    dip: Option<((f64, f64), (f64, f64))>,
+}
+
+impl<'r> CrossingTracker<'r> {
+    fn new(ramp: &'r [(f64, f64)], edge: Edge) -> Self {
+        let falling = edge == Edge::Falling;
+        Self {
+            ramp,
+            next_ramp: 0,
+            ramp_at: SegmentCursor::new(ramp),
+            falling,
+            level: if falling { -0.5 } else { 0.5 },
+            last_time: f64::NEG_INFINITY,
+            held: None,
+            env_last: None,
+            peak: f64::NEG_INFINITY,
+            prev: (f64::NAN, f64::INFINITY),
+            dip: None,
+        }
+    }
+
+    /// Whether merged time `t` is emitted: it must lie more than EPS
+    /// after the last one.
+    fn fresh(&mut self, t: f64) -> bool {
+        let fresh = (t - self.last_time).abs() > EPS;
+        if fresh {
+            self.last_time = t;
+        }
+        fresh
+    }
+
+    /// Samples the noisy waveform at merged time `t`, where the envelope
+    /// reads `e`.
+    fn sample(&mut self, t: f64, e: f64) {
+        let c = self.ramp_at.eval_monotone(t);
+        let p = (t, if self.falling { -(c + e) } else { c - e });
+        if self.prev.1 <= self.level {
+            self.dip = Some((self.prev, p));
+        }
+        self.prev = p;
+    }
+
+    /// Ends the stream: `(raw envelope peak, final crossing)`, the
+    /// crossing as `Pwl::last_time_at_or_below` reports it.
+    fn finish(mut self) -> (f64, f64) {
+        // Times at or after the last breakpoint read its value (the
+        // constant extension on the right).
+        let (_, v_last) = self.env_last.expect("an envelope has at least one breakpoint");
+        if let Some(h) = self.held.take() {
+            self.sample(h, v_last);
+        }
+        while let Some(&(r, _)) = self.ramp.get(self.next_ramp) {
+            self.next_ramp += 1;
+            if self.fresh(r) {
+                self.sample(r, v_last);
+            }
+        }
+        let crossing = if self.prev.1 <= self.level {
+            f64::INFINITY
+        } else {
+            self.dip.map_or(f64::NEG_INFINITY, |(p0, p1)| upward_crossing(p0, p1, self.level))
+        };
+        (self.peak, crossing)
+    }
+}
+
+impl PointSink for CrossingTracker<'_> {
+    fn push_point(&mut self, t: f64, v: f64) {
+        if v > self.peak {
+            self.peak = v;
+        }
+        // Envelope value at an emitted time before `t`: on the segment
+        // ending at (t, v), or the constant extension on the left.
+        let env_before = |env_last: Option<(f64, f64)>, s: f64| {
+            env_last.map_or(v, |p0| segment_value(p0, (t, v), s))
+        };
+        if let Some(h) = self.held.take() {
+            self.sample(h, env_before(self.env_last, h));
+        }
+        // Merge: ramp times at or before `t` go first, as in `merge_times`.
+        while let Some(&(r, _)) = self.ramp.get(self.next_ramp).filter(|&&(r, _)| r <= t) {
+            self.next_ramp += 1;
+            if self.fresh(r) {
+                if r < t {
+                    self.sample(r, env_before(self.env_last, r));
+                } else {
+                    self.held = Some(r);
+                }
+            }
+        }
+        if self.fresh(t) {
+            self.held = Some(t);
+        }
+        self.env_last = Some((t, v));
     }
 }
 
@@ -93,7 +259,7 @@ pub fn delay_noise(victim: &Transition, envelope: &Envelope) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NoisePulse, TimeInterval, EPS};
+    use crate::{NoisePulse, TimeInterval};
 
     fn victim() -> Transition {
         Transition::new(0.0, 10.0, Edge::Rising)

@@ -5,8 +5,16 @@
 //!   of a sum are consistent with its operands');
 //! * the `_into` arena kernels are bitwise identical to their
 //!   allocating twins, no matter what garbage the recycled buffer held;
-//! * the streaming delay-noise kernel behind `superposition::noisy_t50`
-//!   is bitwise identical to measuring the materialized noisy waveform.
+//! * the crossing tracker behind `superposition::final_crossing` and
+//!   `noisy_t50` is bitwise identical to measuring the materialized noisy
+//!   waveform;
+//! * the fused scorers `Envelope::sum_delay_noise` and
+//!   `saturating_sub_delay_noise` are bitwise identical to `delay_noise`
+//!   of the materialized sum and difference;
+//! * the linear `Pwl::ge_over` walk gives the same verdict as
+//!   evaluating both curves at every breakpoint by binary search;
+//! * the segment cursor's `t == t0` shortcut keeps the interpolated
+//!   value's signed zero.
 
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, Pwl, TimeInterval, Transition, EPS};
 use proptest::prelude::*;
@@ -107,24 +115,10 @@ fn reference_crossing(victim: &Transition, env: &Envelope) -> f64 {
     }
 }
 
-/// The streamed crossing before the `t50` floor, which would otherwise
-/// hide disagreements on early crossings and on the `±INFINITY` cases.
-fn streamed_crossing(victim: &Transition, env: &Envelope) -> f64 {
-    let clean = victim.to_pwl();
-    match victim.edge() {
-        Edge::Rising => {
-            Pwl::last_time_combined_at_or_below(clean.points(), env.as_pwl(), |c, e| c - e, 0.5)
-        }
-        Edge::Falling => {
-            Pwl::last_time_combined_at_or_below(clean.points(), env.as_pwl(), |c, e| -(c + e), -0.5)
-        }
-    }
-}
-
 /// Bit-equality of the kernel and of `noisy_t50` with their references;
 /// the message names the case.
 fn check_bitwise(victim: &Transition, env: &Envelope) -> Result<(), String> {
-    let (got, want) = (streamed_crossing(victim, env), reference_crossing(victim, env));
+    let (got, want) = (superposition::final_crossing(victim, env), reference_crossing(victim, env));
     if got.to_bits() != want.to_bits() {
         return Err(format!("crossing {got} != {want} for {victim} and {}", env.as_pwl()));
     }
@@ -182,6 +176,244 @@ proptest! {
         let env = if clip { sum.clipped(TimeInterval::new(lo, lo + len)) } else { sum };
         let verdict = check_bitwise(&victim, &env);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// A combined envelope operand: a sum of 0–3 windowed pulses (the zero
+/// envelope when empty), optionally clipped to an analysis window.
+fn operand_strategy() -> impl Strategy<Value = Envelope> {
+    (
+        prop::collection::vec(windowed_strategy(), 0..4),
+        prop::bool::ANY,
+        (-15.0..15.0f64, 0.0..30.0f64),
+    )
+        .prop_map(|(parts, clip, (lo, len))| {
+            let sum = Envelope::sum_all(parts.iter());
+            if clip {
+                sum.clipped(TimeInterval::new(lo, lo + len))
+            } else {
+                sum
+            }
+        })
+}
+
+/// Bit-equality of both fused scorers with `delay_noise` of the
+/// materialized result; the message names the case.
+fn check_scorers(victim: &Transition, a: &Envelope, b: &Envelope) -> Result<(), String> {
+    let got = a.sum_delay_noise(b, victim);
+    let want = superposition::delay_noise(victim, &a.sum(b));
+    if got.to_bits() != want.to_bits() {
+        return Err(format!(
+            "sum_delay_noise {got} != {want} for {victim}: {} + {}",
+            a.as_pwl(),
+            b.as_pwl()
+        ));
+    }
+    let got = a.saturating_sub_delay_noise(b, victim);
+    let want = superposition::delay_noise(victim, &a.saturating_sub(b));
+    if got.to_bits() != want.to_bits() {
+        return Err(format!(
+            "saturating_sub_delay_noise {got} != {want} for {victim}: {} - {}",
+            a.as_pwl(),
+            b.as_pwl()
+        ));
+    }
+    Ok(())
+}
+
+fn assert_scorers(victim: &Transition, a: &Envelope, b: &Envelope) {
+    if let Err(msg) = check_scorers(victim, a, b) {
+        panic!("{msg}");
+    }
+}
+
+/// `Pwl::ge_over` as it was before the linear walk: a binary-search
+/// `eval` of both curves at the interval ends and at every breakpoint of
+/// either curve inside the interval.
+fn ge_over_reference(a: &Pwl, b: &Pwl, interval: TimeInterval, tol: f64) -> bool {
+    let check = |t: f64| a.eval(t) >= b.eval(t) - tol;
+    if !check(interval.lo()) || !check(interval.hi()) {
+        return false;
+    }
+    a.points()
+        .iter()
+        .chain(b.points())
+        .map(|&(t, _)| t)
+        .filter(|&t| interval.contains(t))
+        .all(check)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Both fused scorers on random operand pairs, zero operands
+    /// included, in both orders, and on the elimination shape (a total
+    /// minus one of its parts).
+    #[test]
+    fn fused_scorers_match_materialized_delay_noise(
+        victim in victim_strategy(),
+        a in operand_strategy(),
+        b in operand_strategy(),
+    ) {
+        let total = a.sum(&b);
+        for (x, y) in [(&a, &b), (&b, &a), (&total, &a), (&total, &b)] {
+            let verdict = check_scorers(&victim, x, y);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+    }
+
+    /// The linear `ge_over` walk against the binary-search reference, on
+    /// unrelated pairs and on near-copies (where the verdict hangs on the
+    /// tolerance).
+    #[test]
+    fn linear_ge_over_matches_binary_search_reference(
+        a in operand_strategy(),
+        b in operand_strategy(),
+        (lo, len) in (-25.0..25.0f64, 0.0..50.0f64),
+        scale in 0.999_999..1.000_001f64,
+        tol_pick in 0..3usize,
+    ) {
+        let tol = [0.0, EPS, 1e-3][tol_pick];
+        let iv = TimeInterval::new(lo, lo + len);
+        let near = a.scaled(scale);
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &near), (&near, &a), (&a, &a)] {
+            let (x, y) = (x.as_pwl(), y.as_pwl());
+            prop_assert!(
+                x.ge_over(y, iv, tol) == ge_over_reference(x, y, iv, tol),
+                "ge_over({}, {}, {}, {}) disagrees with the reference", x, y, iv, tol
+            );
+        }
+    }
+}
+
+/// Operand breakpoints within `EPS` of either ramp end, of the ramp's
+/// `t50`, and of each other — including operands whose first
+/// breakpoints lie within `EPS` of each other, where the merge keeps
+/// only the first of the pair.
+#[test]
+fn fused_scorers_with_near_coincident_breakpoints() {
+    for edge in edges() {
+        let victim = Transition::new(2.0, 10.0, edge);
+        for anchor in [victim.start(), victim.t50(), victim.end()] {
+            for ka in -3..=3 {
+                for kb in -3..=3 {
+                    let ta = anchor + f64::from(ka) * 0.5 * EPS;
+                    let tb = anchor + f64::from(kb) * 0.5 * EPS;
+                    for peak in [0.3, 0.6, 0.9] {
+                        let rise =
+                            Envelope::from_pulse(&NoisePulse::new(ta, ta + 2.0, peak, ta + 4.0));
+                        let same_start =
+                            Envelope::from_pulse(&NoisePulse::new(tb, tb + 1.0, peak, tb + 3.0));
+                        let apex =
+                            Envelope::from_pulse(&NoisePulse::new(tb - 4.0, tb, peak, tb + 3.0));
+                        let fall =
+                            Envelope::from_pulse(&NoisePulse::new(tb - 3.0, tb - 1.0, peak, tb));
+                        for (x, y) in [
+                            (&rise, &same_start),
+                            (&same_start, &rise),
+                            (&rise, &apex),
+                            (&apex, &rise),
+                            (&rise, &fall),
+                            (&fall, &rise),
+                            (&apex, &fall),
+                        ] {
+                            assert_scorers(&victim, x, y);
+                            assert_scorers(&victim, &x.sum(y), y);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A ramp end exactly on an envelope breakpoint reads that breakpoint's
+/// own value. Interpolating the segment that ends there instead gives
+/// `v0 + (v1 - v0)`, one ulp off `v1` for these values, and the sample
+/// lies on the final dip, so the crossing would move.
+#[test]
+fn ramp_end_on_a_breakpoint_reads_the_breakpoint_value() {
+    let (v0, v1) = (0.144_329_896_907_216_48, 0.646_919_431_279_620_8);
+    assert_ne!(v0 + (v1 - v0) * 4.0 / 4.0, v1, "the case needs a lossy interpolation");
+    let curve = Pwl::new(vec![(2.0, 0.0), (6.0, v0), (10.0, v1), (14.0, 0.0)]).unwrap();
+    let env = Envelope::from_curve(&curve);
+    let far = Envelope::from_pulse(&NoisePulse::symmetric(30.0, 0.1, 4.0));
+    for edge in edges() {
+        let victim = Transition::new(0.0, 10.0, edge);
+        assert_bitwise(&victim, &env);
+        assert_scorers(&victim, &env, &far);
+        assert_scorers(&victim, &env.sum(&far), &far);
+    }
+}
+
+/// Zero operands take the short-circuits: a zero addend scores as the
+/// other operand alone, subtracting zero scores the minuend, and a
+/// cancelled difference scores zero.
+#[test]
+fn fused_scorers_short_circuit_zero_operands() {
+    let pulse = Envelope::from_pulse(&NoisePulse::symmetric(4.0, 0.4, 4.0));
+    for edge in edges() {
+        for slew in [10.0, 0.5e-9] {
+            let victim = Transition::new(1.0, slew, edge);
+            let z = Envelope::zero();
+            for (x, y) in [(&z, &pulse), (&pulse, &z), (&z, &z), (&pulse, &pulse)] {
+                assert_scorers(&victim, x, y);
+            }
+            let alone = superposition::delay_noise(&victim, &pulse);
+            assert_eq!(z.sum_delay_noise(&pulse, &victim).to_bits(), alone.to_bits());
+            assert_eq!(pulse.saturating_sub_delay_noise(&z, &victim).to_bits(), alone.to_bits());
+            assert_eq!(pulse.saturating_sub_delay_noise(&pulse, &victim), 0.0);
+        }
+    }
+}
+
+/// `v0` with the interpolation's signed zero: what `(a + b)` samples at
+/// `t`, by the full division formula and without the `t == t0`
+/// shortcut.
+fn reference_value(pts: &[(f64, f64)], t: f64) -> f64 {
+    let idx = pts.partition_point(|&(pt, _)| pt <= t);
+    if idx == 0 {
+        return pts[0].1;
+    }
+    if idx == pts.len() {
+        return pts[pts.len() - 1].1;
+    }
+    let ((t0, v0), (t1, v1)) = (pts[idx - 1], pts[idx]);
+    if t1 - t0 <= EPS {
+        return v1;
+    }
+    v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+}
+
+/// Breakpoints holding `-0.0`: the cursor's `t == t0` shortcut must
+/// return the same signed zero as the division it skips, which a sum of
+/// two `-0.0` samples makes visible in the output bits.
+#[test]
+fn cursor_shortcut_keeps_signed_zeros() {
+    let a = Pwl::new(vec![(0.0, -0.0), (1.0, -0.0), (2.0, 0.5), (3.0, -0.0), (5.0, -0.0)]).unwrap();
+    let b =
+        Pwl::new(vec![(0.0, -0.0), (1.5, -0.0), (3.0, 0.25), (4.0, -0.0), (5.0, -0.0)]).unwrap();
+    for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+        let mut times: Vec<f64> = x.points().iter().chain(y.points()).map(|&(t, _)| t).collect();
+        times.sort_by(f64::total_cmp);
+        times.dedup_by(|t, last| (*t - *last).abs() <= EPS);
+        let sampled = times
+            .iter()
+            .map(|&t| (t, reference_value(x.points(), t) + reference_value(y.points(), t)))
+            .collect();
+        let want = Pwl::new(sampled).unwrap().simplified(EPS);
+        let got = x.add_simplified(y, EPS);
+        let bits = |p: &Pwl| -> Vec<(u64, u64)> {
+            p.points().iter().map(|&(t, v)| (t.to_bits(), v.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "{x} + {y}");
+    }
+    // The same curves as (unchecked) envelopes through the fused scorers.
+    let (ea, eb) = (Envelope::from_pwl_unchecked(a), Envelope::from_pwl_unchecked(b));
+    for edge in edges() {
+        let victim = Transition::new(0.5, 3.0, edge);
+        assert_scorers(&victim, &ea, &eb);
+        assert_scorers(&victim, &eb, &ea);
     }
 }
 
