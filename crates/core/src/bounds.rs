@@ -116,7 +116,7 @@ impl Corridor {
     /// [`Pwl`] merges breakpoints closer than [`EPS`] and extends
     /// constantly past its endpoints, so the box edges are built as
     /// steeper-than-vertical ramps *outside* the support (the same
-    /// `RAMP` idiom as [`Envelope::clipped`]) — the flat top covers the
+    /// `RAMP` idiom as [`Envelope::clipped`](dna_waveform::Envelope::clipped)) — the flat top covers the
     /// whole support exactly and the overshoot only widens the upper
     /// bound, which stays sound.
     #[must_use]
@@ -211,7 +211,8 @@ impl Corridor {
     /// Transfer function of clipping to `interval` (zero outside).
     ///
     /// The upper bound keeps its interior values with ramped edges just
-    /// outside the interval ([`Envelope::clipped`]'s geometry), so its
+    /// outside the interval
+    /// ([`Envelope::clipped`](dna_waveform::Envelope::clipped)'s geometry), so its
     /// in-interval peak is exact. The lower bound collapses to zero —
     /// envelope curves are non-negative, so zero is always a valid lower
     /// bound, and refutation only ever consults the upper side.

@@ -139,14 +139,14 @@ fn victim_lists(
                 set = grown;
                 delta = (delta + dn).min(window_noise);
                 let narrowed = p.primary_envelope(v, info, -delta);
-                let removal = p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed);
+                let removal = env.saturating_sub(&narrowed);
                 atoms.push(RemovalAtom::new(set.clone(), removal));
             }
             // Individual wideners: a lower-ranked widener can still be
             // the best *single* fix when the top one is spoken for.
             for &(cc, dn) in wideners.iter().take(WIDENER_POOL).skip(1) {
                 let narrowed = p.primary_envelope(v, info, -dn.min(window_noise));
-                let removal = p.primary_envelope(v, info, 0.0).saturating_sub(&narrowed);
+                let removal = env.saturating_sub(&narrowed);
                 atoms.push(RemovalAtom::new(CouplingSet::singleton(cc), removal));
             }
         }

@@ -143,7 +143,7 @@ impl SchedStats {
     }
 
     /// Envelope scratch buffers served from the per-worker arena free
-    /// lists instead of fresh allocations (see [`crate::arena`]).
+    /// lists instead of fresh allocations (the crate's scratch arena).
     #[must_use]
     pub fn arena_reused(&self) -> u64 {
         self.arena_reused

@@ -20,7 +20,7 @@
 //!   artifact (the `whatif --save` format) and exit; the bytes are kept
 //!   in the manager and the next request resumes from them — the
 //!   16–86× cold-load win, now automatic. A resume rejected with a
-//!   typed [`ArtifactError`] falls back to a from-scratch session and
+//!   typed [`ArtifactError`](crate::ArtifactError) falls back to a from-scratch session and
 //!   the *response* that triggered the reload carries the
 //!   classification (`corrupt` / `truncated` / `version skew` /
 //!   `fingerprint mismatch`), so operators can tell a stale cache from
@@ -48,7 +48,7 @@
 //! * **Crash-safe durability (opt-in).** A manager created with
 //!   [`SessionManager::new_durable`] keeps one artifact *chain* per
 //!   tenant on disk (delta-append commits via
-//!   [`commit_chain`](crate::commit_chain)) plus an append-only
+//!   [`commit_chain`]) plus an append-only
 //!   [`registry`] manifest, both under the write-ahead discipline:
 //!   nothing is acknowledged before it is `fsync`ed, and the chain
 //!   commits *before* the registry witnesses the new generation. After
@@ -1286,7 +1286,7 @@ impl SessionManager {
     /// circuit through `load_circuit`, verify its fingerprint, load the
     /// chain leniently (salvaging the longest committed prefix),
     /// truncate any torn tail *in place*, and register the tenant cold
-    /// ([`TenantState::Durable`]). A tenant whose circuit is missing,
+    /// (the `Durable` tenant state). A tenant whose circuit is missing,
     /// changed, or whose chain is beyond salvage is quarantined with a
     /// typed reason — recovery never aborts the daemon. Stray `.tmp`
     /// files from checkpoint renames that never happened are removed.

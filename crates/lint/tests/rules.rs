@@ -267,18 +267,17 @@ fn l025_envelope_cache_stale() {
         honest.peak() * 2.0,
         honest.peak_time(),
         honest.support_lo(),
-        honest.support_hi(),
     );
     let diags = lint_envelope(&stale_peak);
     assert!(diags.has(Rule::EnvelopeCacheStale), "{}", diags.render_text());
 
-    // A lying support interval.
+    // A lying support lower bound (the upper bound and the release time
+    // are always derived from the curve).
     let stale_support = Envelope::with_cached_bounds_unchecked(
         honest.as_pwl().clone(),
         honest.peak(),
         honest.peak_time(),
         honest.support_lo() + 100.0,
-        honest.support_hi() + 100.0,
     );
     let diags = lint_envelope(&stale_support);
     assert!(diags.has(Rule::EnvelopeCacheStale), "{}", diags.render_text());
@@ -289,7 +288,6 @@ fn l025_envelope_cache_stale() {
         honest.peak(),
         honest.peak_time(),
         honest.support_lo(),
-        honest.support_hi(),
     );
     assert!(lint_envelope(&copied).is_empty());
 }

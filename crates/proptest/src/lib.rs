@@ -198,7 +198,7 @@ pub mod prop {
             VecStrategy { element, size: size.into() }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

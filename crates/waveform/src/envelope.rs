@@ -44,7 +44,18 @@ pub struct Envelope {
     support_lo: f64,
     /// Cached support upper bound, mirror of `support_lo`.
     support_hi: f64,
+    /// Cached release time: from here on every breakpoint is below
+    /// [`RELEASE_LEVEL`], so the envelope alone can no longer pull a
+    /// saturated victim back to 50 % (the tail cut of
+    /// [`superposition::final_crossing`]).
+    release: f64,
 }
+
+/// The level an envelope breakpoint must stay below to count as
+/// released: [`superposition::GUARD`] under 50 % Vdd, a margin far wider
+/// than the rounding of any sum, difference or interpolation that reads
+/// it.
+const RELEASE_LEVEL: f64 = 0.5 - superposition::GUARD;
 
 /// Cached bounds equality ignores the cache: two envelopes are equal when
 /// their curves are (honest caches are a pure function of the curve).
@@ -55,13 +66,15 @@ impl PartialEq for Envelope {
 }
 
 impl Envelope {
-    /// Wraps a curve, computing the cached peak/support bounds in one scan.
+    /// Wraps a curve, computing the cached peak/support/release bounds in
+    /// one scan.
     fn from_raw(curve: Pwl) -> Self {
         let pts = curve.points();
         let mut peak = f64::NEG_INFINITY;
         let mut peak_time = pts.first().map_or(0.0, |p| p.0);
         let mut lo_idx = None;
         let mut hi_idx = None;
+        let mut high_idx = None;
         for (i, &(t, v)) in pts.iter().enumerate() {
             if v > peak {
                 peak = v;
@@ -70,6 +83,10 @@ impl Envelope {
             if v.abs() > EPS {
                 lo_idx.get_or_insert(i);
                 hi_idx = Some(i);
+            }
+            // A NaN value counts as high: nothing is known about it.
+            if v >= RELEASE_LEVEL || v.is_nan() {
+                high_idx = Some(i);
             }
         }
         let (support_lo, support_hi) = match (lo_idx, hi_idx) {
@@ -86,7 +103,13 @@ impl Envelope {
             // Identically (near-)zero curve: empty support.
             _ => (f64::INFINITY, f64::NEG_INFINITY),
         };
-        Self { curve, peak, peak_time, support_lo, support_hi }
+        // The breakpoint after the last high one; a high last breakpoint
+        // stays high forever through the constant extension.
+        let release = match high_idx {
+            None => f64::NEG_INFINITY,
+            Some(h) => pts.get(h + 1).map_or(f64::INFINITY, |p| p.0),
+        };
+        Self { curve, peak, peak_time, support_lo, support_hi, release }
     }
 
     /// The identically-zero envelope (no noise).
@@ -175,28 +198,32 @@ impl Envelope {
         Self::from_raw(curve)
     }
 
-    /// Builds an envelope with **caller-supplied cached bounds**, bypassing
-    /// the one-scan bound computation every checked constructor performs.
+    /// Builds an envelope with a **caller-supplied cached peak, peak time
+    /// and support lower bound**, bypassing the one-scan bound computation
+    /// every checked constructor performs.
     ///
-    /// Nothing validates that `peak`, `peak_time` and the support interval
-    /// agree with `curve`, so the dominance prefilter
-    /// ([`may_encapsulate`](Self::may_encapsulate)) can be driven to wrong
-    /// answers. Intended only for IR-level tooling — the `dna-lint` rule
-    /// `L025` (stale envelope cache) exists to catch exactly such values,
-    /// and its known-bad test corpus is built through this constructor.
+    /// Nothing validates that those values agree with `curve`, so the
+    /// dominance prefilter ([`may_encapsulate`](Self::may_encapsulate)) can
+    /// be driven to wrong answers. The support upper bound and the
+    /// [`release`](Self::release) time are still derived from the curve:
+    /// the fused scorers' tail cut trusts them, and a lie there would
+    /// change a delay noise rather than a pruning decision. Intended only
+    /// for IR-level tooling — the `dna-lint` rule `L025` (stale envelope
+    /// cache) exists to catch exactly such values, and its known-bad test
+    /// corpus is built through this constructor.
     #[must_use]
     pub fn with_cached_bounds_unchecked(
         curve: Pwl,
         peak: f64,
         peak_time: f64,
         support_lo: f64,
-        support_hi: f64,
     ) -> Self {
-        Self { curve, peak, peak_time, support_lo, support_hi }
+        Self { peak, peak_time, support_lo, ..Self::from_raw(curve) }
     }
 
-    /// Whether the cached peak/support bounds agree with the underlying
-    /// curve — always true for envelopes from checked constructors; only
+    /// Whether the cached peak/support/release bounds agree with the
+    /// underlying curve — always true for envelopes from checked
+    /// constructors; only
     /// [`with_cached_bounds_unchecked`](Self::with_cached_bounds_unchecked)
     /// can produce a stale cache. Backs the lint rule `L025`.
     #[must_use]
@@ -207,6 +234,7 @@ impl Envelope {
             && same(self.peak_time, honest.peak_time)
             && same(self.support_lo, honest.support_lo)
             && same(self.support_hi, honest.support_hi)
+            && same(self.release, honest.release)
     }
 
     /// The underlying piecewise-linear curve.
@@ -246,6 +274,21 @@ impl Envelope {
     #[must_use]
     pub fn support_hi(&self) -> f64 {
         self.support_hi
+    }
+
+    /// Cached release time: every breakpoint at or after it is below
+    /// `0.5 -` [`GUARD`](superposition::GUARD). It is the breakpoint after
+    /// the last one that is not; `f64::INFINITY` when that one is the
+    /// last breakpoint (a tail that never decays below the level),
+    /// `f64::NEG_INFINITY` when no breakpoint reaches the level.
+    ///
+    /// Past both `release()` and the end of a victim ramp, the noisy
+    /// waveform cannot come back to 50 %: the delay-noise measurement
+    /// stops reading breakpoints there (the tail cut of
+    /// [`superposition::final_crossing`]).
+    #[must_use]
+    pub fn release(&self) -> f64 {
+        self.release
     }
 
     /// Maximum magnitude within `interval`.
@@ -317,13 +360,16 @@ impl Envelope {
         if other.is_zero() {
             return superposition::delay_noise(victim, self);
         }
-        superposition::streamed_delay_noise(victim, |tracker| {
+        // Past `a.release` and `b.support_hi`, `a + b` stays under the
+        // release level plus EPS — and symmetrically; either time will do.
+        let release = self.release.max(other.support_hi).min(other.release.max(self.support_hi));
+        superposition::streamed_delay_noise(victim, release, |tracker| {
             self.curve.add_simplified_to(&other.curve, EPS, tracker);
         })
     }
 
     /// A copy of this envelope whose breakpoints live in the recycled
-    /// `buf`. The cached peak/support fields are copied verbatim (not
+    /// `buf`. The cached bounds are copied verbatim (not
     /// recomputed), so the result is indistinguishable from
     /// [`Clone::clone`] — bit-identity demands it, since the cached
     /// fields feed the `may_encapsulate` prefilter.
@@ -335,6 +381,7 @@ impl Envelope {
             peak_time: self.peak_time,
             support_lo: self.support_lo,
             support_hi: self.support_hi,
+            release: self.release,
         }
     }
 
@@ -392,7 +439,9 @@ impl Envelope {
         if other.is_zero() {
             return superposition::delay_noise(victim, self);
         }
-        superposition::streamed_delay_noise(victim, |tracker| {
+        // `max(self - other, 0) <= self` for a non-negative `other`, so the
+        // difference is released no later than `self` is.
+        superposition::streamed_delay_noise(victim, self.release, |tracker| {
             self.curve.sub_clamped_simplified_to(&other.curve, EPS, tracker);
         })
     }
@@ -688,7 +737,6 @@ mod tests {
             honest.peak() * 2.0, // lies about the peak
             honest.peak_time(),
             honest.support_lo(),
-            honest.support_hi(),
         );
         assert!(!stale.cache_is_consistent());
         // Equality ignores the cache: the curves are identical.

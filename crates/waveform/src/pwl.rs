@@ -411,6 +411,7 @@ impl Pwl {
         let mut b = SegmentCursor::new(&other.points);
         merge_times(&self.points, &other.points, |t| {
             out.push(t, a.eval_monotone(t) + b.eval_monotone(t));
+            !out.sink.done()
         });
         out.finish()
     }
@@ -465,6 +466,7 @@ impl Pwl {
             }
             prev = Some((t, d));
             out.push(t, d.max(0.0));
+            !out.sink.done()
         });
         out.finish()
     }
@@ -562,32 +564,37 @@ pub(crate) fn upward_crossing((t0, v0): (f64, f64), (t1, v1): (f64, f64), level:
 }
 
 /// Calls `visit` with the merged, EPS-deduplicated breakpoint times of
-/// both point lists, in ascending order, without materializing them.
-/// Ties take `a`'s time first; each time is deduplicated against the
-/// last one visited, whichever list it came from.
-fn merge_times(a: &[(f64, f64)], b: &[(f64, f64)], mut visit: impl FnMut(f64)) {
+/// both point lists, in ascending order, without materializing them,
+/// until `visit` returns `false`. Ties take `a`'s time first; each time
+/// is deduplicated against the last one visited, whichever list it came
+/// from.
+fn merge_times(a: &[(f64, f64)], b: &[(f64, f64)], mut visit: impl FnMut(f64) -> bool) {
     let (mut i, mut j) = (0, 0);
     let mut last: Option<f64> = None;
+    // Visits `t` unless it repeats the last time; `false` stops the merge.
     let mut emit = |t: f64| {
         if last.is_none_or(|l| (t - l).abs() > EPS) {
-            visit(t);
             last = Some(t);
+            return visit(t);
         }
+        true
     };
     while i < a.len() && j < b.len() {
-        if a[i].0 <= b[j].0 {
-            emit(a[i].0);
+        let t = if a[i].0 <= b[j].0 {
             i += 1;
+            a[i - 1].0
         } else {
-            emit(b[j].0);
             j += 1;
+            b[j - 1].0
+        };
+        if !emit(t) {
+            return;
         }
     }
-    for &(t, _) in &a[i..] {
-        emit(t);
-    }
-    for &(t, _) in &b[j..] {
-        emit(t);
+    for &(t, _) in a[i..].iter().chain(&b[j..]) {
+        if !emit(t) {
+            return;
+        }
     }
 }
 
@@ -641,6 +648,12 @@ impl<'a> SegmentCursor<'a> {
 pub(crate) trait PointSink {
     /// Takes the next breakpoint.
     fn push_point(&mut self, t: f64, v: f64);
+
+    /// Whether the sink has read all it needs: the producer may stop
+    /// streaming. A buffer never is.
+    fn done(&self) -> bool {
+        false
+    }
 }
 
 impl PointSink for Vec<(f64, f64)> {
@@ -652,6 +665,10 @@ impl PointSink for Vec<(f64, f64)> {
 impl<S: PointSink> PointSink for &mut S {
     fn push_point(&mut self, t: f64, v: f64) {
         (**self).push_point(t, v);
+    }
+
+    fn done(&self) -> bool {
+        (**self).done()
     }
 }
 
@@ -711,9 +728,10 @@ impl<S: PointSink> SimplifyingBuilder<S> {
         self.pending = Some((t, v));
     }
 
-    /// Flushes the final point (always kept) and returns the sink.
+    /// Flushes the final point (always kept) and returns the sink; a
+    /// done sink, whose stream was cut short, gets no flush.
     fn finish(mut self) -> S {
-        if let Some((t, v)) = self.pending.or(self.last) {
+        if let Some((t, v)) = self.pending.or(self.last).filter(|_| !self.sink.done()) {
             self.sink.push_point(t, v);
         }
         self.sink

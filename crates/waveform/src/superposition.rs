@@ -13,6 +13,12 @@
 use crate::pwl::{segment_value, upward_crossing, PointSink, SegmentCursor};
 use crate::{Edge, Envelope, Pwl, Transition, EPS};
 
+/// Margin under 50 % Vdd below which an envelope value counts as
+/// released ([`Envelope::release`]): a saturated victim carrying noise
+/// below `0.5 - GUARD` sits strictly on its settled side, however the
+/// value was rounded on the way.
+pub const GUARD: f64 = 1e-6;
+
 /// The noisy victim waveform: the transition with the envelope superimposed
 /// in the delay-increasing direction.
 ///
@@ -62,12 +68,17 @@ pub fn noisy_t50(victim: &Transition, envelope: &Envelope) -> f64 {
 /// the stack) and the envelope's breakpoints by a `CrossingTracker` —
 /// the same tracker that scores an envelope sum or difference without
 /// building it ([`Envelope::sum_delay_noise`],
-/// [`Envelope::saturating_sub_delay_noise`]).
+/// [`Envelope::saturating_sub_delay_noise`]). The stream stops as soon
+/// as the crossing is decided, past the ramp's end and the envelope's
+/// [`release`](Envelope::release) (the tail cut).
 #[must_use]
 pub fn final_crossing(victim: &Transition, envelope: &Envelope) -> f64 {
-    let (_, crossing) = track(victim, |tracker| {
+    let (_, crossing) = track(victim, envelope.release(), |tracker| {
         for &(t, v) in envelope.as_pwl().points() {
             tracker.push_point(t, v);
+            if tracker.done() {
+                break;
+            }
         }
     });
     crossing
@@ -75,22 +86,30 @@ pub fn final_crossing(victim: &Transition, envelope: &Envelope) -> f64 {
 
 /// Delay noise of the envelope whose breakpoints `feed` streams into the
 /// tracker it is handed: bit for bit [`delay_noise`] of that envelope once
-/// built, zero-envelope rule included, but no point is stored.
+/// built, zero-envelope rule included, but no point is stored. Every
+/// breakpoint `feed` streams at or after `release` must be below
+/// `0.5 - GUARD` (plus EPS); `feed` may stop once the tracker is done.
 pub(crate) fn streamed_delay_noise(
     victim: &Transition,
+    release: f64,
     feed: impl FnOnce(&mut CrossingTracker<'_>),
 ) -> f64 {
-    let (peak, crossing) = track(victim, feed);
+    let (peak, crossing) = track(victim, release, feed);
     // `Envelope::is_zero` of the streamed curve.
     let t50 = if peak.max(0.0) <= EPS { victim.t50() } else { floored_t50(victim, crossing) };
     (t50 - victim.t50()).max(0.0)
 }
 
-/// Runs `feed` against a tracker for `victim`'s ramp and edge: the
-/// streamed envelope's raw peak and the final crossing.
-fn track(victim: &Transition, feed: impl FnOnce(&mut CrossingTracker<'_>)) -> (f64, f64) {
+/// Runs `feed` against a tracker for `victim`'s ramp and edge, cut at the
+/// later of the ramp's end and the streamed envelope's `release`: the
+/// envelope's raw peak (as far as it was read) and the final crossing.
+fn track(
+    victim: &Transition,
+    release: f64,
+    feed: impl FnOnce(&mut CrossingTracker<'_>),
+) -> (f64, f64) {
     let (ramp, n) = victim.ramp_points();
-    let mut tracker = CrossingTracker::new(&ramp[..n], victim.edge());
+    let mut tracker = CrossingTracker::new(&ramp[..n], victim.edge(), victim.end().max(release));
     feed(&mut tracker);
     tracker.finish()
 }
@@ -119,6 +138,20 @@ fn floored_t50(victim: &Transition, crossing: f64) -> f64 {
 /// keeps the previous sample and the last segment whose left value is at
 /// or below the level — the one a right-to-left scan of the built curve
 /// stops at — and the envelope's raw peak, for the zero-envelope rule.
+///
+/// **Tail cut.** The tracker is `done` — its stream may stop — once the
+/// breakpoint just pushed is at or after `cut`, the last sample lies
+/// strictly on the settled side of the level, and the raw peak is above
+/// EPS. `cut` is at or after the ramp's end, so every later sample reads
+/// the clean ramp exactly at its rail (all ramp times are merged by
+/// then); and the caller guarantees every envelope breakpoint from `cut`
+/// on is below `0.5 - GUARD` (plus EPS). Every later sample — the held
+/// time, which is that breakpoint, and any after it — reads the envelope
+/// at or after that breakpoint, on segments between such breakpoints or
+/// on the constant extension, so it lands strictly on the settled side:
+/// after a settled `prev` it can neither open a dip nor leave `prev` at
+/// or below the level. The zero-envelope rule is decided once the peak
+/// exceeds EPS. So the crossing, and the rule, are final.
 pub(crate) struct CrossingTracker<'r> {
     /// Clean ramp breakpoints, and the first one not yet merged.
     ramp: &'r [(f64, f64)],
@@ -139,10 +172,15 @@ pub(crate) struct CrossingTracker<'r> {
     /// The previous sample; its value starts above every level.
     prev: (f64, f64),
     dip: Option<((f64, f64), (f64, f64))>,
+    /// Time from which the ramp is at its rail and every envelope
+    /// breakpoint is released.
+    cut: f64,
+    /// Whether the crossing is decided (the tail cut).
+    done: bool,
 }
 
 impl<'r> CrossingTracker<'r> {
-    fn new(ramp: &'r [(f64, f64)], edge: Edge) -> Self {
+    fn new(ramp: &'r [(f64, f64)], edge: Edge, cut: f64) -> Self {
         let falling = edge == Edge::Falling;
         Self {
             ramp,
@@ -156,6 +194,8 @@ impl<'r> CrossingTracker<'r> {
             peak: f64::NEG_INFINITY,
             prev: (f64::NAN, f64::INFINITY),
             dip: None,
+            cut,
+            done: false,
         }
     }
 
@@ -181,7 +221,9 @@ impl<'r> CrossingTracker<'r> {
     }
 
     /// Ends the stream: `(raw envelope peak, final crossing)`, the
-    /// crossing as `Pwl::last_time_at_or_below` reports it.
+    /// crossing as `Pwl::last_time_at_or_below` reports it. After a tail
+    /// cut the held time is the last breakpoint pushed, whose own value
+    /// this reads, as the uncut stream would.
     fn finish(mut self) -> (f64, f64) {
         // Times at or after the last breakpoint read its value (the
         // constant extension on the right).
@@ -232,6 +274,11 @@ impl PointSink for CrossingTracker<'_> {
             self.held = Some(t);
         }
         self.env_last = Some((t, v));
+        self.done |= t >= self.cut && self.prev.1 > self.level && self.peak > EPS;
+    }
+
+    fn done(&self) -> bool {
+        self.done
     }
 }
 
@@ -350,6 +397,75 @@ mod tests {
         let dc = delay_noise(&v, &a.sum(&b));
         assert!(dc + EPS >= delay_noise(&v, &a));
         assert!(dc + EPS >= delay_noise(&v, &b));
+    }
+
+    /// A sink that counts the breakpoints reaching the tracker it wraps.
+    struct Counting<'r> {
+        tracker: CrossingTracker<'r>,
+        points: usize,
+    }
+
+    impl PointSink for Counting<'_> {
+        fn push_point(&mut self, t: f64, v: f64) {
+            self.points += 1;
+            self.tracker.push_point(t, v);
+        }
+
+        fn done(&self) -> bool {
+            self.tracker.done()
+        }
+    }
+
+    /// Streams `a + b` into a tracker cut at `cut`: the points it read and
+    /// the final crossing.
+    fn counted_sum(victim: &Transition, a: &Envelope, b: &Envelope, cut: f64) -> (usize, f64) {
+        let (ramp, n) = victim.ramp_points();
+        let tracker = CrossingTracker::new(&ramp[..n], victim.edge(), cut);
+        let mut sink = Counting { tracker, points: 0 };
+        a.as_pwl().add_simplified_to(b.as_pwl(), EPS, &mut sink);
+        (sink.points, sink.tracker.finish().1)
+    }
+
+    #[test]
+    fn tail_cut_stops_the_stream_and_keeps_the_crossing() {
+        let v = victim();
+        // A pulse on the crossing, then a long train of low pulses after
+        // the ramp has saturated.
+        let head = Envelope::from_pulse(&NoisePulse::symmetric(3.0, 0.2, 4.0));
+        let train = Envelope::sum_all((0..20).map(|i| {
+            Envelope::from_pulse(&NoisePulse::symmetric(20.0 + 6.0 * f64::from(i), 0.3, 4.0))
+        }));
+        let all = head.sum(&train).as_pwl().points().len();
+        let (uncut, want) = counted_sum(&v, &head, &train, f64::INFINITY);
+        assert_eq!(uncut, all, "an uncut stream reads every breakpoint");
+        // Neither operand reaches the release level, so the sum is cut
+        // at the ramp's end.
+        assert_eq!(head.release().max(train.release()), f64::NEG_INFINITY);
+        let (read, got) = counted_sum(&v, &head, &train, v.end());
+        assert!(read < all / 4, "the cut read {read} of {all} breakpoints");
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    /// The last sample must be settled for the cut to decide. Here the
+    /// ramp's end is the cut (every breakpoint from there on is released)
+    /// but reads a falling segment still above the level; the crossing
+    /// lies after it.
+    #[test]
+    fn unsettled_sample_past_the_cut_does_not_decide() {
+        let v = victim();
+        let env =
+            Envelope::from_curve(&Pwl::new(vec![(0.0, 0.0), (9.0, 0.9), (20.0, 0.0)]).unwrap());
+        let (ramp, n) = v.ramp_points();
+        let mut tracker = CrossingTracker::new(&ramp[..n], v.edge(), v.end());
+        for &(t, e) in env.as_pwl().points() {
+            tracker.push_point(t, e);
+            if tracker.done() {
+                break;
+            }
+        }
+        let want = noisy_waveform(&v, &env).last_time_at_or_below(0.5);
+        assert!(want > v.end());
+        assert_eq!(tracker.finish().1.to_bits(), want.to_bits());
     }
 
     #[test]

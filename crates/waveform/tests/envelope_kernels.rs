@@ -9,12 +9,18 @@
 //!   `noisy_t50` is bitwise identical to measuring the materialized noisy
 //!   waveform;
 //! * the fused scorers `Envelope::sum_delay_noise` and
-//!   `saturating_sub_delay_noise` are bitwise identical to `delay_noise`
-//!   of the materialized sum and difference;
+//!   `saturating_sub_delay_noise` are bitwise identical to the delay
+//!   noise of the materialized sum and difference;
+//! * the tail cut (the tracker stops once the final crossing is decided)
+//!   moves no bit, at the `0.5 - GUARD` release boundary, on tails that
+//!   never decay and on near-zero streams;
 //! * the linear `Pwl::ge_over` walk gives the same verdict as
 //!   evaluating both curves at every breakpoint by binary search;
 //! * the segment cursor's `t == t0` shortcut keeps the interpolated
 //!   value's signed zero.
+//!
+//! Every delay-noise reference here is cut-free: the materialized noisy
+//! waveform, scanned right to left by `last_time_at_or_below` / `_above`.
 
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, Pwl, TimeInterval, Transition, EPS};
 use proptest::prelude::*;
@@ -107,6 +113,11 @@ fn reference_t50(victim: &Transition, env: &Envelope) -> f64 {
     }
 }
 
+/// `delay_noise` measured the allocating way.
+fn reference_delay_noise(victim: &Transition, env: &Envelope) -> f64 {
+    (reference_t50(victim, env) - victim.t50()).max(0.0)
+}
+
 fn reference_crossing(victim: &Transition, env: &Envelope) -> f64 {
     let noisy = superposition::noisy_waveform(victim, env);
     match victim.edge() {
@@ -197,11 +208,11 @@ fn operand_strategy() -> impl Strategy<Value = Envelope> {
         })
 }
 
-/// Bit-equality of both fused scorers with `delay_noise` of the
+/// Bit-equality of both fused scorers with the delay noise of the
 /// materialized result; the message names the case.
 fn check_scorers(victim: &Transition, a: &Envelope, b: &Envelope) -> Result<(), String> {
     let got = a.sum_delay_noise(b, victim);
-    let want = superposition::delay_noise(victim, &a.sum(b));
+    let want = reference_delay_noise(victim, &a.sum(b));
     if got.to_bits() != want.to_bits() {
         return Err(format!(
             "sum_delay_noise {got} != {want} for {victim}: {} + {}",
@@ -210,7 +221,7 @@ fn check_scorers(victim: &Transition, a: &Envelope, b: &Envelope) -> Result<(), 
         ));
     }
     let got = a.saturating_sub_delay_noise(b, victim);
-    let want = superposition::delay_noise(victim, &a.saturating_sub(b));
+    let want = reference_delay_noise(victim, &a.saturating_sub(b));
     if got.to_bits() != want.to_bits() {
         return Err(format!(
             "saturating_sub_delay_noise {got} != {want} for {victim}: {} - {}",
@@ -359,7 +370,7 @@ fn fused_scorers_short_circuit_zero_operands() {
             for (x, y) in [(&z, &pulse), (&pulse, &z), (&z, &z), (&pulse, &pulse)] {
                 assert_scorers(&victim, x, y);
             }
-            let alone = superposition::delay_noise(&victim, &pulse);
+            let alone = reference_delay_noise(&victim, &pulse);
             assert_eq!(z.sum_delay_noise(&pulse, &victim).to_bits(), alone.to_bits());
             assert_eq!(pulse.saturating_sub_delay_noise(&z, &victim).to_bits(), alone.to_bits());
             assert_eq!(pulse.saturating_sub_delay_noise(&pulse, &victim), 0.0);
@@ -480,5 +491,159 @@ fn breakpoints_near_the_ramp_ends() {
                 }
             }
         }
+    }
+}
+
+/// Victims for the tail-cut cases: both edges, a normal ramp and a
+/// zero-slew one (a single clean breakpoint).
+fn cut_victims() -> impl Iterator<Item = Transition> {
+    edges().into_iter().flat_map(|edge| [10.0, 0.5e-9].map(|slew| Transition::new(0.0, slew, edge)))
+}
+
+/// The measurement and both scorers on `env`, alone and next to a pulse
+/// on the crossing, against the cut-free references.
+fn assert_cut_free(env: &Envelope) {
+    let on_crossing = Envelope::from_pulse(&NoisePulse::symmetric(3.0, 0.2, 4.0));
+    for victim in cut_victims() {
+        assert_bitwise(&victim, env);
+        for other in [&on_crossing, &Envelope::zero()] {
+            assert_scorers(&victim, env, other);
+            assert_scorers(&victim, other, env);
+            assert_scorers(&victim, &env.sum(other), other);
+            assert_scorers(&victim, &env.sum(other), env);
+        }
+    }
+}
+
+/// A settled-side plateau at `level` from 12 to 30, after a hump on the
+/// crossing; the breakpoint after the plateau (32) is the release when
+/// `level` is not below `0.5 - GUARD`.
+fn plateau_tail(level: f64) -> Envelope {
+    let curve = Pwl::new(vec![
+        (0.0, 0.0),
+        (4.0, 0.3),
+        (6.0, 0.3),
+        (8.0, 0.0),
+        (12.0, level),
+        (30.0, level),
+        (32.0, 0.0),
+        (40.0, 0.0),
+    ])
+    .unwrap();
+    Envelope::from_curve(&curve)
+}
+
+/// A tail exactly at, one ulp under and one ulp over `0.5 - GUARD`: only
+/// a tail below the level releases, and none of the three moves a bit.
+#[test]
+fn tail_cut_at_the_release_level_boundary() {
+    let level = 0.5 - superposition::GUARD;
+    for (tail, release) in [
+        (level, 32.0),
+        (level.next_down(), f64::NEG_INFINITY),
+        (level.next_up(), 32.0),
+        (0.5, 32.0),
+        (0.7, 32.0),
+    ] {
+        let env = plateau_tail(tail);
+        assert_eq!(env.release(), release, "tail {tail}");
+        assert!(env.cache_is_consistent());
+        assert_cut_free(&env);
+    }
+}
+
+/// Tails that never decay: a curve ending high keeps `release = +inf`
+/// (the cut never fires), one ending low but non-zero stays on the
+/// settled side through its constant extension.
+#[test]
+fn tail_cut_on_tails_that_never_decay() {
+    for (end, release) in [(0.7, f64::INFINITY), (0.5, f64::INFINITY), (0.2, 14.0)] {
+        let curve = Pwl::new(vec![(0.0, 0.0), (4.0, 0.3), (8.0, 0.6), (14.0, end)]).unwrap();
+        let env = Envelope::from_pwl_unchecked(curve);
+        assert_eq!(env.release(), release, "tail {end}");
+        assert_cut_free(&env);
+    }
+}
+
+/// A stream whose peak is still at most EPS when the ramp saturates must
+/// not stop there: a later low bump lifts the peak above EPS and turns
+/// the zero-envelope rule off, so the tiny shift on the crossing counts.
+/// A non-negative sub-EPS hump simplifies away, and a zero operand takes
+/// the short-circuit, so the case is built from (unchecked) operands
+/// that cancel early and leave the hump on negative values.
+#[test]
+fn tail_cut_waits_for_the_zero_envelope_rule() {
+    let a = Envelope::from_pwl_unchecked(
+        Pwl::new(vec![
+            (0.0, 0.0),
+            (1.0, -0.3),
+            (2.0, 0.0),
+            (4.0, -2e-9),
+            (5.0, 1e-9),
+            (6.0, -2e-9),
+            (8.0, 0.0),
+            (46.0, 0.0),
+            (48.0, 0.3),
+            (50.0, 0.0),
+        ])
+        .unwrap(),
+    );
+    let b = Envelope::from_pulse(&NoisePulse::symmetric(0.0, 0.3, 2.0));
+    for edge in edges() {
+        let victim = Transition::new(0.0, 10.0, edge);
+        let want = reference_delay_noise(&victim, &a.sum(&b));
+        assert!(want > 0.0, "the case needs a shift that only the late bump makes count");
+        assert_scorers(&victim, &a, &b);
+    }
+    // Near-zero streams: a cancelled difference, and the sub-EPS hump
+    // alone.
+    let hump = Envelope::from_pwl_unchecked(
+        Pwl::new(vec![(0.0, 0.0), (4.0, -2e-9), (5.0, 1e-9), (6.0, -2e-9), (8.0, 0.0)]).unwrap(),
+    );
+    assert!(hump.is_zero());
+    let late = Envelope::from_pulse(&NoisePulse::symmetric(48.0, 0.3, 4.0));
+    assert_cut_free(&hump);
+    for victim in cut_victims() {
+        assert_scorers(&victim, &late, &late);
+        assert_scorers(&victim, &a, &late);
+    }
+}
+
+/// A long train of low pulses after the ramp: the stream the cut skips.
+fn train_strategy() -> impl Strategy<Value = Envelope> {
+    (10.0..40.0f64, prop::collection::vec((0.01..0.49f64, 1.0..8.0f64, 0.0..6.0f64), 1..12))
+        .prop_map(|(mut at, pulses)| {
+            let mut train = Envelope::zero();
+            for (peak, width, gap) in pulses {
+                train = train.sum(&Envelope::from_pulse(&NoisePulse::new(
+                    at,
+                    at + width / 2.0,
+                    peak,
+                    at + width,
+                )));
+                at += gap;
+            }
+            train
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Operands with long settled tails (overlapping low pulses may add
+    /// up past the level) against the cut-free references.
+    #[test]
+    fn tail_cut_matches_cut_free_reference(
+        victim in victim_strategy(),
+        head in operand_strategy(),
+        train in train_strategy(),
+    ) {
+        let member = head.sum(&train);
+        for (x, y) in [(&head, &train), (&train, &head), (&member, &head), (&member, &train)] {
+            let verdict = check_scorers(&victim, x, y);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+        let verdict = check_bitwise(&victim, &member);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
