@@ -143,7 +143,7 @@ pub struct SchedulerEntry {
     pub threads: usize,
     /// Victim tasks executed by the sweep.
     pub tasks: usize,
-    /// Tasks taken from another worker's deque.
+    /// Retired scheduler slot, always 0 (see `SchedStats::steals`).
     pub steals: usize,
     /// Share of total busy time spent in the single longest task, in
     /// `[0, 1]` — near 1 means one victim dominates and no scheduler can

@@ -204,7 +204,7 @@ fn budget_config(opts: &Opts) -> Result<TopKConfig, String> {
     })
 }
 
-/// Surfaces the work-stealing scheduler's counters — including the
+/// Surfaces the scheduler's counters — including the
 /// *resolved* worker count, so `--threads 0` reports the host parallelism
 /// it actually ran with instead of echoing the configured zero.
 fn report_scheduler(config: &TopKConfig, result: &TopKResult) {
@@ -213,12 +213,11 @@ fn report_scheduler(config: &TopKConfig, result: &TopKResult) {
         return;
     }
     println!(
-        "scheduler: {} worker(s) (resolved from --threads {}), {} task(s), {} steal(s), \
+        "scheduler: {} worker(s) (resolved from --threads {}), {} task(s), \
          longest task {:.0}% of busy time, arena {} buffer(s) reused ({} bytes)",
         s.threads(),
         config.threads,
         s.tasks(),
-        s.steals(),
         s.tail_task_share() * 100.0,
         s.arena_reused(),
         s.arena_bytes_reused(),
@@ -757,11 +756,10 @@ fn whatif_batch(
     let sched = *out.stats().sched();
     if sched.tasks() > 0 {
         println!(
-            "scheduler: {} worker(s), {} (scenario, victim) task(s), {} steal(s), \
+            "scheduler: {} worker(s), {} (scenario, victim) task(s), \
              longest task {:.0}% of busy time",
             sched.threads(),
             sched.tasks(),
-            sched.steals(),
             sched.tail_task_share() * 100.0
         );
     }

@@ -8,7 +8,7 @@
 //! ([`take_buf`]), the dominance pass hands the buffers of discarded
 //! candidates back ([`give_buf`]), and survivors simply keep theirs —
 //! promotion out of the arena is ownership transfer, no copy. Buffers
-//! stay with the worker thread across victims on the same deque, so a
+//! stay with the worker thread across the victims it runs, so a
 //! warmed-up sweep performs no per-survivor heap allocation for envelope
 //! sums.
 //!
@@ -16,7 +16,7 @@
 //! [`SchedStats`](crate::sched::SchedStats) at each worker's epilogue.
 //! They are observability only — never part of results, fingerprints, or
 //! persisted artifacts, since their split across workers depends on the
-//! nondeterministic steal schedule (the totals are deterministic for a
+//! nondeterministic schedule (the totals are deterministic for a
 //! fixed thread count, the per-worker attribution is not).
 
 use std::cell::RefCell;

@@ -18,9 +18,9 @@
 //! * **One sweep.** Instead of S sequential sweeps, the batch hands
 //!   every scenario to one call of the scenario sweep
 //!   ([`crate::engine::sweep`]), whose (scenario, victim) tasks share
-//!   one deterministic work-stealing scheduler ([`crate::sched`]) —
+//!   one deterministic ready-heap scheduler ([`crate::sched`]) —
 //!   narrow cones that would each under-fill a thread pool fill the
-//!   deques together, and a long-tail victim of one scenario no longer
+//!   ready heap together, and a long-tail victim of one scenario no longer
 //!   stalls any other scenario's progress.
 //! * **Dedup.** Scenarios with identical flipped-sets (common when a
 //!   script enumerates neighborhoods) are evaluated once.
@@ -48,9 +48,9 @@ use dna_noise::CouplingMask;
 use crate::bounds::{self, CleanCertificate, SemanticState};
 use crate::engine::{self, Prepared, Swept};
 use crate::result::FaultPhase;
-use crate::sched::SchedStats;
+use crate::sched::{self, SchedStats};
 use crate::session::changed_and_seeds;
-use crate::{par_map, Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession};
+use crate::{Damping, MaskDelta, TopKError, TopKResult, WhatIfOutcome, WhatIfSession};
 
 /// A set of independent what-if scenarios to evaluate against one
 /// [`WhatIfSession`] snapshot with [`WhatIfSession::apply_batch`].
@@ -172,7 +172,7 @@ impl BatchStats {
     }
 
     /// Scheduler counters of the shared (scenario × victim) sweep:
-    /// threads, tasks, steals and per-worker load spread. Diagnostic
+    /// threads, tasks and per-worker load spread. Diagnostic
     /// only — excluded from the batch identity contract.
     #[must_use]
     pub fn sched(&self) -> &SchedStats {
@@ -226,7 +226,7 @@ pub(crate) struct Evaluated {
 impl WhatIfSession<'_, '_> {
     /// Evaluates every scenario of `batch` against this session's current
     /// state, sharing closure work across scenarios and running all
-    /// scenarios' dirty victims through one work-stealing sweep.
+    /// scenarios' dirty victims through one scheduler sweep.
     ///
     /// The session is **not** mutated: each scenario is independent, and
     /// its outcome is bit-identical to `self.fork().apply(&delta)` at any
@@ -356,7 +356,7 @@ impl WhatIfSession<'_, '_> {
         // --- Per-scenario preparation --------------------------------
         let threads = self.analysis.config().effective_threads();
         let prepareds: Vec<Prepared<'_>> =
-            par_map(threads, scenarios.len(), FaultPhase::Prepare, |s| {
+            sched::map(threads, scenarios.len(), FaultPhase::Prepare, |s| {
                 self.analysis.prepare(self.mode, &scenarios[s].mask)
             })?;
 
@@ -406,7 +406,7 @@ impl WhatIfSession<'_, '_> {
         // never start S × threads workers.
         let validation_threads = if threads.min(scenarios.len()) > 1 { 1 } else { threads };
         let results: Vec<TopKResult> =
-            par_map(threads, scenarios.len(), FaultPhase::Selection, |s| {
+            sched::map(threads, scenarios.len(), FaultPhase::Selection, |s| {
                 let (prepared, swept) = (&prepareds[s], &swept[s]);
                 self.analysis.conclude(prepared, self.k, swept, sched, validation_threads, start)
             })?;

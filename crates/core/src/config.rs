@@ -43,13 +43,13 @@ pub struct TopKConfig {
     /// tools report 3–4 iterations, paper §1); `usize::MAX` searches the
     /// whole transitive fanin cone.
     pub widener_depth: usize,
-    /// Worker threads for the work-stealing victim sweep. `0` uses the
+    /// Worker threads for the victim sweep. `0` uses the
     /// host's available parallelism (see
     /// [`effective_threads`](Self::effective_threads)); `1` runs the
     /// serial reference path (the determinism baseline). Any value
     /// produces bit-identical results — per-victim enumeration is pure,
     /// every victim owns a private result slot, and budgets are
-    /// pre-partitioned, so thread count and steal order never change
+    /// pre-partitioned, so thread count and schedule never change
     /// what is computed, only when.
     pub threads: usize,
     /// Per-victim cap on raw candidates generated while building one
@@ -71,7 +71,7 @@ pub struct TopKConfig {
     /// that breaches its share truncates like the per-victim cap.
     /// **Deterministic at any `threads` value**: which victims are cut
     /// is a pure function of circuit, config and work set — never of
-    /// scheduling or steal order. `None` disables the budget.
+    /// scheduling. `None` disables the budget.
     pub global_candidate_budget: Option<usize>,
     /// Wall-clock deadline for the enumeration sweep, measured from
     /// sweep start and checked at **task start**: a victim whose task

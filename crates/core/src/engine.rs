@@ -550,7 +550,7 @@ type PerVictim<'p> =
 /// scenarios over cached state. A victim's work reads the published lists of its strict fanin
 /// only (pseudo atoms), never siblings or another scenario's nets, so
 /// every (scenario, victim) pair is one task on the deterministic
-/// work-stealing scheduler ([`crate::sched`]): edges for exactly the
+/// ready-heap scheduler ([`crate::sched`]): edges for exactly the
 /// driver-gate inputs that are themselves dirty, victim-indexed
 /// write-once result slots per scenario ([`Slots`]), and one budget
 /// partition per scenario over its dirty set in victim-index order
@@ -561,7 +561,7 @@ type PerVictim<'p> =
 /// closure guarantees this), clean victims' cached lists equal a
 /// from-scratch sweep's, dirty victims read bit-identical fanin lists,
 /// and each scenario's output is bit-identical to a full sweep of its
-/// prepared world alone — at any thread count and steal order, because
+/// prepared world alone — at any thread count and schedule, because
 /// the per-victim function is pure, the slots are disjoint and the budget
 /// shares are fixed up front. (A global candidate budget is the one
 /// exception: a scenario charges only its dirty victims, so its pool
@@ -644,7 +644,7 @@ pub(crate) fn sweep(
     let parallel = threads > 1 && tasks.len() > 1;
     let slots: Vec<Slots> =
         scenarios.iter().map(|sc| Slots::from_seeds(sc.lists, sc.dirty)).collect();
-    let (done, sched) = sched::execute(&tasks, threads, |t| {
+    let (done, sched) = sched::execute(&tasks, threads, FaultPhase::Enumeration, |t| {
         let (s, v) = order[t];
         let (skip_share, allowance) = partitions[s].share(rank_of[s][v.index()]);
         let skip = skip_share || partitions[s].expired();
@@ -681,9 +681,9 @@ pub(crate) fn sweep(
         swept[s].faults.extend(fault);
     }
     for (out, slots) in swept.iter_mut().zip(slots) {
-        let (lists, violations) = slots.into_lists();
+        let (lists, unpublished) = slots.into_lists();
         out.lists = lists;
-        out.faults.extend(quarantine_slot_violations(violations));
+        out.faults.extend(unpublished.into_iter().map(unpublished_slot_fault));
         out.faults.sort_by_key(|f| f.victim().index());
     }
     Ok((swept, sched))
@@ -715,17 +715,16 @@ fn cost_estimate(p: &Prepared<'_>, seed_counters: &[VictimCounters], v: NetId) -
     }
 }
 
-/// Converts the typed slot violations a sweep's `into_lists` surfaced
-/// into per-victim quarantine [`Fault`]s: the victim keeps empty lists
-/// (a sound lower bound), the result degrades, the process lives.
-fn quarantine_slot_violations(violations: Vec<TopKError>) -> impl Iterator<Item = Fault> {
-    violations.into_iter().map(|e| {
-        let victim = match &e {
-            TopKError::SchedulerInvariant { victim, .. } => *victim,
-            _ => 0,
-        };
-        Fault::new(NetId::new(victim as u32), FaultPhase::Enumeration, e.to_string())
-    })
+/// Quarantines a victim whose result slot a completed sweep never
+/// published: it keeps empty lists (a sound lower bound), the result
+/// degrades with a typed [`TopKError::SchedulerInvariant`], the process
+/// lives.
+fn unpublished_slot_fault(victim: NetId) -> Fault {
+    let e = TopKError::SchedulerInvariant {
+        victim: victim.index(),
+        detail: "result slot never published after a completed sweep".into(),
+    };
+    Fault::new(victim, FaultPhase::Enumeration, e.to_string())
 }
 
 /// Pseudo envelope of a transition delayed by `shift` (paper §3.1).

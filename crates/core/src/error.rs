@@ -44,7 +44,7 @@ pub enum TopKError {
         /// The violated invariant.
         what: String,
     },
-    /// A work-stealing sweep invariant did not hold for one victim's
+    /// A scheduler sweep invariant did not hold for one victim's
     /// result or fanin slot — a dependency edge was missing or a task's
     /// result was never published. In a long-lived process this must
     /// quarantine the affected victim (a `Degraded` result) instead of

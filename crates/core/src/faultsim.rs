@@ -21,7 +21,7 @@
 //!   certificate verifier in `dna-lint` and
 //!   [`Oracle::check_session`](crate::Oracle::check_session) must both
 //!   catch it);
-//! * [`Faults::corrupt_sched_slot`] — the parallel work-stealing sweep
+//! * [`Faults::corrupt_sched_slot`] — the parallel scheduler sweep
 //!   publishes empty lists into the given victim's result slot while the
 //!   serial reference path stays intact (simulates a scheduler
 //!   publication bug; it exists to prove that

@@ -121,51 +121,6 @@ fn guard<T>(phase: FaultPhase, f: impl FnOnce() -> Result<T, TopKError>) -> Resu
     }
 }
 
-/// Maps `f` over `0..n` on up to `threads` scoped workers — worker `w`
-/// takes the indices `w, w + workers, …` — and returns the results in
-/// index order, so a caller folding them serially resolves ties and the
-/// first error exactly as a serial loop would. With one worker (or one
-/// item) `f` runs inline on the calling thread. A worker's panic
-/// surfaces as [`TopKError::EnginePanic`] naming `phase`.
-pub(crate) fn par_map<T: Send>(
-    threads: usize,
-    n: usize,
-    phase: FaultPhase,
-    f: impl Fn(usize) -> Result<T, TopKError> + Sync,
-) -> Result<Vec<T>, TopKError> {
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let f = &f;
-    let columns: Vec<Result<Vec<Result<T, TopKError>>, TopKError>> = std::thread::scope(|sp| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| sp.spawn(move || Ok((w..n).step_by(workers).map(f).collect())))
-            .collect();
-        handles.into_iter().map(|h| join_or_panic(h, phase)).collect()
-    });
-    let mut columns: Vec<_> =
-        columns.into_iter().map(|c| c.map(Vec::into_iter)).collect::<Result<_, _>>()?;
-    (0..n)
-        .map(|i| columns[i % workers].next().expect("worker i % workers produced index i"))
-        .collect()
-}
-
-/// Joins a scoped worker, converting a propagated unwind into the typed
-/// engine error (unreachable while per-victim boundaries hold, but a
-/// harness bug must not abort the process).
-fn join_or_panic<T>(
-    handle: std::thread::ScopedJoinHandle<'_, Result<T, TopKError>>,
-    phase: FaultPhase,
-) -> Result<T, TopKError> {
-    match handle.join() {
-        Ok(r) => r,
-        Err(payload) => {
-            Err(TopKError::EnginePanic { phase, cause: engine::panic_message(payload.as_ref()) })
-        }
-    }
-}
-
 /// Up-front scan for values the analysis substrate cannot process: a NaN
 /// or infinite (or negative) coupling capacitance would otherwise panic
 /// deep inside timing arithmetic, where no per-victim boundary can catch
@@ -316,7 +271,7 @@ impl<'c> TopKAnalysis<'c> {
 
             // Measure each option under the current mask; commit the best.
             let options = &outcome.options;
-            let measured = par_map(threads, options.len(), FaultPhase::Selection, |i| {
+            let measured = sched::map(threads, options.len(), FaultPhase::Selection, |i| {
                 if options[i].set.is_empty() {
                     return Ok(None);
                 }
@@ -505,7 +460,7 @@ impl<'c> TopKAnalysis<'c> {
             let mut options = outcome.options;
             debug_assert!(!options.is_empty(), "enumeration always yields an option");
             let (choice, delay_after) = if self.config.validate {
-                let measured = par_map(threads, options.len(), FaultPhase::Selection, |idx| {
+                let measured = sched::map(threads, options.len(), FaultPhase::Selection, |idx| {
                     let set = options[idx].set.ids();
                     let mask = match mode {
                         Mode::Addition => CouplingMask::none(self.circuit).with(set),

@@ -305,8 +305,8 @@ impl TopKResult {
         &self.stats
     }
 
-    /// Work-stealing scheduler counters of the enumeration sweep:
-    /// threads, tasks, steals and per-worker load spread. Diagnostic
+    /// Scheduler counters of the enumeration sweep:
+    /// threads, tasks and per-worker load spread. Diagnostic
     /// only — never part of fingerprints, identity contracts or
     /// persisted artifacts (a decoded artifact reports default stats).
     #[must_use]

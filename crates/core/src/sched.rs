@@ -1,38 +1,32 @@
-//! Deterministic work-stealing scheduler for the per-victim sweeps.
+//! Deterministic ready-heap scheduler: the crate's one worker pool.
 //!
-//! The level-lockstep sweep this module replaces (PR 2–5) synchronized
-//! workers at every dependency level: a barrier per level, budgets
-//! snapshotted and charged at the barriers. That made determinism easy
-//! but serialized the long tail — one high-fanin victim at the end of a
-//! level idled every other worker, and on skewed circuits `threads=4`
-//! ran *slower* than serial. The barriers were ours, not the problem's:
-//! a victim's enumeration depends only on its strict fanin, never on
-//! same-level siblings.
+//! A victim's enumeration depends only on its strict fanin, never on
+//! same-level siblings, so the sweep needs one dependency-aware ready set
+//! and nothing more:
 //!
-//! This scheduler keeps the determinism and drops the barriers:
-//!
-//! * **Per-victim tasks on work-stealing deques.** Each worker owns a
-//!   deque (owner pops LIFO from the back, thieves steal FIFO from the
-//!   front — the Chase–Lev discipline, here over a `Mutex<VecDeque>`
-//!   because the crate forbids `unsafe` and the tasks are coarse enough
-//!   that lock traffic is noise). A task becomes ready the moment its
-//!   last fanin dependency completes, not when its level starts.
+//! * **One ready heap.** A task becomes ready the moment its last fanin
+//!   dependency completes. Ready tasks wait in one `Mutex`-guarded heap
+//!   keyed by their cost estimate, so every worker pops the costliest
+//!   ready task (LPT: longest processing time first) and the giant tail
+//!   tasks start as early as their dependencies allow. Completing a task
+//!   releases its dependents into the heap under the same lock; idle
+//!   workers wait on a `Condvar` until a release or the end of the sweep
+//!   wakes them.
 //! * **Victim-indexed result slots.** Every task writes its output into
-//!   a slot owned by its victim ([`Slots`], one write-once cell per
-//!   net), so completion order — and therefore steal order and thread
+//!   a slot owned by its victim ([`Slots`], one write-once cell per net),
+//!   so completion order — and therefore the schedule and the thread
 //!   count — can never affect what is stored where. Stats that cross
 //!   victims ([`crate::SweepStats`], fault lists) are merged with
 //!   commutative/associative folds after the sweep joins.
 //! * **Pre-partitioned budgets.** The global candidate budget is split
 //!   into per-victim shares *before* the sweep starts, by rank in
-//!   victim-index order ([`BudgetPartition`]) — replacing the old
-//!   level-barrier charging. Which victims are skipped or truncated is
-//!   a pure function of (circuit, config, dirty set); no schedule can
-//!   change it.
-//! * **LPT seeding.** The initial ready set is dealt to the deques
-//!   longest-processing-time-first using cached per-victim cost
-//!   estimates, so the giant tail tasks start immediately instead of
-//!   last.
+//!   victim-index order ([`BudgetPartition`]). Which victims are skipped
+//!   or truncated is a pure function of (circuit, config, dirty set); no
+//!   schedule can change it.
+//!
+//! [`map`] runs independent jobs (the validation pool, peel options,
+//! batch prepare and finish) on the same pool: a task graph without
+//! edges.
 //!
 //! # Determinism argument
 //!
@@ -47,16 +41,11 @@
 //! reference: [`Oracle::check_parallel`](crate::Oracle::check_parallel)
 //! compares every slot and share of a parallel run against it
 //! (`whatif --audit`, `lint --deep`, rule L061).
-//!
-//! The steal-order axis can be perturbed deliberately (without touching
-//! results) via the `DNA_SCHED_SHUFFLE` environment variable — a
-//! deterministic seed the CI stress pass sweeps to shake out schedule
-//! dependence.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use dna_netlist::NetId;
@@ -76,7 +65,7 @@ pub(crate) struct Task {
     pub dependents: Vec<usize>,
     /// How many dependencies must complete before this task is ready.
     pub indegree: usize,
-    /// Cost estimate for LPT seeding (higher = scheduled earlier).
+    /// Cost estimate for LPT ordering (higher = popped earlier).
     pub cost: u64,
 }
 
@@ -87,7 +76,6 @@ pub(crate) struct Task {
 pub struct SchedStats {
     pub(crate) threads: usize,
     pub(crate) tasks: usize,
-    pub(crate) steals: usize,
     pub(crate) max_busy_ns: u64,
     pub(crate) min_busy_ns: u64,
     pub(crate) busy_ns: u64,
@@ -111,10 +99,13 @@ impl SchedStats {
         self.tasks
     }
 
-    /// Tasks a worker took from another worker's deque.
+    /// Retired slot, always 0. It counted tasks one worker took from
+    /// another's deque before the per-worker deques gave way to one
+    /// shared ready heap, which has nothing to steal from. Kept because
+    /// existing readers of the scheduler counters still ask for it.
     #[must_use]
     pub fn steals(&self) -> usize {
-        self.steals
+        0
     }
 
     /// Busy nanoseconds of the most-loaded worker.
@@ -135,8 +126,8 @@ impl SchedStats {
         self.busy_ns
     }
 
-    /// Busy nanoseconds of the single longest task — the tail the
-    /// level-lockstep sweep used to serialize on.
+    /// Busy nanoseconds of the single longest task — the tail a
+    /// level-lockstep sweep would serialize on.
     #[must_use]
     pub fn tail_task_ns(&self) -> u64 {
         self.tail_task_ns
@@ -188,7 +179,6 @@ impl SchedStats {
         }
         self.threads = self.threads.max(other.threads);
         self.tasks += other.tasks;
-        self.steals += other.steals;
         self.max_busy_ns = self.max_busy_ns.max(other.max_busy_ns);
         self.min_busy_ns = self.min_busy_ns.min(other.min_busy_ns);
         self.busy_ns += other.busy_ns;
@@ -248,47 +238,41 @@ impl Slots {
 
     /// Unwraps into the final per-net lists vector once the sweep has
     /// completed every task. A net whose slot was never published — a
-    /// broken sweep invariant — yields empty lists plus a typed
-    /// [`TopKError::SchedulerInvariant`] in the companion vector, so the
-    /// caller can quarantine that victim (`Degraded`) instead of
-    /// aborting the process.
-    pub fn into_lists(self) -> (Vec<NetLists>, Vec<TopKError>) {
-        let mut violations = Vec::new();
+    /// broken sweep invariant — yields empty lists and is named in the
+    /// companion vector, so the caller can quarantine exactly that victim
+    /// (`Degraded`) instead of aborting the process.
+    pub fn into_lists(self) -> (Vec<NetLists>, Vec<NetId>) {
+        let mut unpublished = Vec::new();
         let lists = self
             .slots
             .into_iter()
             .enumerate()
             .map(|(i, cell)| {
                 cell.into_inner().unwrap_or_else(|| {
-                    violations.push(TopKError::SchedulerInvariant {
-                        victim: i,
-                        detail: "result slot never published after a completed sweep".into(),
-                    });
+                    unpublished.push(NetId::new(i as u32));
                     NetLists::default()
                 })
             })
             .collect();
-        (lists, violations)
+        (lists, unpublished)
     }
 }
 
 /// Deterministic pre-partition of the enumeration budgets over one
-/// sweep's work set, replacing the level-barrier charging of the old
-/// `SweepBudget`: every victim's skip flag and candidate allowance is
+/// sweep's work set: every victim's skip flag and candidate allowance is
 /// fixed *before* the sweep starts, as a pure function of the config and
 /// the victim's rank (position in victim-index order within the dirty
-/// work set). No thread count or steal order can move a single
-/// candidate of allowance between victims.
+/// work set). No thread count or schedule can move a single candidate of
+/// allowance between victims.
 ///
 /// The global pool `G` over `n` dirty victims gives rank `i` the share
-/// `G / n + (1 if i < G % n)` — shares sum to exactly `G`, so unlike the
-/// barrier scheme the pool can never be overdrawn. A victim whose share
-/// is zero (only possible when a global budget is configured) is
-/// skipped outright, preserving the `G = 0 ⇒ everything skipped` edge
-/// case; otherwise its allowance is the smaller of the per-victim cap
-/// and its share. Clean (cached) victims are not in the work set and
-/// consume no share — incremental sweeps still charge only the work
-/// they actually do.
+/// `G / n + (1 if i < G % n)` — shares sum to exactly `G`, so the pool
+/// can never be overdrawn. A victim whose share is zero (only possible
+/// when a global budget is configured) is skipped outright, preserving
+/// the `G = 0 ⇒ everything skipped` edge case; otherwise its allowance
+/// is the smaller of the per-victim cap and its share. Clean (cached)
+/// victims are not in the work set and consume no share — incremental
+/// sweeps still charge only the work they actually do.
 ///
 /// The deadline is the one budget that stays wall-clock dependent (that
 /// is what a deadline *means*): it is re-checked as each task starts,
@@ -329,19 +313,28 @@ impl BudgetPartition {
     }
 }
 
-/// The deterministic steal-order perturbation seed (`DNA_SCHED_SHUFFLE`,
-/// default 0). Changing it reshuffles LPT deal order and steal probing —
-/// and must never change a single output bit; the CI stress pass sweeps
-/// it to prove that.
-fn shuffle_seed() -> u64 {
-    std::env::var("DNA_SCHED_SHUFFLE").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+/// The shared state of a parallel run, guarded by one mutex.
+struct Ready {
+    /// Ready tasks, costliest first; ties pop the lower task index.
+    heap: BinaryHeap<(u64, Reverse<usize>)>,
+    /// Dependencies each task still waits for.
+    indegree: Vec<usize>,
+    /// Tasks not yet completed.
+    remaining: usize,
+    /// Set when a task panicked: every worker stops popping.
+    abort: bool,
 }
 
-fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
-    // A worker never panics while holding a deque lock (the guarded
-    // section is pure pointer shuffling), but recovering from poison
-    // keeps the scheduler from cascading a test-induced panic.
+fn lock(m: &Mutex<Ready>) -> MutexGuard<'_, Ready> {
+    // Tasks run outside the lock, and the guarded sections only move
+    // indices between plain containers, so a poisoned lock still holds
+    // consistent state; recovering keeps a test-induced panic from
+    // cascading.
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn elapsed_ns(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Executes `tasks` over up to `threads` workers and returns each
@@ -353,12 +346,13 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
 /// completed, but on an arbitrary worker at an arbitrary time.
 ///
 /// With one worker (or one task) this runs the serial reference path: a
-/// plain loop in task order, no deques, no atomics. A panic escaping
-/// `exec` (a harness bug — per-victim faults are caught deeper down by
-/// `run_one`) aborts the sweep with a typed [`TopKError::EnginePanic`].
+/// plain loop in task order, no locks. A panic escaping `exec` (a
+/// harness bug — per-victim faults are caught deeper down by `run_one`)
+/// aborts the run with a typed [`TopKError::EnginePanic`] naming `phase`.
 pub(crate) fn execute<T, E>(
     tasks: &[Task],
     threads: usize,
+    phase: FaultPhase,
     exec: E,
 ) -> Result<(Vec<T>, SchedStats), TopKError>
 where
@@ -373,22 +367,29 @@ where
         tasks.iter().enumerate().all(|(t, task)| task.dependents.iter().all(|&d| d > t && d < n)),
         "tasks must be laid out in topological order"
     );
+    let escaped = |payload: Box<dyn std::any::Any + Send>| TopKError::EnginePanic {
+        phase,
+        cause: panic_message(payload.as_ref()),
+    };
     if threads <= 1 || n == 1 {
-        let mut out = Vec::with_capacity(n);
         let mut busy = 0u64;
         let mut tail = 0u64;
-        for t in 0..n {
-            let started = Instant::now();
-            out.push(exec(t));
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            busy = busy.saturating_add(ns);
-            tail = tail.max(ns);
-        }
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            (0..n)
+                .map(|t| {
+                    let started = Instant::now();
+                    let value = exec(t);
+                    let ns = elapsed_ns(started);
+                    busy = busy.saturating_add(ns);
+                    tail = tail.max(ns);
+                    value
+                })
+                .collect::<Vec<T>>()
+        }));
         let arena = arena::drain_stats();
         let stats = SchedStats {
             threads: 1,
             tasks: n,
-            steals: 0,
             max_busy_ns: busy,
             min_busy_ns: busy,
             busy_ns: busy,
@@ -397,113 +398,86 @@ where
             arena_fresh: arena.fresh,
             arena_bytes_reused: arena.bytes_reused,
         };
-        return Ok((out, stats));
+        return Ok((out.map_err(escaped)?, stats));
     }
 
     let workers = threads.min(n);
-    let seed = shuffle_seed();
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let indegree: Vec<AtomicUsize> = tasks.iter().map(|t| AtomicUsize::new(t.indegree)).collect();
-    let remaining = AtomicUsize::new(n);
-    let abort = AtomicBool::new(false);
-    let steals = AtomicUsize::new(0);
-
-    // LPT seeding: deal the initial ready set round-robin in *ascending*
-    // cost order, so each deque's back (the owner's next pop) holds its
-    // most expensive seed — every worker starts on a giant task while
-    // thieves later drain the cheap front ends. The shuffle seed rotates
-    // the deal and breaks cost ties, exercising different layouts.
-    let mut ready: Vec<usize> = (0..n).filter(|&t| tasks[t].indegree == 0).collect();
-    ready.sort_by_key(|&t| (tasks[t].cost, (t as u64) ^ seed));
-    for (i, t) in ready.into_iter().enumerate() {
-        let w = (i + seed as usize) % workers;
-        lock(&deques[w]).push_back(t);
-    }
+    let state = Mutex::new(Ready {
+        heap: (0..n)
+            .filter(|&t| tasks[t].indegree == 0)
+            .map(|t| (tasks[t].cost, Reverse(t)))
+            .collect(),
+        indegree: tasks.iter().map(|t| t.indegree).collect(),
+        remaining: n,
+        abort: false,
+    });
+    let wake = Condvar::new();
 
     type WorkerPart<T> = (Vec<(usize, T)>, u64, u64, arena::ArenaStats);
-    type WorkerOut<T> = Result<WorkerPart<T>, String>;
-    let run_worker = |w: usize| -> WorkerOut<T> {
+    let run_worker = || -> Result<WorkerPart<T>, TopKError> {
         let mut done: Vec<(usize, T)> = Vec::new();
         let mut busy = 0u64;
         let mut tail = 0u64;
+        let mut ready = lock(&state);
         loop {
-            if abort.load(Ordering::Relaxed) {
+            if ready.abort || ready.remaining == 0 {
                 break;
             }
-            // Owner pops its own back (LIFO); a thief steals another
-            // worker's front (FIFO), probing in a seed-directed order.
-            let mut task = lock(&deques[w]).pop_back();
-            if task.is_none() {
-                for off in 1..workers {
-                    let victim = if seed & 1 == 0 {
-                        (w + off) % workers
-                    } else {
-                        (w + workers - off) % workers
-                    };
-                    task = lock(&deques[victim]).pop_front();
-                    if task.is_some() {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            let Some(t) = task else {
-                if remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
+            let Some((_, Reverse(t))) = ready.heap.pop() else {
+                ready = wake.wait(ready).unwrap_or_else(PoisonError::into_inner);
                 continue;
             };
+            drop(ready);
             let started = Instant::now();
             // Per-victim faults are quarantined inside `exec` (via
             // `run_one`); a panic reaching this boundary is a harness
-            // bug and must abort the whole sweep with a typed error —
-            // setting the flag first so no sibling spins forever on a
-            // task count that will never drain.
+            // bug and aborts the whole run with a typed error.
             let result = catch_unwind(AssertUnwindSafe(|| exec(t)));
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let ns = elapsed_ns(started);
             busy = busy.saturating_add(ns);
             tail = tail.max(ns);
+            ready = lock(&state);
             match result {
                 Ok(value) => {
                     done.push((t, value));
+                    let mut released = 0;
                     for &d in &tasks[t].dependents {
-                        if indegree[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            lock(&deques[w]).push_back(d);
+                        ready.indegree[d] -= 1;
+                        if ready.indegree[d] == 0 {
+                            ready.heap.push((tasks[d].cost, Reverse(d)));
+                            released += 1;
                         }
                     }
-                    remaining.fetch_sub(1, Ordering::AcqRel);
+                    ready.remaining -= 1;
+                    if ready.remaining == 0 {
+                        wake.notify_all();
+                    }
+                    // This worker pops one released task itself on its
+                    // next turn; each further one wakes a waiting worker.
+                    for _ in 1..released {
+                        wake.notify_one();
+                    }
                 }
                 Err(payload) => {
-                    abort.store(true, Ordering::SeqCst);
-                    return Err(panic_message(payload.as_ref()));
+                    ready.abort = true;
+                    wake.notify_all();
+                    return Err(escaped(payload));
                 }
             }
         }
+        drop(ready);
         // Worker epilogue: harvest the thread-local arena counters while
         // still on the worker thread (they are invisible after the join).
         Ok((done, busy, tail, arena::drain_stats()))
     };
 
-    let joined: Result<Vec<WorkerPart<T>>, TopKError> = std::thread::scope(|s| {
-        let run_worker = &run_worker;
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || run_worker(w))).collect();
+    let parts: Vec<WorkerPart<T>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(part)) => Ok(part),
-                Ok(Err(cause)) => {
-                    Err(TopKError::EnginePanic { phase: FaultPhase::Enumeration, cause })
-                }
-                Err(payload) => Err(TopKError::EnginePanic {
-                    phase: FaultPhase::Enumeration,
-                    cause: panic_message(payload.as_ref()),
-                }),
-            })
-            .collect()
-    });
-    let parts = joined?;
+            .map(|h| h.join().map_err(escaped).and_then(|part| part))
+            .collect::<Result<_, _>>()
+    })?;
 
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut max_busy = 0u64;
@@ -542,7 +516,6 @@ where
     let stats = SchedStats {
         threads: workers,
         tasks: n,
-        steals: steals.load(Ordering::Relaxed),
         max_busy_ns: max_busy,
         min_busy_ns: if min_busy == u64::MAX { 0 } else { min_busy },
         busy_ns: busy_total,
@@ -554,10 +527,27 @@ where
     Ok((out, stats))
 }
 
+/// Maps `f` over `0..n` on up to `threads` workers — [`execute`] over a
+/// task graph without edges — and returns the results in index order,
+/// so a caller folding them serially resolves ties exactly as a serial
+/// loop would, and the error returned is the lowest-index one. A panic
+/// escaping `f` surfaces as [`TopKError::EnginePanic`] naming `phase`.
+pub(crate) fn map<T: Send>(
+    threads: usize,
+    n: usize,
+    phase: FaultPhase,
+    f: impl Fn(usize) -> Result<T, TopKError> + Sync,
+) -> Result<Vec<T>, TopKError> {
+    let tasks: Vec<Task> =
+        (0..n).map(|_| Task { dependents: Vec::new(), indegree: 0, cost: 0 }).collect();
+    execute(&tasks, threads, phase, f)?.0.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     fn chain(n: usize) -> Vec<Task> {
         (0..n)
@@ -576,8 +566,9 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_on_a_chain() {
         let tasks = chain(64);
-        let (serial, s_stats) = execute(&tasks, 1, |t| t * 3).unwrap();
-        let (parallel, p_stats) = execute(&tasks, 4, |t| t * 3).unwrap();
+        let phase = FaultPhase::Enumeration;
+        let (serial, s_stats) = execute(&tasks, 1, phase, |t| t * 3).unwrap();
+        let (parallel, p_stats) = execute(&tasks, 4, phase, |t| t * 3).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(s_stats.threads(), 1);
         assert!(p_stats.threads() > 1);
@@ -585,13 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn dependencies_are_respected_under_stealing() {
+    fn dependencies_are_respected_on_a_chain() {
         // Every task records the completion tick of its dependency era:
         // a task must observe its predecessor's write.
         let n = 128;
         let tasks = chain(n);
         let last = AtomicU64::new(0);
-        let (out, _) = execute(&tasks, 8, |t| {
+        let (out, _) = execute(&tasks, 8, FaultPhase::Enumeration, |t| {
             let seen = last.swap(t as u64 + 1, Ordering::SeqCst);
             (t as u64, seen)
         })
@@ -605,16 +596,17 @@ mod tests {
     #[test]
     fn wide_graphs_complete_every_task_once() {
         let tasks = independent(500);
-        let (out, stats) = execute(&tasks, 6, |t| t).unwrap();
+        let (out, stats) = execute(&tasks, 6, FaultPhase::Enumeration, |t| t).unwrap();
         assert_eq!(out, (0..500).collect::<Vec<_>>());
         assert_eq!(stats.tasks(), 500);
+        assert_eq!(stats.steals(), 0, "the retired slot always reads 0");
         assert!(stats.max_busy_ns() >= stats.min_busy_ns());
     }
 
     #[test]
     fn escaped_panic_is_a_typed_engine_error_not_a_hang() {
         let tasks = independent(32);
-        let err = execute(&tasks, 4, |t| {
+        let err = execute(&tasks, 4, FaultPhase::Enumeration, |t| {
             assert!(t != 7, "scheduler-level boom");
             t
         })
@@ -625,6 +617,124 @@ mod tests {
                 assert!(cause.contains("boom"), "cause: {cause}");
             }
             other => panic!("expected EnginePanic, got {other}"),
+        }
+    }
+
+    /// SplitMix64 finalizer: a cheap, well-spread hash of a task index.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A topologically laid-out DAG over `n` tasks: each `(a, b)` pair
+    /// becomes an edge from the lower to the higher of `a % n`, `b % n`
+    /// (self-loops dropped, duplicates kept as the sweep would keep them).
+    fn dag(n: usize, edges: &[(usize, usize)], costs: &[u64]) -> (Vec<Task>, Vec<Vec<usize>>) {
+        let mut tasks: Vec<Task> = (0..n)
+            .map(|t| Task { dependents: Vec::new(), indegree: 0, cost: costs[t % costs.len()] })
+            .collect();
+        let mut preds = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            let (u, v) = ((a % n).min(b % n), (a % n).max(b % n));
+            if u != v {
+                tasks[u].dependents.push(v);
+                tasks[v].indegree += 1;
+                preds[v].push(u);
+            }
+        }
+        (tasks, preds)
+    }
+
+    /// Runs the DAG on `threads` workers with a task-index-hashed 0–200 µs
+    /// sleep per task, so each thread count sees its own schedule. Each
+    /// task's output folds in its predecessors' outputs, read from
+    /// per-task done cells that must already be set when it starts.
+    fn run_dag(tasks: &[Task], preds: &[Vec<usize>], threads: usize) -> Result<Vec<u64>, String> {
+        let runs: Vec<AtomicUsize> = tasks.iter().map(|_| AtomicUsize::new(0)).collect();
+        let done: Vec<OnceLock<u64>> = tasks.iter().map(|_| OnceLock::new()).collect();
+        let (out, _) = execute(tasks, threads, FaultPhase::Enumeration, |t| {
+            runs[t].fetch_add(1, Ordering::SeqCst);
+            let mut acc = mix(t as u64);
+            for &p in &preds[t] {
+                let finished = done[p].get().expect("task started before a dependency finished");
+                acc = mix(acc ^ finished);
+            }
+            std::thread::sleep(Duration::from_micros(mix(t as u64) % 201));
+            assert!(done[t].set(acc).is_ok(), "task {t} finished twice");
+            acc
+        })
+        .map_err(|e| format!("threads={threads}: {e}"))?;
+        match runs.iter().position(|r| r.load(Ordering::SeqCst) != 1) {
+            Some(t) => Err(format!("threads={threads}: task {t} did not run exactly once")),
+            None => Ok(out),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random DAGs under perturbed schedules: every task runs once,
+        /// only after all its dependencies finished, and the outputs
+        /// equal the serial reference path's.
+        #[test]
+        fn perturbed_schedules_match_the_serial_path(
+            n in 1usize..40,
+            edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..120),
+            costs in prop::collection::vec(0u64..8, 1..6),
+        ) {
+            let (tasks, preds) = dag(n, &edges, &costs);
+            let serial = run_dag(&tasks, &preds, 1);
+            prop_assert!(serial.is_ok(), "{:?}", serial);
+            for threads in [2, 3, 8] {
+                let parallel = run_dag(&tasks, &preds, threads);
+                prop_assert!(parallel == serial, "threads={}: {:?} != {:?}", threads, parallel, serial);
+            }
+        }
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order() {
+        for threads in [1, 2, 4] {
+            let out = map(threads, 37, FaultPhase::Prepare, |i| Ok(i * i)).unwrap();
+            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_returns_the_lowest_index_error() {
+        for threads in [1, 2, 4] {
+            let err = map(threads, 20, FaultPhase::Prepare, |i| {
+                if i % 7 == 3 {
+                    Err(TopKError::Internal { what: format!("job {i}") })
+                } else {
+                    Ok(i)
+                }
+            })
+            .expect_err("jobs 3, 10 and 17 fail");
+            match err {
+                TopKError::Internal { what } => assert_eq!(what, "job 3", "threads={threads}"),
+                other => panic!("threads={threads}: expected Internal, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn map_reports_a_panic_under_the_callers_phase() {
+        for threads in [1, 2, 4] {
+            let err = map(threads, 9, FaultPhase::Selection, |i| {
+                assert!(i != 5, "map-level boom");
+                Ok(i)
+            })
+            .expect_err("the panic must surface as a typed error");
+            match err {
+                TopKError::EnginePanic { phase, cause } => {
+                    assert_eq!(phase, FaultPhase::Selection, "threads={threads}");
+                    assert!(cause.contains("boom"), "cause: {cause}");
+                }
+                other => panic!("threads={threads}: expected EnginePanic, got {other}"),
+            }
         }
     }
 
@@ -665,7 +775,6 @@ mod tests {
         let a = SchedStats {
             threads: 4,
             tasks: 10,
-            steals: 3,
             max_busy_ns: 100,
             min_busy_ns: 40,
             busy_ns: 250,
@@ -677,7 +786,6 @@ mod tests {
         let b = SchedStats {
             threads: 2,
             tasks: 5,
-            steals: 1,
             max_busy_ns: 300,
             min_busy_ns: 10,
             busy_ns: 320,
@@ -692,7 +800,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.tasks(), 15);
-        assert_eq!(ab.steals(), 4);
         assert_eq!(ab.max_busy_ns(), 300);
         assert_eq!(ab.min_busy_ns(), 10);
         assert_eq!(ab.arena_reused(), 12);

@@ -16,7 +16,7 @@
 //!   edges (`Circuit::dirty_closure_filtered` — a coupling disabled in
 //!   both the old and new mask injects no noise in either world, so its
 //!   adjacency edge cannot carry a difference and is dropped), and
-//!   re-runs the work-stealing sweep over only the dirty victims — every
+//!   re-runs the scheduler sweep over only the dirty victims — every
 //!   clean victim's lists and counters are served from the cache. The
 //!   outcome also reports what the mask-oblivious closure would have
 //!   been, so the adjacency filtering's savings are measurable per apply.

@@ -1,14 +1,15 @@
-//! The work-stealing scheduler contract, attacked from every side.
+//! The scheduler contract, attacked from every side.
 //!
-//! The sweep hands each victim to whichever worker steals it first, yet
-//! the answer must be **bit-identical** to the serial reference schedule
-//! at any thread count, under any steal order, budgeted or not — because
-//! per-victim enumeration is pure, result slots are disjoint write-once
-//! cells, and budget shares are pre-partitioned by victim index instead
-//! of charged at a barrier. These tests drive that argument: thread
-//! sweeps, an adversarial long-tail circuit, random circuits under
-//! random budgets, steal-order shuffling, a panicking stolen task, and a
-//! corrupted result slot that the from-scratch oracle must catch.
+//! The sweep hands each ready victim to whichever worker pops it first,
+//! yet the answer must be **bit-identical** to the serial reference
+//! schedule at any thread count, budgeted or not — because per-victim
+//! enumeration is pure, result slots are disjoint write-once cells, and
+//! budget shares are pre-partitioned by victim index instead of charged
+//! at a barrier. These tests drive that argument: thread sweeps, an
+//! adversarial long-tail circuit, random circuits under random budgets,
+//! a panicking task, and a corrupted result slot that the from-scratch
+//! oracle must catch. Schedule perturbation over random task graphs is
+//! unit-tested next to the scheduler (`sched.rs`).
 
 use proptest::prelude::*;
 use topk_aggressors::lint::lint_divergence;
@@ -78,7 +79,7 @@ fn thread_count_never_changes_a_bit() {
 }
 
 /// One victim with ten times the aggressors of everyone else: the
-/// scheduler's worst case, where LPT seeding and stealing matter most
+/// scheduler's worst case, where LPT ordering matters most
 /// and a barrier-charged budget would have drifted with the schedule.
 fn long_tail_circuit() -> Circuit {
     let mut b = CircuitBuilder::new(Library::cmos013());
@@ -135,28 +136,8 @@ fn long_tail_victim_is_thread_invariant() {
     );
 }
 
-/// Steal-order shuffling (the CI_FULL stress axis): `DNA_SCHED_SHUFFLE`
-/// perturbs deque seeding and steal direction but may never change an
-/// output bit. The variable is process-wide, so neighbouring tests may
-/// sweep under a shuffle while it is set — by this very contract, that
-/// cannot change their answers either.
-#[test]
-fn steal_order_shuffle_never_changes_a_bit() {
-    let circuit = suite::benchmark("i1", 42).expect("known benchmark");
-    std::env::remove_var("DNA_SCHED_SHUFFLE");
-    let reference = run(&circuit, Mode::Addition, 3, budgeted(1)).fingerprint();
-    for seed in [1u64, 7, 0xdead_beef] {
-        std::env::set_var("DNA_SCHED_SHUFFLE", seed.to_string());
-        for threads in [2, 4] {
-            let shuffled = run(&circuit, Mode::Addition, 3, budgeted(threads)).fingerprint();
-            assert_eq!(reference, shuffled, "shuffle seed {seed} threads={threads} diverged");
-        }
-    }
-    std::env::remove_var("DNA_SCHED_SHUFFLE");
-}
-
-/// A stolen task that panics quarantines exactly its own victim — the
-/// rest of the sweep completes and stays bit-identical to the serial run
+/// A task that panics on a parallel worker quarantines exactly its own
+/// victim — the rest of the sweep completes and stays bit-identical to the serial run
 /// under the same fault.
 #[test]
 fn panicking_stolen_task_quarantines_only_its_victim() {
