@@ -94,21 +94,27 @@ golden_cli=(cargo run --release -q -p dna-cli --offline --)
 check_golden "$smoke_i5" 398a0e0ca2d9fd8c --mode add
 check_golden "$smoke_i5" 6c06a3a85eaa90d7
 
-echo "== scheduler smoke (i1: threads 2 and 4 bit-identical to threads 1)"
+echo "== scheduler smoke (i1, both modes: threads 2 and 4 bit-identical to threads 1)"
 # Strip the run-local diagnostics (wall-clock runtime, scheduler
 # counters) and compare everything else — the couplings, the delays.
-sched_fingerprint() {
-  cargo run -q -p dna-cli --offline -- topk "$smoke_i1" --k 3 --threads "$1" \
-    | grep -v '^scheduler:' | sed 's/ in [0-9.]*[a-zµ]*s$//'
+# Elimination validation abandons options whose fixpoint bound has lost
+# to the best finished one, so its work depends on the schedule; its
+# answer must not.
+strip_run_local() { grep -v '^scheduler:' | sed 's/ in [0-9.]*[a-zµ]*s$//'; }
+sched_fingerprint() { # $1 = threads, $2 = mode
+  cargo run -q -p dna-cli --offline -- topk "$smoke_i1" --k 3 --threads "$1" --mode "$2" \
+    | strip_run_local
 }
-t1="$(sched_fingerprint 1)"
-for threads in 2 4; do
-  tn="$(sched_fingerprint "$threads")"
-  [[ "$t1" == "$tn" ]] || {
-    echo "scheduler smoke: threads=$threads diverged from the serial reference"
-    diff <(echo "$t1") <(echo "$tn") || true
-    exit 1
-  }
+for mode in add del; do
+  t1="$(sched_fingerprint 1 "$mode")"
+  for threads in 2 4; do
+    tn="$(sched_fingerprint "$threads" "$mode")"
+    [[ "$t1" == "$tn" ]] || {
+      echo "scheduler smoke: --mode $mode threads=$threads diverged from the serial reference"
+      diff <(echo "$t1") <(echo "$tn") || true
+      exit 1
+    }
+  done
 done
 
 echo "== batch whatif smoke (shared sweep identity + order independence)"
@@ -119,6 +125,15 @@ out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --batch "$
 echo "$out" | grep -q "audit: all 3 scenario(s) == from-scratch" \
   || { echo "batch smoke failed its audit"; exit 1; }
 cargo run -q -p dna-cli --offline -- topk "$smoke_ckt" --mode elim --k 4 --peel >/dev/null
+# Pinned peel digest (i3 seed 42, k 10, run-local lines stripped): every
+# peel round validates its options through the same bound-and-abandon
+# helper as one-pass elimination, and the chosen couplings and delays
+# must not move.
+peel_digest="$(cargo run -q -p dna-cli --offline -- topk "$smoke_i3" --mode del --k 10 --peel \
+  | strip_run_local | sha256sum | cut -c1-16)"
+[[ "$peel_digest" == f6043f95b60b93d5 ]] || {
+  echo "peel digest drifted: topk i3 --mode del --k 10 --peel hashed to '$peel_digest'"; exit 1
+}
 
 echo "== fault-injection smoke (typed errors / quarantine / degradation, no panics)"
 cargo test --offline -q --test fault_injection >/dev/null

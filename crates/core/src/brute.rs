@@ -72,6 +72,9 @@ impl BruteForceOutcome {
 
 /// Exhaustively finds the optimal top-k set of the given mode.
 ///
+/// Every subset counts as evaluated, but an elimination subset's analysis
+/// stops as soon as its lower bound shows it cannot beat the best so far.
+///
 /// # Errors
 ///
 /// Propagates [`StaError`] from the noise analyses.
@@ -108,16 +111,27 @@ pub fn brute_force(
             Mode::Addition => CouplingMask::none(circuit).with(&ids),
             Mode::Elimination => CouplingMask::all(circuit).without(&ids),
         };
-        let delay = engine.run_with_mask(&mask)?.circuit_delay();
+        // Elimination keeps the strict minimum in lexicographic order, so
+        // a subset whose ascending-fixpoint lower bound reaches the best
+        // delay so far can never replace it: stop measuring it there
+        // (bound and abandon, DESIGN §18.7). Addition has no such bound.
+        let report = match mode {
+            Mode::Addition => Some(engine.run_with_mask(&mask)?),
+            Mode::Elimination => engine.run_with_mask_until(&mask, |bound| {
+                best.as_ref().is_some_and(|(_, d)| bound >= *d)
+            })?,
+        };
         evaluated += 1;
 
-        let better = match (&best, mode) {
-            (None, _) => true,
-            (Some((_, d)), Mode::Addition) => delay > *d,
-            (Some((_, d)), Mode::Elimination) => delay < *d,
-        };
-        if better {
-            best = Some((ids.into_iter().collect(), delay));
+        if let Some(delay) = report.map(|r| r.circuit_delay()) {
+            let better = match (&best, mode) {
+                (None, _) => true,
+                (Some((_, d)), Mode::Addition) => delay > *d,
+                (Some((_, d)), Mode::Elimination) => delay < *d,
+            };
+            if better {
+                best = Some((ids.into_iter().collect(), delay));
+            }
         }
 
         if !next_combination(&mut subset, r) {

@@ -34,9 +34,16 @@ pub struct TopKConfig {
     /// report the measured delay (recommended; small extra cost).
     pub validate: bool,
     /// When validating, measure up to this many of the best predicted
-    /// candidate sets and return the one with the best *measured* delay.
-    /// Guards the envelope abstraction's ranking against close calls; `1`
-    /// validates only the single predicted winner.
+    /// candidate sets and return the one with the best *measured* delay
+    /// (ties go to the better-predicted set). Guards the envelope
+    /// abstraction's ranking against close calls; `1` validates only the
+    /// single predicted winner.
+    ///
+    /// Elimination stops measuring a set as soon as its ascending noise
+    /// fixpoint shows it cannot beat the best set measured so far (bound
+    /// and abandon), so most of the pool costs a few iterations instead
+    /// of a full analysis. The chosen set and its measured delay are the
+    /// same as measuring every set to the end, at any thread count.
     pub validation_pool: usize,
     /// How many gate levels upstream the higher-order widener search
     /// looks. Noise iterations converge within a few levels (industrial

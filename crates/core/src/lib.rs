@@ -101,11 +101,13 @@ pub use result::{Fault, FaultPhase, FaultReport, Fingerprint, Soundness, SweepSt
 pub use sched::SchedStats;
 pub use session::{MaskDelta, WhatIfOutcome, WhatIfSession};
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use dna_netlist::Circuit;
 use dna_noise::{CouplingMask, NoiseAnalysis};
 
+use addition::SinkOption;
 use engine::{Prepared, Swept};
 use faultsim::Faults;
 
@@ -269,31 +271,22 @@ impl<'c> TopKAnalysis<'c> {
                 }
             }
 
-            // Measure each option under the current mask; commit the best.
-            let options = &outcome.options;
-            let measured = sched::map(threads, options.len(), FaultPhase::Selection, |i| {
-                if options[i].set.is_empty() {
-                    return Ok(None);
-                }
-                let trial = mask.clone().without(options[i].set.ids());
-                Ok(Some(self.noise.run_with_mask(&trial)?.circuit_delay()))
-            })?;
-            let mut best: Option<(f64, f64, &CouplingSet, dna_netlist::NetId)> = None;
-            for (opt, measured) in options.iter().zip(measured) {
-                let Some(measured) = measured else { continue };
-                if best.as_ref().is_none_or(|(m, ..)| measured < *m) {
-                    best = Some((measured, opt.predicted_delay, &opt.set, opt.sink));
-                }
-            }
-            let Some((measured, pred, set, opt_sink)) = best else { break };
+            // Measure each non-empty option under the current mask; commit
+            // the best.
+            let options: Vec<SinkOption> =
+                outcome.options.into_iter().filter(|opt| !opt.set.is_empty()).collect();
+            let Some((idx, measured)) = self.validate_elimination(threads, &mask, &options)? else {
+                break;
+            };
             if measured >= delay_now - self.config.noise.tolerance {
                 break; // no further improvement available
             }
-            mask = mask.without(set.ids());
-            chosen = chosen.union(set);
+            let best = &options[idx];
+            mask = mask.without(best.set.ids());
+            chosen = chosen.union(&best.set);
             delay_now = measured;
-            predicted = pred;
-            sink = opt_sink;
+            predicted = best.predicted_delay;
+            sink = best.sink;
         }
 
         stats.quarantined_victims = faults.len();
@@ -454,31 +447,30 @@ impl<'c> TopKAnalysis<'c> {
 
             // Measure the best predicted options with full iterative noise
             // analyses (independent, so in parallel) and keep the winner by
-            // *measured* delay, folding in index order so ties and the first
-            // error resolve as a serial loop would; without validation, trust
+            // *measured* delay, resolving ties and the first error as a
+            // serial loop in index order would; without validation, trust
             // the single best prediction.
             let mut options = outcome.options;
             debug_assert!(!options.is_empty(), "enumeration always yields an option");
             let (choice, delay_after) = if self.config.validate {
-                let measured = sched::map(threads, options.len(), FaultPhase::Selection, |idx| {
-                    let set = options[idx].set.ids();
-                    let mask = match mode {
-                        Mode::Addition => CouplingMask::none(self.circuit).with(set),
-                        Mode::Elimination => base_mask.clone().without(set),
-                    };
-                    Ok(self.noise.run_with_mask(&mask)?.circuit_delay())
-                })?;
-                let mut best: Option<(usize, f64)> = None;
-                for (idx, measured) in measured.into_iter().enumerate() {
-                    let better = match (&best, mode) {
-                        (None, _) => true,
-                        (Some((_, d)), Mode::Addition) => measured > *d,
-                        (Some((_, d)), Mode::Elimination) => measured < *d,
-                    };
-                    if better {
-                        best = Some((idx, measured));
+                let best = match mode {
+                    Mode::Addition => {
+                        let measured =
+                            sched::map(threads, options.len(), FaultPhase::Selection, |idx| {
+                                let mask =
+                                    CouplingMask::none(self.circuit).with(options[idx].set.ids());
+                                Ok(self.noise.run_with_mask(&mask)?.circuit_delay())
+                            })?;
+                        let mut best: Option<(usize, f64)> = None;
+                        for (idx, delay) in measured.into_iter().enumerate() {
+                            if best.is_none_or(|(_, d)| delay > d) {
+                                best = Some((idx, delay));
+                            }
+                        }
+                        best
                     }
-                }
+                    Mode::Elimination => self.validate_elimination(threads, base_mask, &options)?,
+                };
                 let Some((idx, measured)) = best else {
                     return Err(TopKError::Internal {
                         what: "validation pool was empty despite non-empty options".into(),
@@ -514,5 +506,92 @@ impl<'c> TopKAnalysis<'c> {
                 sched,
             })
         })
+    }
+
+    /// Measures every elimination option under `base` minus its set and
+    /// returns the winner's index and measured delay: the minimum
+    /// measured delay, the lower index winning ties — exactly the serial
+    /// "measure all, fold in index order" answer, or `None` for no
+    /// options. The only elimination validation: one-pass runs and every
+    /// peel round share it.
+    ///
+    /// **Bound and abandon** (DESIGN §18.7). The options run on up to
+    /// `threads` workers that share the best finished `(delay, index)`.
+    /// Each option's ascending fixpoint reports its iterate's circuit
+    /// delay, a lower bound on its final measured delay, and stops as soon
+    /// as [`cannot_win`] says that bound has lost. Abandoned options are
+    /// never the serial winner, so the answer is the same at any thread
+    /// count; only the work done depends on the schedule.
+    fn validate_elimination(
+        &self,
+        threads: usize,
+        base: &CouplingMask,
+        options: &[SinkOption],
+    ) -> Result<Option<(usize, f64)>, TopKError> {
+        // Every update is one assignment, so a poisoned lock still holds a
+        // whole `(delay, index)`.
+        let best: Mutex<Option<(f64, usize)>> = Mutex::new(None);
+        let best_now = || *best.lock().unwrap_or_else(PoisonError::into_inner);
+        let measured = sched::map(threads, options.len(), FaultPhase::Selection, |idx| {
+            let mask = base.clone().without(options[idx].set.ids());
+            let until = |bound| cannot_win(bound, idx, best_now());
+            let Some(report) = self.noise.run_with_mask_until(&mask, until)? else {
+                return Ok(None);
+            };
+            let delay = report.circuit_delay();
+            let mut best = best.lock().unwrap_or_else(PoisonError::into_inner);
+            if !cannot_win(delay, idx, *best) {
+                *best = Some((delay, idx));
+            }
+            Ok(Some(delay))
+        })?;
+        let mut winner: Option<(usize, f64)> = None;
+        for (idx, delay) in measured.into_iter().enumerate() {
+            let Some(delay) = delay else { continue };
+            if winner.is_none_or(|(_, d)| delay < d) {
+                winner = Some((idx, delay));
+            }
+        }
+        Ok(winner)
+    }
+}
+
+/// Whether an elimination option at `index` whose measured delay is known
+/// to be at least `bound` can no longer win against the best finished
+/// option `best = (delay, at)`: the minimum delay wins and the lower index
+/// wins a tie, so it has lost once `bound` is above `delay`, or equal to it
+/// with `index` above `at`.
+fn cannot_win(bound: f64, index: usize, best: Option<(f64, usize)>) -> bool {
+    best.is_some_and(|(delay, at)| bound > delay || (bound == delay && index > at))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cannot_win;
+
+    #[test]
+    fn nothing_loses_before_an_option_finishes() {
+        assert!(!cannot_win(f64::INFINITY, 7, None));
+    }
+
+    #[test]
+    fn a_bound_above_the_best_delay_loses_at_any_index() {
+        assert!(cannot_win(5.5, 9, Some((5.0, 3))));
+        assert!(cannot_win(5.5, 1, Some((5.0, 3))));
+    }
+
+    #[test]
+    fn a_bound_below_the_best_delay_keeps_running_at_any_index() {
+        assert!(!cannot_win(4.5, 9, Some((5.0, 3))));
+        assert!(!cannot_win(4.5, 1, Some((5.0, 3))));
+    }
+
+    #[test]
+    fn an_equal_delay_loses_only_at_a_higher_index() {
+        // A later option tying the best can at most tie it, and the lower
+        // index wins ties; an earlier one could still win the tie.
+        assert!(cannot_win(5.0, 4, Some((5.0, 3))));
+        assert!(!cannot_win(5.0, 2, Some((5.0, 3))));
+        assert!(!cannot_win(5.0, 0, Some((5.0, 3))));
     }
 }

@@ -10,7 +10,11 @@
 //! the one-pass algorithm and substantially better with peeling.
 
 use dna_netlist::generator::{generate, GeneratorConfig};
-use dna_topk::{brute_force, BruteForceConfig, Mode, TopKAnalysis, TopKConfig};
+use dna_netlist::CouplingId;
+use dna_noise::{CouplingMask, NoiseAnalysis};
+use dna_topk::{
+    brute_force, BruteForceConfig, BruteForceOutcome, CouplingSet, Mode, TopKAnalysis, TopKConfig,
+};
 
 const SEEDS: u64 = 5;
 const MAX_K: usize = 3;
@@ -141,4 +145,76 @@ fn top_1_addition_is_exact_on_single_sink_circuits() {
             r.delay_after()
         );
     }
+}
+
+/// Every k-subset of `0..r` in lexicographic order.
+fn subsets(r: usize, k: usize) -> Vec<Vec<CouplingId>> {
+    type Subsets = Vec<Vec<CouplingId>>;
+    fn extend(r: usize, k: usize, from: usize, prefix: &mut Vec<CouplingId>, out: &mut Subsets) {
+        if prefix.len() == k {
+            out.push(prefix.clone());
+            return;
+        }
+        for i in from..r {
+            prefix.push(CouplingId::new(i as u32));
+            extend(r, k, i + 1, prefix, out);
+            prefix.pop();
+        }
+    }
+    let mut out = Vec::new();
+    extend(r, k, 0, &mut Vec::new(), &mut out);
+    out
+}
+
+#[test]
+fn brute_force_matches_an_exhaustive_loop() {
+    // Brute-force elimination abandons subsets whose fixpoint lower bound
+    // reaches the best delay so far. Its set, delay and evaluation count
+    // must be those of measuring every subset to the end and keeping the
+    // strict optimum in lexicographic order.
+    let config = BruteForceConfig::default();
+    let mut abandonable = 0;
+    for seed in 0..10u64 {
+        let circuit = generate(&GeneratorConfig::new(12, 10).with_seed(seed)).unwrap();
+        let engine = NoiseAnalysis::new(&circuit, config.noise);
+        for mode in [Mode::Addition, Mode::Elimination] {
+            for k in 1..=3 {
+                let mut best: Option<(Vec<CouplingId>, f64)> = None;
+                let mut count = 0u64;
+                for ids in subsets(circuit.num_couplings(), k) {
+                    let mask = match mode {
+                        Mode::Addition => CouplingMask::none(&circuit).with(&ids),
+                        Mode::Elimination => CouplingMask::all(&circuit).without(&ids),
+                    };
+                    let delay = engine.run_with_mask(&mask).unwrap().circuit_delay();
+                    count += 1;
+                    if let (Mode::Elimination, Some((_, d))) = (mode, &best) {
+                        let stopped = engine.run_with_mask_until(&mask, |b| b >= *d).unwrap();
+                        abandonable += usize::from(stopped.is_none());
+                    }
+                    let better = match (&best, mode) {
+                        (None, _) => true,
+                        (Some((_, d)), Mode::Addition) => delay > *d,
+                        (Some((_, d)), Mode::Elimination) => delay < *d,
+                    };
+                    if better {
+                        best = Some((ids, delay));
+                    }
+                }
+                let (want_ids, want_delay) = best.unwrap();
+                let want_set: CouplingSet = want_ids.into_iter().collect();
+                match brute_force(&circuit, &config, mode, k).unwrap() {
+                    BruteForceOutcome::Completed { set, delay, evaluated, .. } => {
+                        let at = format!("seed {seed} {mode:?} k {k}");
+                        assert_eq!(set, want_set, "{at}: set");
+                        assert_eq!(delay.to_bits(), want_delay.to_bits(), "{at}: delay");
+                        assert_eq!(evaluated, count, "{at}: evaluated");
+                    }
+                    BruteForceOutcome::TimedOut { .. } => panic!("tiny search must complete"),
+                }
+            }
+        }
+    }
+    // The sweep exercises the shortcut: some subsets stop early.
+    assert!(abandonable > 0, "no elimination subset was abandoned");
 }

@@ -61,7 +61,9 @@ impl Default for NoiseConfig {
 /// noise vector stops changing. [`run`](Self::run) analyzes all couplings;
 /// [`run_with_mask`](Self::run_with_mask) restricts the coupling set,
 /// which is the primitive both top-k algorithms and the brute-force
-/// baseline are built on.
+/// baseline are built on; [`run_with_mask_until`](Self::run_with_mask_until)
+/// is the same loop with a caller's stop predicate, which an ascending run
+/// feeds a lower bound on its final circuit delay after each iteration.
 ///
 /// # Example
 ///
@@ -118,13 +120,43 @@ impl<'c> NoiseAnalysis<'c> {
     ///
     /// Propagates [`StaError`] from the underlying timing runs.
     pub fn run_with_mask(&self, mask: &CouplingMask) -> Result<NoiseReport, StaError> {
+        let report = self.run_with_mask_until(mask, |_| false)?;
+        Ok(report.expect("a run that is never told to stop finishes"))
+    }
+
+    /// Noise analysis under `mask` that a caller may abandon part-way —
+    /// the one fixpoint loop behind [`run_with_mask`](Self::run_with_mask).
+    ///
+    /// After every iteration that neither converged nor hit the iteration
+    /// cap, `stop` is called with the circuit delay of that iterate; if it
+    /// returns `true` the run is abandoned and yields `Ok(None)`. Under
+    /// [`StartAssumption::NoOverlap`] each such delay is a **lower bound**
+    /// on the finished run's [`circuit_delay`](NoiseReport::circuit_delay)
+    /// (Zhou's ascending iteration, paper ref \[4\]): the noise vector only
+    /// grows under the max join, and noisy STA's latest arrival is
+    /// monotone in it (`max` and IEEE `+` are), so the reported delays
+    /// never decrease and never exceed the final one. Descending runs
+    /// ([`StartAssumption::AllOverlap`]) give no such bound and never call
+    /// `stop`.
+    ///
+    /// An abandoned run cannot hide an error: every later timing run would
+    /// see noise `max(prev, fresh)` with `prev >= 0`, which the STA
+    /// accepts, so only the runs before the first `stop` call can fail.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StaError`] from the underlying timing runs.
+    pub fn run_with_mask_until(
+        &self,
+        mask: &CouplingMask,
+        mut stop: impl FnMut(f64) -> bool,
+    ) -> Result<Option<NoiseReport>, StaError> {
         let noiseless = TimingReport::run(self.circuit, &self.model, &self.config.sta)?;
         let n = self.circuit.num_nets();
+        let ascending = self.config.start == StartAssumption::NoOverlap;
 
-        let mut noise: Vec<f64> = match self.config.start {
-            StartAssumption::NoOverlap => vec![0.0; n],
-            StartAssumption::AllOverlap => self.pessimistic_seed(&noiseless, mask),
-        };
+        let mut noise: Vec<f64> =
+            if ascending { vec![0.0; n] } else { self.pessimistic_seed(&noiseless, mask) };
 
         let mut iterations = 0;
         let mut converged = false;
@@ -142,10 +174,7 @@ impl<'c> NoiseAnalysis<'c> {
             // check; both land within tolerance of each other in practice.
             let mut delta: f64 = 0.0;
             for i in 0..n {
-                let next = match self.config.start {
-                    StartAssumption::NoOverlap => noise[i].max(fresh[i]),
-                    StartAssumption::AllOverlap => fresh[i],
-                };
+                let next = if ascending { noise[i].max(fresh[i]) } else { fresh[i] };
                 delta = delta.max((next - noise[i]).abs());
                 noise[i] = next;
             }
@@ -155,9 +184,13 @@ impl<'c> NoiseAnalysis<'c> {
                 converged = true;
                 break;
             }
+            if ascending && iterations < self.config.max_iterations && stop(timing.circuit_delay())
+            {
+                return Ok(None);
+            }
         }
 
-        Ok(NoiseReport { noiseless, noisy: timing, noise, iterations, converged })
+        Ok(Some(NoiseReport { noiseless, noisy: timing, noise, iterations, converged }))
     }
 
     /// One sweep: the delay noise each net would see given the current

@@ -6,12 +6,21 @@ use dna_netlist::Circuit;
 use dna_noise::alignment::worst_alignment;
 use dna_noise::{
     ChargeSharingModel, CouplingContext, CouplingMask, CouplingModel, NoiseAnalysis, NoiseConfig,
+    StartAssumption,
 };
 use dna_waveform::{superposition, Edge, Envelope, TimeInterval, Transition};
 use proptest::prelude::*;
 
 fn circuit_strategy() -> impl Strategy<Value = Circuit> {
     (0u64..300, 6usize..25, 3usize..20).prop_map(|(seed, gates, couplings)| {
+        generate(&GeneratorConfig::new(gates, couplings).with_seed(seed))
+            .expect("generator succeeds")
+    })
+}
+
+/// Circuits large enough for the fixpoint to take several iterations.
+fn iterating_circuit_strategy() -> impl Strategy<Value = Circuit> {
+    (0u64..300, 20usize..50, 30usize..120).prop_map(|(seed, gates, couplings)| {
         generate(&GeneratorConfig::new(gates, couplings).with_seed(seed))
             .expect("generator succeeds")
     })
@@ -99,5 +108,52 @@ proptest! {
                 report.delay_noise(net)
             );
         }
+    }
+
+    /// Each delay `run_with_mask_until` reports is a lower bound of the
+    /// ascending fixpoint: the bounds never decrease, the finished run's
+    /// delay is at or above all of them, one is reported after every
+    /// iteration but the last, and a run never told to stop is exactly
+    /// `run_with_mask`. A descending run reports nothing.
+    #[test]
+    fn iterate_delays_bound_the_final_delay(
+        circuit in iterating_circuit_strategy(),
+        enabled in prop::collection::vec(prop::bool::ANY, 1..8),
+    ) {
+        let off: Vec<_> =
+            circuit.coupling_ids().filter(|id| !enabled[id.index() % enabled.len()]).collect();
+        let mask = CouplingMask::all(&circuit).without(&off);
+        let engine = NoiseAnalysis::new(&circuit, NoiseConfig::default());
+        let mut bounds = Vec::new();
+        let report = engine
+            .run_with_mask_until(&mask, |bound| {
+                bounds.push(bound);
+                false
+            })
+            .unwrap()
+            .expect("a run never told to stop finishes");
+        prop_assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds decreased: {bounds:?}");
+        let last = report.circuit_delay();
+        prop_assert!(bounds.iter().all(|&b| b <= last), "bound above final {last}: {bounds:?}");
+        prop_assert_eq!(bounds.len(), report.iterations().saturating_sub(1));
+        let plain = engine.run_with_mask(&mask).unwrap();
+        prop_assert_eq!(format!("{report:?}"), format!("{plain:?}"));
+        if !bounds.is_empty() {
+            prop_assert!(engine.run_with_mask_until(&mask, |_| true).unwrap().is_none());
+        }
+
+        let descending = NoiseAnalysis::new(
+            &circuit,
+            NoiseConfig { start: StartAssumption::AllOverlap, ..NoiseConfig::default() },
+        );
+        let mut consulted = false;
+        let finished = descending
+            .run_with_mask_until(&mask, |_| {
+                consulted = true;
+                true
+            })
+            .unwrap();
+        prop_assert!(!consulted, "a descending run consulted its stop predicate");
+        prop_assert!(finished.is_some());
     }
 }
