@@ -26,6 +26,15 @@ if grep -rn --include='*.rs' -e 'VecDeque' -e 'DNA_SCHED_SHUFFLE' -e 'fn par_map
   echo "second worker pool or schedule knob found: use sched::execute or sched::map"; exit 1
 fi
 
+echo "== one audit reference (no second audit of what-if damping)"
+# `Oracle` (crates/core/src/oracle.rs) diffs every victim of a damped
+# session against a from-scratch run; a certificate trail or a bound
+# domain re-derived beside it would be a second reference to keep in step.
+if grep -rn --include='*.rs' -e 'derive_clean_witness' -e 'CleanCertificate' -e 'CleanWitness' \
+  -e 'lint_dirty_closure_certified' -e 'struct Corridor' crates src tests; then
+  echo "second audit reference found: audit damped sessions with Oracle::check_session"; exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -50,14 +59,14 @@ cargo run -q -p dna-cli --offline -- generate --gates 40 --couplings 30 --seed 9
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --audit >/dev/null
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --mode add --k 3 --audit >/dev/null
 
-echo "== damping identity smoke (semantic == structural, certificates audited)"
+echo "== damping identity smoke (semantic == structural, proven-clean victims audited by the oracle)"
 # Both dampings must pass the same from-scratch audit on the same circuit;
-# the semantic run additionally re-verifies its certificates, and the
-# oracle diffs every proven-clean victim's cached state.
+# on the semantic run the oracle diffs every proven-clean victim's cached
+# state, and L035 checks that dirty ∪ proven-clean is a closed closure.
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --damping structural --audit >/dev/null
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --damping semantic --audit >/dev/null
 
-echo "== deep lint certificate check (i1)"
+echo "== deep lint oracle check (i1)"
 smoke_i1="$(mktemp -t lint_i1.XXXXXX.ckt)"
 trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i1 --seed 42 --o "$smoke_i1" >/dev/null

@@ -196,14 +196,13 @@ pub struct WhatIfEntry {
     /// removing the worst set, in milliseconds.
     pub incremental_ms: f64,
     /// Victims re-swept by the incremental run (the dirty cone after
-    /// corridor refinement).
+    /// prover refinement).
     pub recomputed_victims: usize,
     /// Total victims in the circuit.
     pub total_victims: usize,
     /// Victims the structural closure alone would have re-swept.
     pub structural_dirty_victims: usize,
-    /// Structurally dirty victims the corridor prover certified clean
-    /// (each skip carries a machine-checkable certificate).
+    /// Structurally dirty victims the damping prover proved clean.
     pub proven_clean_victims: usize,
     /// Whether the incremental result is bit-identical to a from-scratch
     /// run under the same mask.
@@ -318,7 +317,7 @@ pub struct BatchEntry {
     pub dirty_victims: usize,
     /// What a mask-oblivious closure would have re-swept instead.
     pub unmasked_dirty_victims: usize,
-    /// Structurally dirty victims the corridor prover certified clean
+    /// Structurally dirty victims the damping prover proved clean
     /// across all distinct scenarios.
     pub proven_clean_victims: usize,
     /// Closure frames actually built by the shared prefix trie.
@@ -331,7 +330,7 @@ pub struct BatchEntry {
 }
 
 /// One measured damping comparison: the same worst-set removal applied
-/// once under [`dna_topk::Damping::Semantic`] (corridor prover on) and
+/// once under [`dna_topk::Damping::Semantic`] (damping prover on) and
 /// once under [`dna_topk::Damping::Structural`] (prover off), both
 /// bit-compared to a from-scratch run under the same mask.
 #[derive(Debug, Clone)]
@@ -346,9 +345,10 @@ pub struct DampingEntry {
     pub structural_ms: f64,
     /// Victims the structural closure re-sweeps.
     pub structural_dirty_victims: usize,
-    /// Victims the corridor prover certified clean and skipped.
+    /// Victims the damping prover proved clean and skipped.
     pub proven_clean_victims: usize,
-    /// Clean certificates emitted by the semantic apply (one per skip).
+    /// Proven-clean victims the semantic apply reported by id (one per
+    /// skip).
     pub certificates: usize,
     /// Whether the semantic and structural applies are bit-identical to
     /// each other *and* to the from-scratch reference.
@@ -509,7 +509,7 @@ pub fn run(spec: &BenchSpec) -> Result<BenchReport, String> {
 }
 
 /// Measures one damping comparison: the same fix-loop delta applied once
-/// with the corridor prover on ([`Damping::Semantic`], the default) and
+/// with the damping prover on ([`Damping::Semantic`], the default) and
 /// once with it off ([`Damping::Structural`]), both cross-checked for
 /// bit-identity against each other and against a from-scratch run under
 /// the same mask — the contract that semantic damping never changes an
@@ -1171,7 +1171,7 @@ impl BenchReport {
                     if e.identical_to_full { "yes" } else { "NO" }.to_owned(),
                 ]);
             }
-            out.push_str("\ncorridor damping (semantic vs structural dirty closure):\n");
+            out.push_str("\nsemantic damping (semantic vs structural dirty closure):\n");
             out.push_str(&dtable.render());
         }
         out
@@ -1409,7 +1409,7 @@ fn parse(text: &str) -> Result<Json, String> {
 /// the checkpoint clears the 8 MiB floor), and every semantically
 /// damped apply identical to its structural and from-scratch references
 /// (the CI gates for the work-stealing sweep, the incremental session
-/// path, the batch engine and the corridor prover) — and that the
+/// path, the batch engine and the damping prover) — and that the
 /// scheduler section's parallel configuration beat serial wherever the
 /// speedup gate applies.
 ///
@@ -1794,7 +1794,7 @@ mod tests {
         assert!(report.batch.iter().all(|e| e.distinct_scenarios < e.scenarios));
         assert!(report.batch.iter().all(|e| e.dirty_victims <= e.unmasked_dirty_victims));
         // One damping comparison per circuit x mode: bit-identical under
-        // both dampings, one certificate per proven-clean victim, and the
+        // both dampings, one reported id per proven-clean victim, and the
         // whatif section's bookkeeping must add up.
         assert_eq!(report.damping.len(), 1);
         assert!(report.damping.iter().all(|e| e.identical_to_full));
@@ -1826,7 +1826,7 @@ mod tests {
         assert!(table.contains("session persistence"));
         assert!(table.contains("versioned store"));
         assert!(table.contains("batch what-if"));
-        assert!(table.contains("corridor damping"));
+        assert!(table.contains("semantic damping"));
     }
 
     /// A structurally complete, semantically passing v10 report — the

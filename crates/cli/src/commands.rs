@@ -4,8 +4,8 @@ use std::fs;
 
 use dna_bench::topk_bench;
 use dna_lint::{
-    lint_chain, lint_circuit, lint_config, lint_dirty_closure, lint_dirty_closure_certified,
-    lint_divergence, lint_result, lint_timing, Diagnostics,
+    lint_chain, lint_circuit, lint_config, lint_dirty_closure, lint_divergence, lint_result,
+    lint_timing, Diagnostics,
 };
 use dna_netlist::generator::{generate, GeneratorConfig};
 use dna_netlist::{format, suite, Circuit, CouplingId};
@@ -25,7 +25,7 @@ usage: dna <command> [options]
 
 commands:
   generate  --gates N --couplings N [--seed S] [--bench i1..i10] [-o file]
-  analyze   <file.ckt> [--seed S]         iterative noise analysis report
+  analyze   <file.ckt>                    iterative noise analysis report
   topk      <file.ckt> --mode add|del -k N [--peel]
             [--threads N] [--victim-budget N] [--global-budget N]
             [--deadline-ms MS]
@@ -41,10 +41,9 @@ commands:
             [--save FILE] [--load FILE]   fix-loop: run, remove the worst
             [--compact] [--history [GEN]] set, re-verify incrementally;
             [--batch FILE] [--fingerprint] --damping semantic (default)
-                                          skips victims the corridor
-                                          prover certifies clean, never
+                                          skips victims the damping
+                                          prover proves clean, never
                                           changing an output bit; --audit
-                                          re-verifies certificates and
                                           diffs every victim against a
                                           serial from-scratch run; sessions
                                           persist to crash-safe generation
@@ -94,7 +93,13 @@ commands:
                                           connects with bounded
                                           exponential-backoff retry unless
                                           --no-retry
-  help                                    this message";
+  help                                    this message
+
+A one-letter option is spelled -x or --x; an argument a command does not
+read is an error.";
+
+/// A subcommand's entry point.
+type Command = fn(&Opts) -> Result<(), String>;
 
 /// Routes the parsed command line to a subcommand.
 ///
@@ -104,23 +109,64 @@ commands:
 /// failures and analysis errors.
 pub fn dispatch(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args);
-    match opts.positional(0) {
-        Some("generate") => cmd_generate(&opts),
-        Some("analyze") => cmd_analyze(&opts),
-        Some("topk") => cmd_topk(&opts),
-        Some("whatif") => cmd_whatif(&opts),
-        Some("paths") => cmd_paths(&opts),
-        Some("glitch") => cmd_glitch(&opts),
-        Some("lint") => cmd_lint(&opts),
-        Some("bench") => cmd_bench(&opts),
-        Some("serve") => crate::serve_cmd::cmd_serve(&opts),
-        Some("client") => crate::serve_cmd::cmd_client(&opts),
+    // Each command with the positionals (after its name) and the flags it
+    // reads; anything else on the line is rejected before it runs.
+    let (run, positionals, flags): (Command, Option<usize>, &[&str]) = match opts.positional(0) {
+        Some("generate") => (cmd_generate, Some(0), &["gates", "couplings", "seed", "bench", "o"]),
+        Some("analyze") => (cmd_analyze, Some(1), &[]),
+        Some("topk") => (
+            cmd_topk,
+            Some(1),
+            &["mode", "k", "peel", "threads", "victim-budget", "global-budget", "deadline-ms"],
+        ),
+        Some("whatif") => (
+            cmd_whatif,
+            Some(1),
+            &[
+                "mode",
+                "k",
+                "audit",
+                "threads",
+                "damping",
+                "save",
+                "load",
+                "compact",
+                "history",
+                "batch",
+                "fingerprint",
+            ],
+        ),
+        Some("paths") => (cmd_paths, Some(1), &["k"]),
+        Some("glitch") => (cmd_glitch, Some(1), &["margin"]),
+        Some("lint") => (cmd_lint, Some(1), &["json", "deep"]),
+        Some("bench") => (
+            cmd_bench,
+            Some(0),
+            &["json", "out", "circuits", "k", "samples", "seed", "quick", "check"],
+        ),
+        Some("serve") => (
+            crate::serve_cmd::cmd_serve,
+            Some(0),
+            &[
+                "port",
+                "capacity",
+                "max-queue",
+                "victim-budget-cap",
+                "global-budget-cap",
+                "deadline-cap-ms",
+                "dir",
+                "recover",
+            ],
+        ),
+        Some("client") => (crate::serve_cmd::cmd_client, None, &["port", "no-retry"]),
         Some("help") | None => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
-    }
+        Some(other) => return Err(format!("unknown command `{other}`\n{USAGE}")),
+    };
+    opts.reject_unknown(positionals, flags)?;
+    run(&opts)
 }
 
 fn load_circuit(opts: &Opts) -> Result<Circuit, String> {
@@ -459,23 +505,23 @@ fn cmd_whatif(opts: &Opts) -> Result<(), String> {
 
     // --audit diffs the session against the serial from-scratch oracle
     // under its mask (the result and every victim's cached lists and
-    // counters, so an unsound clean certificate is caught even though
+    // counters, so an unsound proven-clean skip is caught even though
     // nothing re-swept its victim), re-sweeps the oracle's world in
-    // parallel against it, and checks the dirty set and its clean
-    // certificates against the L035/L05x rules.
+    // parallel against it, and checks the dirty set against L035.
     if opts.has("audit") {
         let oracle = Oracle::new(&engine, mode, k, session.mask()).map_err(|e| e.to_string())?;
         let threads = engine.config().effective_threads();
         let mut diags =
             lint_divergence(&circuit, "incremental session", oracle.check_session(&session));
         diags.merge(lint_divergence(&circuit, "parallel sweep", oracle.check_parallel(threads)));
-        diags.merge(audit_dirty_set(&engine, &pre_mask, session.mask(), &outcome)?);
+        diags.merge(audit_dirty_set(&circuit, &pre_mask, session.mask(), &outcome));
         if diags.has_errors() {
             return Err(format!("audit failed\n{}", diags.render_text()));
         }
         println!(
             "audit: incremental == from-scratch (bit-identical, all {} victim(s)), dirty \
-             closure coherent, {} certificate(s) verified, parallel sweep == serial reference",
+             closure coherent, {} proven-clean victim(s) audited, parallel sweep == serial \
+             reference",
             circuit.num_nets(),
             outcome.certificates().len(),
         );
@@ -483,37 +529,27 @@ fn cmd_whatif(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks the dirty set of a what-if step `before → after` against the
-/// mask-aware L035 rule, and its clean certificates (if any) against the
-/// L05x rules and an independently re-derived witness.
+/// Checks that `dirty ∪ proven-clean` of a what-if step `before → after`
+/// is a closed structural closure (the mask-aware L035 rule). Whether
+/// each proven-clean skip was sound is the oracle's call (L061).
 fn audit_dirty_set(
-    engine: &TopKAnalysis<'_>,
+    circuit: &Circuit,
     before: &CouplingMask,
     after: &CouplingMask,
     outcome: &WhatIfOutcome,
-) -> Result<Diagnostics, String> {
-    let circuit = engine.circuit();
-    if outcome.certificates().is_empty() {
-        return Ok(lint_dirty_closure(circuit, before, after, outcome.dirty_flags()));
+) -> Diagnostics {
+    let mut covered = outcome.dirty_flags().to_vec();
+    for v in outcome.certificates() {
+        covered[v.index()] = true;
     }
-    let witness = engine
-        .derive_clean_witness(outcome.result().mode(), before, after)
-        .map_err(|e| e.to_string())?;
-    Ok(lint_dirty_closure_certified(
-        circuit,
-        before,
-        after,
-        outcome.dirty_flags(),
-        outcome.certificates(),
-        &witness,
-    ))
+    lint_dirty_closure(circuit, before, after, &covered)
 }
 
 /// Re-evaluates `deltas` against `session` in reversed submission order
 /// and checks every scenario, in both orders, against the from-scratch
 /// oracle of its own mask (L061) — both orders equal the reference, so
 /// the batch is also order-independent — and each forward scenario's
-/// dirty set against L035/L05x.
+/// dirty set against L035.
 fn audit_batch(
     engine: &TopKAnalysis<'_>,
     session: &WhatIfSession<'_, '_>,
@@ -537,7 +573,12 @@ fn audit_batch(
                 verdict,
             ));
         }
-        diags.merge(audit_dirty_set(engine, session.mask(), &mask, &forward.scenarios()[i])?);
+        diags.merge(audit_dirty_set(
+            engine.circuit(),
+            session.mask(),
+            &mask,
+            &forward.scenarios()[i],
+        ));
     }
     Ok(diags)
 }
@@ -741,7 +782,7 @@ fn whatif_batch(
     }
     println!(
         "closure sharing: {} trie frame(s) built, {} reused; {} dirty victim(s) total \
-         ({} under mask-oblivious adjacency, {} proven clean by corridor bounds)",
+         ({} under mask-oblivious adjacency, {} proven clean by the damping prover)",
         out.stats().closure_frames_built(),
         out.stats().closure_frames_shared(),
         out.stats().dirty_victims(),
@@ -769,11 +810,11 @@ fn whatif_batch(
         if diags.has_errors() {
             return Err(format!("audit failed\n{}", diags.render_text()));
         }
-        let certs: usize = out.scenarios().iter().map(|sc| sc.certificates().len()).sum();
         println!(
             "audit: all {} scenario(s) == from-scratch (bit-identical, both submission \
-             orders), dirty closures coherent, {certs} certificate(s) verified",
-            out.stats().scenarios()
+             orders), dirty closures coherent, {} proven-clean victim(s) audited",
+            out.stats().scenarios(),
+            out.scenarios().iter().map(WhatIfOutcome::proven_clean_victims).sum::<usize>(),
         );
     }
     Ok(())
@@ -851,13 +892,12 @@ fn cmd_lint(opts: &Opts) -> Result<(), String> {
 /// `lint --deep`: runs a small top-k analysis on `engine` end to end and
 /// verifies its answer, then exercises an incremental what-if session and
 /// checks its dirty-set bookkeeping against the L035
-/// session-cache-coherence rule and every emitted clean certificate
-/// against the L05x rules (each certificate is re-derived from scratch
-/// and compared bitwise, so an unsound or stale certificate — e.g. one
-/// forged by an engine built with the `force_clean_victim` fault hook —
-/// fails the lint). The session, a batch menu in both orders and a
-/// parallel re-sweep are diffed against the from-scratch oracle (L061),
-/// and the batch scenarios' dirty sets are linted too.
+/// session-cache-coherence rule. The session, a batch menu in both orders
+/// and a parallel re-sweep are diffed against the from-scratch oracle
+/// (L061) — so an unsound proven-clean skip, e.g. one forced by an engine
+/// built with the `force_clean_victim` fault hook, fails the lint where
+/// it changes an answer — and the batch scenarios' dirty sets are linted
+/// too.
 fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
     let circuit = engine.circuit();
     let result = engine.addition_set(2).map_err(|e| e.to_string())?;
@@ -870,10 +910,7 @@ fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
     let outcome = session
         .apply(&MaskDelta::remove(&worst))
         .map_err(|e| format!("deep lint: what-if apply failed: {e}"))?;
-    diags.merge(
-        audit_dirty_set(engine, &pre_mask, session.mask(), &outcome)
-            .map_err(|e| format!("deep lint: cannot re-derive clean witness: {e}"))?,
-    );
+    diags.merge(audit_dirty_set(circuit, &pre_mask, session.mask(), &outcome));
 
     // Reference identity (L061): the session's cached state, a small
     // batch menu in both submission orders, and a parallel re-sweep of
@@ -1062,7 +1099,8 @@ mod tests {
     }
 
     #[test]
-    fn deep_lint_catches_injected_unsound_certificate() {
+    fn deep_lint_names_a_forced_clean_victim() {
+        use dna_lint::{Location, Rule};
         use dna_topk::faultsim::Faults;
 
         let dir = std::env::temp_dir().join("dna_cli_test_faultsim");
@@ -1077,31 +1115,34 @@ mod tests {
             "15",
             "--seed",
             "11",
-            "--o",
+            "-o",
             &path_s,
         ]))
         .unwrap();
 
-        // Replay the session deep lint runs to find a victim it re-sweeps
-        // even after corridor refinement.
+        // Replay the session deep lint runs and aim the hook at an
+        // endpoint of a coupling it removes: that victim's candidate
+        // lists lose the coupling, so skipping it changes an answer.
         let text = fs::read_to_string(&path).unwrap();
         let circuit = format::parse(&text).unwrap();
         let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-        let mut session = WhatIfSession::start(&engine, Mode::Elimination, 2).unwrap();
-        let worst: Vec<_> = session.result().couplings().to_vec();
-        let outcome = session.apply(&MaskDelta::remove(&worst)).unwrap();
-        let victim = outcome
-            .dirty_flags()
-            .iter()
-            .position(|&d| d)
-            .expect("removing the worst set must leave at least one dirty victim");
+        let session = WhatIfSession::start(&engine, Mode::Elimination, 2).unwrap();
+        let removed = circuit.coupling(session.result().couplings()[0]);
+        let victim = removed.a();
 
-        // On an engine with the prover hook armed, the session fabricates
-        // an unsound clean certificate for that victim; the L05x
-        // re-derivation of `lint --deep` must refuse it.
-        let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
+        // On an engine with the prover hook armed, the session serves
+        // that victim stale; the oracle audit of `lint --deep` must name
+        // it under L061.
+        let faults = Faults { force_clean_victim: Some(victim.index()), ..Faults::default() };
         let forging = TopKAnalysis::with_faults(&circuit, TopKConfig::default(), faults);
-        assert!(deep_lint(&forging).unwrap().has_errors());
+        let diags = deep_lint(&forging).unwrap();
+        assert!(
+            diags.iter().any(|d| d.rule == Rule::ReferenceDivergence
+                && matches!(d.location, Location::Net { id, .. } if id == victim.index())),
+            "L061 must name victim {}:\n{}",
+            victim.index(),
+            diags.render_text()
+        );
 
         // On a default engine, the same pass is clean again.
         assert!(!deep_lint(&engine).unwrap().has_errors());

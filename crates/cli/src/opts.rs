@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 /// Parsed command line: positional arguments plus `--flag value` /
-/// `--flag` options.
+/// `--flag` options. A one-letter flag may also be spelled `-x`.
 #[derive(Debug, Default, Clone)]
 pub struct Opts {
     positional: Vec<String>,
@@ -19,9 +19,9 @@ impl Opts {
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
-            if let Some(name) = a.strip_prefix("--") {
+            if let Some(name) = flag_name(a) {
                 let value = match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
+                    Some(v) if flag_name(v).is_none() => {
                         i += 1;
                         v.clone()
                     }
@@ -62,6 +62,36 @@ impl Opts {
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
+
+    /// Rejects what the command does not read: more than `positionals`
+    /// arguments after the command name (`None`: any number), or a flag
+    /// outside `flags`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unrecognised argument.
+    pub fn reject_unknown(&self, positionals: Option<usize>, flags: &[&str]) -> Result<(), String> {
+        let command = self.positional(0).unwrap_or_default();
+        if let Some(extra) = positionals.and_then(|n| self.positional.get(n + 1)) {
+            return Err(format!("unexpected argument `{extra}` for `dna {command}`"));
+        }
+        let mut unknown: Vec<&str> =
+            self.flags.keys().map(String::as_str).filter(|f| !flags.contains(f)).collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            Some(flag) => Err(format!("unrecognised option `--{flag}` for `dna {command}`")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The flag an argument names: `--name`, or a one-letter `-x`. Anything
+/// else, a negative number included, is a value or a positional.
+fn flag_name(arg: &str) -> Option<&str> {
+    if let Some(name) = arg.strip_prefix("--") {
+        return Some(name);
+    }
+    arg.strip_prefix('-').filter(|n| n.len() == 1 && n.bytes().all(|b| b.is_ascii_alphabetic()))
 }
 
 #[cfg(test)]
@@ -88,6 +118,28 @@ mod tests {
         let o = Opts::parse(&args(&["--a", "--b", "v"]));
         assert_eq!(o.flag("a"), Some("true"));
         assert_eq!(o.flag("b"), Some("v"));
+    }
+
+    #[test]
+    fn short_flags_take_values_and_negative_numbers_stay_values() {
+        let o = Opts::parse(&args(&["topk", "x.ckt", "-k", "2", "--peel", "-o", "f", "--m", "-1"]));
+        assert_eq!(o.num::<usize>("k", 10).unwrap(), 2);
+        assert!(o.has("peel"));
+        assert_eq!(o.flag("o"), Some("f"));
+        assert_eq!(o.flag("m"), Some("-1"));
+        assert_eq!(o.positional(2), None);
+    }
+
+    #[test]
+    fn reject_unknown_names_unread_arguments() {
+        let o = Opts::parse(&args(&["paths", "x.ckt", "-k", "3"]));
+        assert!(o.reject_unknown(Some(1), &["k"]).is_ok());
+        let e = o.reject_unknown(Some(1), &["margin"]).unwrap_err();
+        assert!(e.contains("`--k`") && e.contains("dna paths"), "{e}");
+        let o = Opts::parse(&args(&["paths", "x.ckt", "y.ckt"]));
+        let e = o.reject_unknown(Some(1), &[]).unwrap_err();
+        assert!(e.contains("`y.ckt`"), "{e}");
+        assert!(o.reject_unknown(None, &[]).is_ok());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::time::Instant;
 use dna_netlist::{CouplingId, NetId};
 use dna_noise::CouplingMask;
 
-use crate::bounds::{self, CleanCertificate, SemanticState};
+use crate::bounds::{self, SemanticState};
 use crate::engine::{self, Prepared, Swept};
 use crate::result::FaultPhase;
 use crate::sched::{self, SchedStats};
@@ -128,7 +128,7 @@ impl BatchStats {
 
     /// Structurally dirty victims across all distinct scenarios — what
     /// the batch *would* re-sweep under [`Damping::Structural`]. Under
-    /// semantic damping the corridor prover then removes
+    /// semantic damping the damping prover then removes
     /// [`proven_clean_victims`](Self::proven_clean_victims) of these, so
     /// the actual enumeration work is the difference.
     ///
@@ -139,7 +139,7 @@ impl BatchStats {
     }
 
     /// Structurally dirty victims (summed over distinct scenarios) the
-    /// corridor prover certified clean and the sweep therefore skipped.
+    /// damping prover proved clean and the sweep therefore skipped.
     /// Zero under [`Damping::Structural`](crate::Damping::Structural) or
     /// when no semantic state is cached (first apply after a resume).
     #[must_use]
@@ -215,7 +215,7 @@ struct Flipped {
 
 /// One distinct scenario evaluated against a session snapshot: its mask,
 /// the outcome the caller sees, the swept per-victim state and the
-/// corridor prover's fingerprint of the scenario's world.
+/// damping prover's fingerprint of the scenario's world.
 pub(crate) struct Evaluated {
     pub mask: CouplingMask,
     pub outcome: WhatIfOutcome,
@@ -262,7 +262,7 @@ impl WhatIfSession<'_, '_> {
     /// The what-if front end shared by [`apply`](Self::apply) (one delta)
     /// and [`apply_batch`](Self::apply_batch): changed sets and dedup,
     /// dirty closures over the prefix trie, per-scenario preparation and
-    /// corridor refinement, one scenario sweep, per-scenario selection.
+    /// prover refinement, one scenario sweep, per-scenario selection.
     /// Returns the distinct scenarios, the distinct scenario each delta
     /// maps to, and the batch counters. Reads the session, never mutates
     /// it.
@@ -360,21 +360,24 @@ impl WhatIfSession<'_, '_> {
                 self.analysis.prepare(self.mode, &scenarios[s].mask)
             })?;
 
-        // --- Corridor refinement (semantic damping) ------------------
+        // --- Prover refinement (semantic damping) --------------------
         // When this session carries a semantic fingerprint of its world,
         // each scenario's structural closure shrinks to the victims whose
-        // cleanliness cannot be certified. Without one (structural
-        // damping, or the first apply after an artifact resume) the
-        // structural closure is swept as is.
-        let mut certs_of: Vec<Vec<CleanCertificate>> = vec![Vec::new(); scenarios.len()];
+        // cleanliness cannot be proven. Without one (structural damping,
+        // or the first apply after an artifact resume) the structural
+        // closure is swept as is.
+        let mut clean_of: Vec<Vec<NetId>> = vec![Vec::new(); scenarios.len()];
         let mut semantic_of: Vec<Option<SemanticState>> = Vec::with_capacity(scenarios.len());
         for (s, prepared) in prepareds.iter().enumerate() {
             semantic_of.push(match &self.semantic {
                 Some(old) => {
                     let forced = prepared.faults.force_clean_victim;
-                    let (refined, state) = bounds::refine(prepared, old, &dirty_of[s], forced);
-                    certs_of[s] = refined.certificates;
-                    dirty_of[s] = refined.dirty;
+                    let (dirty, state) = bounds::refine(prepared, old, &dirty_of[s], forced);
+                    clean_of[s] = circuit
+                        .net_ids()
+                        .filter(|n| dirty_of[s][n.index()] && !dirty[n.index()])
+                        .collect();
+                    dirty_of[s] = dirty;
                     Some(state)
                 }
                 None => (capture_semantic && self.analysis.config().damping == Damping::Semantic)
@@ -420,7 +423,7 @@ impl WhatIfSession<'_, '_> {
                 std::mem::take(&mut dirty_of[s]),
                 structural_of[s],
                 unmasked_of[s],
-                std::mem::take(&mut certs_of[s]),
+                std::mem::take(&mut clean_of[s]),
             );
             evaluated.push(Evaluated {
                 mask: sc.mask,

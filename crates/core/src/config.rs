@@ -94,9 +94,8 @@ pub struct TopKConfig {
     /// How incremental re-analysis (what-if sessions, batches) decides
     /// which victims to re-sweep after a coupling flip. Never changes any
     /// output bit — [`Damping::Semantic`] (the default) only *removes*
-    /// re-sweep work it can certify via the corridor prover, and every
-    /// skip carries a machine-checkable
-    /// [`CleanCertificate`](crate::CleanCertificate).
+    /// re-sweep work the damping prover proves unnecessary, and the
+    /// [`Oracle`](crate::Oracle) audits every skip.
     pub damping: Damping,
 }
 

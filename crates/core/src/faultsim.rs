@@ -15,12 +15,11 @@
 //!   panicking delay model during STA/noise convergence; must surface as
 //!   [`TopKError::EnginePanic`](crate::TopKError::EnginePanic), never
 //!   abort the process);
-//! * [`Faults::force_clean_victim`] — the corridor prover fabricates an
-//!   *unsound* [`CleanCertificate`](crate::CleanCertificate) claiming the
-//!   given victim is provably clean (simulates a prover bug; the
-//!   certificate verifier in `dna-lint` and
-//!   [`Oracle::check_session`](crate::Oracle::check_session) must both
-//!   catch it);
+//! * [`Faults::force_clean_victim`] — the damping prover marks the given
+//!   victim clean without a proof (simulates a prover bug; when the skip
+//!   changes an answer — aim it at an endpoint of a flipped coupling —
+//!   [`Oracle::check_session`](crate::Oracle::check_session) must name
+//!   that victim);
 //! * [`Faults::corrupt_sched_slot`] — the parallel scheduler sweep
 //!   publishes empty lists into the given victim's result slot while the
 //!   serial reference path stays intact (simulates a scheduler
@@ -67,9 +66,9 @@ pub struct Faults {
     pub nan_at_victim: Option<usize>,
     /// Panic at the start of timing preparation.
     pub panic_in_prepare: bool,
-    /// Fabricate an unsound clean certificate for this victim on every
-    /// what-if refinement: the prover marks it clean *without* a proof,
-    /// so downstream certificate verification must flag the run.
+    /// Force this victim clean on every what-if refinement: the prover
+    /// skips it *without* a proof, so the oracle's session audit must
+    /// name it wherever the skip changes an answer.
     pub force_clean_victim: Option<usize>,
     /// Publish empty lists into this victim's result slot on parallel
     /// sweeps (the serial reference path is untouched), so the oracle's

@@ -85,7 +85,7 @@ pub mod serve;
 
 pub use aggressor::CouplingSet;
 pub use batch::{BatchOutcome, BatchStats, WhatIfBatch};
-pub use bounds::{CleanCertificate, CleanWitness, Corridor, CorridorBound, Damping};
+pub use bounds::Damping;
 pub use brute::{brute_force, BruteForceConfig, BruteForceOutcome};
 pub use candidate::Candidate;
 pub use config::TopKConfig;
@@ -338,7 +338,7 @@ impl<'c> TopKAnalysis<'c> {
 
     /// The preparation front half of a run: input validation plus the
     /// guarded [`Prepared::build`]. Split out so the what-if paths can
-    /// interpose the corridor prover (which reads the prepared state)
+    /// interpose the damping prover (which reads the prepared state)
     /// between preparation and the sweep.
     pub(crate) fn prepare(
         &self,
@@ -372,35 +372,6 @@ impl<'c> TopKAnalysis<'c> {
         }
         let result = self.conclude(prepared, k, &swept, sched, threads, start)?;
         Ok((result, swept))
-    }
-
-    /// Independently re-derives the corridor prover's conclusion for a
-    /// mask transition `old_mask → new_mask`: the refined dirty set and
-    /// one [`CleanCertificate`] per proven-clean victim, computed from
-    /// nothing but the circuit, the mode and the two masks. The deep lint
-    /// pass compares a session's claims against this witness, and the
-    /// forced-clean hook is deliberately **not** consulted here — a
-    /// corrupted session cannot corrupt its own audit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preparation errors from the substrate analyses.
-    pub fn derive_clean_witness(
-        &self,
-        mode: Mode,
-        old_mask: &CouplingMask,
-        new_mask: &CouplingMask,
-    ) -> Result<CleanWitness, TopKError> {
-        let old_prepared = self.prepare(mode, old_mask)?;
-        let old_state = bounds::SemanticState::capture(&old_prepared);
-        drop(old_prepared);
-        let new_prepared = self.prepare(mode, new_mask)?;
-        let (_, seeds) = session::changed_and_seeds(self.circuit, old_mask, new_mask);
-        let structural = self.circuit.dirty_closure_filtered(&seeds, |cc| {
-            old_mask.is_enabled(cc) || new_mask.is_enabled(cc)
-        });
-        let (refined, _) = bounds::refine(&new_prepared, &old_state, &structural, None);
-        Ok(CleanWitness::new(refined.dirty, refined.certificates))
     }
 
     fn run(&self, mode: Mode, k: usize) -> Result<TopKResult, TopKError> {

@@ -111,7 +111,7 @@ impl<'c> Oracle<'c> {
     /// Compares a what-if session's cached state with the reference: its
     /// mask, then the irredundant lists and enumeration counters of every
     /// victim, then its result. A cached victim the session should have
-    /// re-swept (an unsound clean certificate, a stale artifact) is named
+    /// re-swept (an unsound proven-clean skip, a stale artifact) is named
     /// here even though nothing recomputed it.
     ///
     /// # Errors

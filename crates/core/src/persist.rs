@@ -192,7 +192,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Config fingerprint with `threads` and `damping` normalized out: both
 /// knobs are guaranteed (and tested) not to change results — thread count
-/// only shifts scheduling, and the corridor prover only removes certified
+/// only shifts scheduling, and the damping prover only removes proven
 /// re-sweep work — so an artifact saved at `threads = 8` under semantic
 /// damping loads fine at `threads = 1` under structural damping.
 fn config_hash(config: &TopKConfig) -> u64 {
@@ -918,7 +918,7 @@ fn decode_checkpoint<'a, 'c>(
         counters,
         faults,
         result,
-        // Corridor digests are cheap to rebuild and tedious to version;
+        // Semantic digests are cheap to rebuild and tedious to version;
         // the first apply after a resume falls back to the structural
         // closure and re-captures them.
         semantic: None,

@@ -191,7 +191,7 @@ pub struct ScenarioSummary {
     pub generated: usize,
     /// Victims actually re-swept for this scenario.
     pub recomputed_victims: usize,
-    /// Structurally dirty victims skipped under clean certificates.
+    /// Structurally dirty victims the damping prover proved clean.
     pub proven_clean_victims: usize,
     /// Identity fingerprint of the underlying [`crate::TopKResult`].
     pub fingerprint: u64,

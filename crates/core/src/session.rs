@@ -54,7 +54,7 @@ use dna_netlist::{CouplingId, NetId};
 use dna_noise::CouplingMask;
 
 use crate::batch::Evaluated;
-use crate::bounds::{CleanCertificate, SemanticState};
+use crate::bounds::SemanticState;
 use crate::engine::{NetLists, VictimCounters};
 use crate::persist::{self, ChainAnchor};
 use crate::result::{Fault, FaultReport};
@@ -155,7 +155,7 @@ pub struct WhatIfOutcome {
     recomputed_victims: usize,
     structural_dirty_victims: usize,
     unmasked_dirty_victims: usize,
-    certificates: Vec<CleanCertificate>,
+    proven_clean: Vec<NetId>,
 }
 
 impl WhatIfOutcome {
@@ -181,24 +181,23 @@ impl WhatIfOutcome {
     }
 
     /// How many victims the sweep recomputed (the dirty-cone size after
-    /// any corridor-prover damping).
+    /// any prover damping).
     #[must_use]
     pub fn recomputed_victims(&self) -> usize {
         self.recomputed_victims
     }
 
     /// How many victims the *structural* (mask-aware reachability) dirty
-    /// closure flagged, before corridor-prover damping. Always at least
+    /// closure flagged, before prover damping. Always at least
     /// [`recomputed_victims`](Self::recomputed_victims).
     #[must_use]
     pub fn structural_dirty_victims(&self) -> usize {
         self.structural_dirty_victims
     }
 
-    /// How many structurally dirty victims the corridor prover certified
+    /// How many structurally dirty victims the damping prover proved
     /// clean on this apply (and the sweep therefore served from cache) —
-    /// one [`CleanCertificate`] each in
-    /// [`certificates`](Self::certificates). Zero under
+    /// the length of [`certificates`](Self::certificates). Zero under
     /// [`Damping::Structural`].
     #[must_use]
     pub fn proven_clean_victims(&self) -> usize {
@@ -215,12 +214,14 @@ impl WhatIfOutcome {
         self.unmasked_dirty_victims
     }
 
-    /// The machine-checkable certificates justifying every structurally
-    /// dirty victim the corridor prover skipped, sorted by victim index.
-    /// Empty under [`Damping::Structural`].
+    /// The structurally dirty victims the damping prover proved clean
+    /// and the sweep served from cache, sorted by index. Empty under
+    /// [`Damping::Structural`]. The proof is audited by the
+    /// [`Oracle`](crate::Oracle), which diffs every victim of the session
+    /// against a from-scratch run.
     #[must_use]
-    pub fn certificates(&self) -> &[CleanCertificate] {
-        &self.certificates
+    pub fn certificates(&self) -> &[NetId] {
+        &self.proven_clean
     }
 
     /// Total victims in the circuit.
@@ -249,7 +250,7 @@ impl WhatIfOutcome {
         dirty: Vec<bool>,
         structural_dirty_victims: usize,
         unmasked_dirty_victims: usize,
-        certificates: Vec<CleanCertificate>,
+        proven_clean: Vec<NetId>,
     ) -> Self {
         let recomputed_victims = dirty.iter().filter(|&&d| d).count();
         Self {
@@ -259,7 +260,7 @@ impl WhatIfOutcome {
             recomputed_victims,
             structural_dirty_victims,
             unmasked_dirty_victims,
-            certificates,
+            proven_clean,
         }
     }
 }
@@ -324,7 +325,7 @@ pub struct WhatIfSession<'a, 'c> {
     pub(crate) counters: Vec<VictimCounters>,
     pub(crate) faults: Vec<Fault>,
     pub(crate) result: TopKResult,
-    /// The corridor prover's fingerprint of the current world (per-net
+    /// The damping prover's fingerprint of the current world (per-net
     /// digests + shift bounds), kept when
     /// [`damping`](crate::TopKConfig::damping) is [`Damping::Semantic`].
     /// `None` after an artifact resume (digests are not persisted): the

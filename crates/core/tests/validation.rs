@@ -4,10 +4,11 @@
 //! brute-force method").
 //!
 //! Our synthetic circuits are multi-output and reconvergent, which
-//! stresses the envelope abstraction harder than the paper's blocks; the
-//! thresholds below encode the measured agreement honestly rather than
-//! claiming perfection: addition is near-exact, elimination is close with
-//! the one-pass algorithm and substantially better with peeling.
+//! stresses the envelope abstraction harder than the paper's blocks, so
+//! agreement is not perfect. The floors below are the measured agreement
+//! on seeds 0–9 × k 1–3 (EXPERIMENTS.md, "Agreement statistics"): losing
+//! a single exact match fails, and a change that gains one raises the
+//! floor to the new count.
 
 use dna_netlist::generator::{generate, GeneratorConfig};
 use dna_netlist::CouplingId;
@@ -16,7 +17,7 @@ use dna_topk::{
     brute_force, BruteForceConfig, BruteForceOutcome, CouplingSet, Mode, TopKAnalysis, TopKConfig,
 };
 
-const SEEDS: u64 = 5;
+const SEEDS: u64 = 10;
 const MAX_K: usize = 3;
 
 struct Agreement {
@@ -74,32 +75,26 @@ fn measure(mode: Mode, peeled: bool) -> Agreement {
 fn addition_matches_brute_force_closely() {
     let a = measure(Mode::Addition, false);
     assert_eq!(a.total, SEEDS as usize * MAX_K);
-    assert!(
-        a.exact * 10 >= a.total * 7,
-        "addition exact matches {}/{} below threshold",
-        a.exact,
-        a.total
-    );
-    // Measured across the seed set: even the worst miss achieves most of
-    // the optimal impact (ties among predicted-equal candidates are
-    // resolved by measured validation, which can land on a slightly
-    // different set than the optimum).
-    assert!(a.worst_fraction >= 0.8, "addition worst-case fraction {} too low", a.worst_fraction);
+    assert!(a.exact >= 26, "addition exact matches {}/{} below the measured 26", a.exact, a.total);
+    // Even the worst miss achieves most of the optimal impact (ties among
+    // predicted-equal candidates are resolved by measured validation,
+    // which can land on a slightly different set than the optimum).
+    assert!(a.worst_fraction >= 0.866, "addition worst-case fraction {} too low", a.worst_fraction);
 }
 
 #[test]
 fn elimination_one_pass_is_sound_and_useful() {
     let a = measure(Mode::Elimination, false);
     // The one-pass dual is heuristic on multi-output circuits: every
-    // answer is sound (asserted inside measure) and a good share is exact.
+    // answer is sound (asserted inside measure) and most are exact.
     assert!(
-        a.exact * 10 >= a.total * 5,
-        "elimination exact matches {}/{} below threshold",
+        a.exact >= 28,
+        "elimination exact matches {}/{} below the measured 28",
         a.exact,
         a.total
     );
     assert!(
-        a.worst_fraction >= 0.4,
+        a.worst_fraction >= 0.866,
         "elimination worst-case fraction {} too low",
         a.worst_fraction
     );
@@ -116,12 +111,12 @@ fn elimination_peeled_improves_on_one_pass() {
         one_pass.exact
     );
     assert!(
-        peeled.exact * 10 >= peeled.total * 6,
-        "peeled exact matches {}/{} below threshold",
+        peeled.exact >= 29,
+        "peeled exact matches {}/{} below the measured 29",
         peeled.exact,
         peeled.total
     );
-    assert!(peeled.worst_fraction >= 0.6, "peeled worst fraction {}", peeled.worst_fraction);
+    assert!(peeled.worst_fraction >= 0.866, "peeled worst fraction {}", peeled.worst_fraction);
 }
 
 #[test]

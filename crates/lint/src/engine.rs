@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use dna_netlist::Circuit;
 use dna_noise::CouplingMask;
 use dna_topk::dominance::{find_dominated_pair, DominanceDirection};
-use dna_topk::{Candidate, CleanCertificate, CleanWitness, CouplingSet, Divergence, TopKResult};
+use dna_topk::{Candidate, CouplingSet, Divergence, TopKResult};
 use dna_waveform::TimeInterval;
 
 use crate::{lint_envelope, Diagnostics, Location, Rule};
@@ -180,6 +180,12 @@ pub fn lint_result(
 /// Any violation names a net that would be served stale from the session
 /// cache. Extra dirty nets are *not* reported: over-approximation costs
 /// recompute time, never correctness.
+///
+/// A semantically damped session re-sweeps less than this closure: pass
+/// `dirty ∪ proven-clean` (the victims in
+/// [`WhatIfOutcome::certificates`](dna_topk::WhatIfOutcome::certificates))
+/// so every skip is accounted for here, and audit the proven-clean
+/// victims themselves against the [`Oracle`](dna_topk::Oracle) (`L061`).
 #[must_use]
 pub fn lint_dirty_closure(
     circuit: &Circuit,
@@ -260,156 +266,6 @@ pub fn lint_dirty_closure(
             }
         }
     }
-
-    diags.sort();
-    diags
-}
-
-/// Checks a semantically damped dirty set and its clean certificates
-/// against an independently re-derived prover verdict
-/// (`L035`, `L050`–`L052`).
-///
-/// Under [`Damping::Semantic`](dna_topk::Damping::Semantic) a session's
-/// `dirty` flags are the structural closure *minus* the victims the
-/// corridor prover certified clean, so the bare [`lint_dirty_closure`]
-/// coherence check no longer applies verbatim: a certified victim sits
-/// inside the structural closure without being flagged. This pass checks
-/// the damped state end to end:
-///
-/// 1. **Bound argument (extended `L035`).** `dirty ∪ certified` must be a
-///    sound structural closure of the mask delta — every net the bare
-///    rule would demand dirty is either re-swept or carries a
-///    certificate. A net that is neither is served stale with *no* proof.
-/// 2. **Certificate validity (`L050`).** Each certificate must cover an
-///    in-range victim exactly once, must not cover a victim the session
-///    re-swept anyway, must record an unchanged semantic digest, and the
-///    re-derived witness — produced from scratch by
-///    [`derive_clean_witness`](dna_topk::TopKAnalysis::derive_clean_witness),
-///    which never consults fault-injection hooks — must agree the victim
-///    is clean.
-/// 3. **Cache freshness (`L051`).** Every emitted certificate must
-///    bitwise equal its re-derived counterpart (same digests, same
-///    refuted edges with the same bound values); a missing or differing
-///    counterpart means the session's cached corridor state has drifted.
-/// 4. **Bound monotonicity (`L052`).** Within each refuting edge, the
-///    envelope contribution at zero shift can never exceed the claimed
-///    bound over the whole shift corridor (the corridor is a pointwise
-///    upper bound, so widening the shift freedom only grows it).
-#[must_use]
-pub fn lint_dirty_closure_certified(
-    circuit: &Circuit,
-    before: &CouplingMask,
-    after: &CouplingMask,
-    dirty: &[bool],
-    certificates: &[CleanCertificate],
-    witness: &CleanWitness,
-) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-
-    let nets = circuit.num_nets();
-    if dirty.len() != nets {
-        diags.report(
-            Rule::SessionCacheIncoherent,
-            Location::Global,
-            format!("dirty vector covers {} nets, circuit has {nets}", dirty.len()),
-        );
-        diags.sort();
-        return diags;
-    }
-    if witness.dirty().len() != nets {
-        diags.report(
-            Rule::CorridorCacheStale,
-            Location::Global,
-            format!("witness covers {} nets, circuit has {nets}", witness.dirty().len()),
-        );
-        diags.sort();
-        return diags;
-    }
-
-    let net_loc = |vi: usize| Location::Net {
-        id: vi,
-        name: circuit.net(dna_netlist::NetId::new(vi as u32)).name().to_string(),
-    };
-
-    let mut certified = vec![false; nets];
-    for cert in certificates {
-        let vi = cert.victim().index();
-        if vi >= nets {
-            diags.report(
-                Rule::CleanCertificateInvalid,
-                Location::Global,
-                format!("certificate victim {vi} is not a net of this circuit"),
-            );
-            continue;
-        }
-        if certified[vi] {
-            diags.report(
-                Rule::CleanCertificateInvalid,
-                net_loc(vi),
-                "victim carries more than one clean certificate",
-            );
-        }
-        certified[vi] = true;
-        if dirty[vi] {
-            diags.report(
-                Rule::CleanCertificateInvalid,
-                net_loc(vi),
-                "certificate covers a victim the session re-swept anyway",
-            );
-        }
-        if cert.digest_old() != cert.digest_new() {
-            diags.report(
-                Rule::CleanCertificateInvalid,
-                net_loc(vi),
-                format!(
-                    "semantic digest changed ({:#018x} -> {:#018x}) under a clean claim",
-                    cert.digest_old(),
-                    cert.digest_new()
-                ),
-            );
-        }
-        if witness.dirty()[vi] {
-            diags.report(
-                Rule::CleanCertificateInvalid,
-                net_loc(vi),
-                "re-derived prover verdict marks this victim dirty — the clean claim is unsound",
-            );
-        }
-        match witness.certificates().iter().find(|w| w.victim() == cert.victim()) {
-            None => diags.report(
-                Rule::CorridorCacheStale,
-                net_loc(vi),
-                "no re-derived certificate exists for this victim",
-            ),
-            Some(rederived) if rederived != cert => diags.report(
-                Rule::CorridorCacheStale,
-                net_loc(vi),
-                "certificate does not bitwise match its re-derivation",
-            ),
-            Some(_) => {}
-        }
-        for (e, edge) in cert.edges().iter().enumerate() {
-            if edge.peak_at_zero() > edge.peak_bound() + 1e-12 {
-                diags.report(
-                    Rule::BoundNotMonotone,
-                    net_loc(vi),
-                    format!(
-                        "edge {e} (coupling {}): contribution at zero shift {} exceeds \
-                         corridor bound {}",
-                        edge.coupling().index(),
-                        edge.peak_at_zero(),
-                        edge.peak_bound()
-                    ),
-                );
-            }
-        }
-    }
-
-    // Extended L035: certified victims count as covered — the closure
-    // must hold for `dirty ∪ certified`, so every skip is either re-swept
-    // or certified.
-    let effective: Vec<bool> = dirty.iter().zip(&certified).map(|(&d, &c)| d || c).collect();
-    diags.merge(lint_dirty_closure(circuit, before, after, &effective));
 
     diags.sort();
     diags

@@ -15,9 +15,8 @@
 //! * every invariant is a [`Rule`] with a **stable code** (`L001`…) that
 //!   scripts and corpora can match on, grouped by pass
 //!   (`L00x` referential integrity, `L01x` topology, `L02x` waveforms,
-//!   `L03x` engine state, `L04x` library/config, `L05x` semantic damping
-//!   certificates, `L06x` reference identity, `L07x` artifact chain
-//!   integrity);
+//!   `L03x` engine state, `L04x` library/config, `L06x` reference
+//!   identity, `L07x` artifact chain integrity);
 //! * every finding is a [`Diagnostic`] with a severity and a span-like
 //!   [`Location`];
 //! * passes report into a [`Diagnostics`] collector that renders as
@@ -32,13 +31,12 @@
 //! * [`lint_ilist`] — pairwise non-dominance and capacity of a pruned
 //!   candidate list (the paper's irredundant I-list);
 //! * [`lint_result`] — a finished top-k answer against its circuit;
-//! * [`lint_dirty_closure`] — a what-if session's dirty set against the
-//!   mask delta it claims to cover;
-//! * [`lint_dirty_closure_certified`] — a semantically damped dirty set
-//!   plus its clean certificates against an independently re-derived
-//!   prover verdict;
+//! * [`lint_dirty_closure`] — a what-if session's dirty set (plus the
+//!   victims its damping proved clean) against the mask delta it claims
+//!   to cover;
 //! * [`lint_divergence`] — a fast configuration's first divergence from
-//!   the serial from-scratch [`Oracle`](dna_topk::Oracle);
+//!   the serial from-scratch [`Oracle`](dna_topk::Oracle), the one
+//!   reference that also audits every proven-clean victim;
 //! * [`lint_chain`] — a session artifact chain's record ordering, links
 //!   and replayability (the crash-safe versioned store);
 //! * [`lint_config`] — sanity ranges on analysis knobs.
@@ -95,8 +93,6 @@ pub use chain::lint_chain;
 pub use circuit::lint_circuit;
 pub use config::lint_config;
 pub use diag::{Diagnostic, Diagnostics, Location, Severity};
-pub use engine::{
-    lint_dirty_closure, lint_dirty_closure_certified, lint_divergence, lint_ilist, lint_result,
-};
+pub use engine::{lint_dirty_closure, lint_divergence, lint_ilist, lint_result};
 pub use rules::Rule;
 pub use waveform::{lint_envelope, lint_pwl, lint_timing};

@@ -15,8 +15,6 @@ use crate::Severity;
 /// * `L02x` — waveform well-formedness,
 /// * `L03x` — engine invariants (irredundant lists, results),
 /// * `L04x` — library / configuration sanity,
-/// * `L05x` — semantic damping certificates (the corridor prover's
-///   clean-victim proofs),
 /// * `L06x` — reference identity (any fast configuration against the
 ///   serial from-scratch [`dna_topk::Oracle`]),
 /// * `L07x` — artifact chain integrity (the crash-safe versioned
@@ -25,7 +23,9 @@ use crate::Severity;
 /// Retired codes are never reused: `L080` (lazy-enumeration admission)
 /// left with bound-first culling; `L043` (batch order dependence) and
 /// `L060` (scheduler slot mismatch) were folded into `L061`, since both
-/// submission orders and every thread count must equal the reference.
+/// submission orders and every thread count must equal the reference;
+/// `L050`–`L052` (clean-certificate checks) left with the certificates,
+/// since `L061` audits every victim of a damped session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
@@ -89,20 +89,6 @@ pub enum Rule {
     BadCapacitance,
     /// An analysis configuration field is out of its sane range.
     BadConfig,
-    /// A clean certificate is internally inconsistent or contradicts the
-    /// independently re-derived prover verdict: it covers a victim the
-    /// session still re-sweeps, records a changed semantic digest, is
-    /// duplicated, or claims clean a victim the re-derivation proves
-    /// dirty.
-    CleanCertificateInvalid,
-    /// A clean certificate does not bitwise match its independently
-    /// re-derived counterpart — the session's cached corridor state has
-    /// drifted from the world it claims to describe.
-    CorridorCacheStale,
-    /// A certificate's refuting corridor bound is not monotone: the
-    /// envelope contribution at zero shift exceeds the claimed bound over
-    /// the whole shift corridor.
-    BoundNotMonotone,
     /// A fast configuration diverges from the serial from-scratch
     /// reference ([`dna_topk::Oracle`]): a parallel sweep's result slot
     /// or budget share, an incremental or batch what-if result, or a
@@ -162,9 +148,6 @@ impl Rule {
             Rule::CellNotMonotone => "L040",
             Rule::BadCapacitance => "L041",
             Rule::BadConfig => "L042",
-            Rule::CleanCertificateInvalid => "L050",
-            Rule::CorridorCacheStale => "L051",
-            Rule::BoundNotMonotone => "L052",
             Rule::ReferenceDivergence => "L061",
             Rule::ChainOutOfOrder => "L070",
             Rule::ChainRecordCorrupt => "L071",
@@ -214,9 +197,6 @@ impl Rule {
             Rule::CellNotMonotone => "cell model not monotone",
             Rule::BadCapacitance => "bad capacitance",
             Rule::BadConfig => "bad configuration",
-            Rule::CleanCertificateInvalid => "clean certificate invalid",
-            Rule::CorridorCacheStale => "stale corridor cache",
-            Rule::BoundNotMonotone => "bound not monotone",
             Rule::ReferenceDivergence => "diverges from reference",
             Rule::ChainOutOfOrder => "chain records out of order",
             Rule::ChainRecordCorrupt => "chain record corrupt or unlinked",
@@ -257,9 +237,6 @@ impl Rule {
             Rule::CellNotMonotone,
             Rule::BadCapacitance,
             Rule::BadConfig,
-            Rule::CleanCertificateInvalid,
-            Rule::CorridorCacheStale,
-            Rule::BoundNotMonotone,
             Rule::ReferenceDivergence,
             Rule::ChainOutOfOrder,
             Rule::ChainRecordCorrupt,

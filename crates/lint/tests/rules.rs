@@ -2,18 +2,15 @@
 //! raw-parts escape hatches, and check the verifier names the violation.
 
 use dna_lint::{
-    lint_circuit, lint_config, lint_dirty_closure, lint_dirty_closure_certified, lint_envelope,
-    lint_ilist, lint_pwl, lint_timing, Rule, Severity,
+    lint_circuit, lint_config, lint_dirty_closure, lint_envelope, lint_ilist, lint_pwl,
+    lint_timing, Rule, Severity,
 };
 use dna_netlist::generator::{generate, GeneratorConfig};
 use dna_netlist::{CellKind, CircuitBuilder, CouplingId, GateId, Library, NetId, NetSource};
 use dna_noise::CouplingMask;
 use dna_sta::NetTiming;
 use dna_topk::dominance::DominanceDirection;
-use dna_topk::{
-    Candidate, CleanCertificate, CorridorBound, CouplingSet, MaskDelta, Mode, TopKAnalysis,
-    TopKConfig, WhatIfSession,
-};
+use dna_topk::{Candidate, CouplingSet, MaskDelta, Mode, TopKAnalysis, TopKConfig, WhatIfSession};
 use dna_waveform::{Envelope, NoisePulse, Pwl, TimeInterval};
 
 /// A small valid circuit: two inverters in series plus a coupled side net,
@@ -397,8 +394,11 @@ fn l035_session_cache_incoherent() {
     assert!(lint_dirty_closure(&circuit, &before, &before, &none).is_empty());
 }
 
+/// Under semantic damping, `dirty ∪ proven-clean` must still be a sound
+/// structural closure: a proven-clean victim that is dropped from the
+/// account is served stale with no proof.
 #[test]
-fn l050_l051_l052_certified_closure() {
+fn l035_damped_closure_counts_proven_clean_victims() {
     let circuit = generate(&GeneratorConfig::new(30, 40).with_seed(3)).expect("generator succeeds");
     let config = TopKConfig { validate: false, ..TopKConfig::default() };
     let engine = TopKAnalysis::new(&circuit, config);
@@ -406,90 +406,18 @@ fn l050_l051_l052_certified_closure() {
     let before = session.mask().clone();
     let outcome = session.apply(&MaskDelta::remove(&[CouplingId::new(0)])).unwrap();
     let after = session.mask().clone();
-    let witness = engine.derive_clean_witness(Mode::Elimination, &before, &after).unwrap();
-
-    // The session's own damped state verifies clean end to end.
-    let diags = lint_dirty_closure_certified(
-        &circuit,
-        &before,
-        &after,
-        outcome.dirty_flags(),
-        outcome.certificates(),
-        &witness,
-    );
-    assert!(diags.is_empty(), "{}", diags.render_text());
     assert_eq!(outcome.certificates().len(), outcome.proven_clean_victims());
 
-    // L050: claim a re-swept victim clean with a fabricated certificate.
-    // The re-derived witness contradicts the claim, and no re-derived
-    // counterpart certificate exists (L051).
-    let dirty_vi = outcome.dirty_flags().iter().position(|&d| d).expect("something re-swept");
-    let mut forged = outcome.certificates().to_vec();
-    forged.push(CleanCertificate::new(NetId::new(dirty_vi as u32), 7, 7, Vec::new()));
-    let mut damped = outcome.dirty_flags().to_vec();
-    damped[dirty_vi] = false;
-    let diags = lint_dirty_closure_certified(&circuit, &before, &after, &damped, &forged, &witness);
-    assert!(diags.has(Rule::CleanCertificateInvalid), "{}", diags.render_text());
-    assert!(diags.has(Rule::CorridorCacheStale), "{}", diags.render_text());
-
-    // L050 + L051: a genuine certificate whose stored digest drifted.
-    if let Some(first) = outcome.certificates().first() {
-        let mut tampered = outcome.certificates().to_vec();
-        tampered[0] = CleanCertificate::new(
-            first.victim(),
-            first.digest_old() ^ 1,
-            first.digest_new(),
-            first.edges().to_vec(),
-        );
-        let diags = lint_dirty_closure_certified(
-            &circuit,
-            &before,
-            &after,
-            outcome.dirty_flags(),
-            &tampered,
-            &witness,
-        );
-        assert!(diags.has(Rule::CleanCertificateInvalid), "{}", diags.render_text());
-        assert!(diags.has(Rule::CorridorCacheStale), "{}", diags.render_text());
+    let mut covered = outcome.dirty_flags().to_vec();
+    for v in outcome.certificates() {
+        covered[v.index()] = true;
     }
+    let diags = lint_dirty_closure(&circuit, &before, &after, &covered);
+    assert!(diags.is_empty(), "{}", diags.render_text());
 
-    // L052: a refuting edge whose zero-shift contribution exceeds the
-    // claimed corridor bound — the bound cannot be monotone in the shift
-    // freedom, so the certificate's inequality proves nothing.
-    let clean_vi = outcome.dirty_flags().iter().position(|&d| !d).expect("something cached");
-    let bad_edge = CorridorBound::new(
-        CouplingId::new(0),
-        NetId::new(0),
-        0.0,
-        0.1,
-        0.5,
-        TimeInterval::new(0.0, 1.0),
-        TimeInterval::new(0.0, 1.0),
-    );
-    let forged = vec![CleanCertificate::new(NetId::new(clean_vi as u32), 0, 0, vec![bad_edge])];
-    let diags = lint_dirty_closure_certified(
-        &circuit,
-        &before,
-        &after,
-        outcome.dirty_flags(),
-        &forged,
-        &witness,
-    );
-    assert!(diags.has(Rule::BoundNotMonotone), "{}", diags.render_text());
-
-    // Extended L035: dropping a certificate leaves its victim neither
-    // re-swept nor certified — a stale serve with no proof.
-    if !outcome.certificates().is_empty() {
-        let mut missing = outcome.certificates().to_vec();
-        missing.remove(0);
-        let diags = lint_dirty_closure_certified(
-            &circuit,
-            &before,
-            &after,
-            outcome.dirty_flags(),
-            &missing,
-            &witness,
-        );
+    if let Some(first) = outcome.certificates().first() {
+        covered[first.index()] = false;
+        let diags = lint_dirty_closure(&circuit, &before, &after, &covered);
         assert!(diags.has(Rule::SessionCacheIncoherent), "{}", diags.render_text());
     }
 }

@@ -317,7 +317,7 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
     let fix: Vec<CouplingId> = honest.result().couplings().to_vec();
     let outcome = honest.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
     let oracle = Oracle::new(&engine, Mode::Elimination, 3, honest.mask()).expect("reference runs");
-    assert_eq!(oracle.check_session(&honest), Ok(()), "honest certificates pass the oracle");
+    assert_eq!(oracle.check_session(&honest), Ok(()), "honest damping passes the oracle");
 
     // A structurally dirty victim whose cached answer happens to match
     // the new world would slip past the per-victim comparison, so aim
@@ -342,8 +342,8 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
                 victim.index()
             );
             assert!(
-                forged_out.certificates().iter().any(|c| c.victim() == victim),
-                "the forced skip must carry a (fabricated) certificate"
+                forged_out.certificates().contains(&victim),
+                "the forced skip must be reported as proven clean"
             );
             // The reference runs on the forging engine itself: the hook
             // only touches what-if refinement, never a from-scratch run.
@@ -360,43 +360,7 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
             }
         }
     }
-    assert!(caught, "the oracle must reject at least one fabricated certificate");
-}
-
-#[test]
-fn forced_clean_certificate_fails_lint_rederivation() {
-    use topk_aggressors::lint::lint_dirty_closure_certified;
-
-    let circuit = i1();
-    let engine = TopKAnalysis::new(&circuit, TopKConfig::default());
-    let clean = WhatIfSession::start(&engine, Mode::Elimination, 3).expect("session starts");
-    let fix: Vec<CouplingId> = clean.result().couplings().to_vec();
-    let probe = clean.fork().apply(&MaskDelta::remove(&fix)).expect("probe apply succeeds");
-    let victim = probe.dirty_flags().iter().position(|&d| d).expect("the fix dirties some victim");
-
-    let faults = Faults { force_clean_victim: Some(victim), ..Faults::default() };
-    let forging = faulty(&circuit, TopKConfig::default(), faults);
-    let mut session = WhatIfSession::start(&forging, Mode::Elimination, 3).expect("session starts");
-    let before = session.mask().clone();
-    let outcome = session.apply(&MaskDelta::remove(&fix)).expect("apply succeeds");
-
-    // The independent re-derivation runs on a clean engine, so the
-    // fabricated certificate contradicts the witness: L050 (and a stale
-    // corridor counterpart, L051) must fire.
-    let witness = engine
-        .derive_clean_witness(Mode::Elimination, &before, session.mask())
-        .expect("witness derivation succeeds");
-    let diags = lint_dirty_closure_certified(
-        &circuit,
-        &before,
-        session.mask(),
-        outcome.dirty_flags(),
-        outcome.certificates(),
-        &witness,
-    );
-    assert!(diags.has_errors(), "the fabricated certificate must be caught");
-    let text = diags.render_text();
-    assert!(text.contains("L050"), "expected L050 in:\n{text}");
+    assert!(caught, "the oracle must reject at least one forced skip");
 }
 
 #[test]

@@ -5,25 +5,13 @@ use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
 use topk_aggressors::netlist::{format, CouplingId};
 use topk_aggressors::noise::{CouplingMask, NoiseAnalysis, NoiseConfig};
 use topk_aggressors::sta::{LinearDelayModel, StaConfig, TimingReport};
-use topk_aggressors::topk::{Corridor, TopKAnalysis, TopKConfig};
-use topk_aggressors::waveform::{Envelope, NoisePulse, TimeInterval};
+use topk_aggressors::topk::{TopKAnalysis, TopKConfig};
 
 fn tiny_circuit() -> impl Strategy<Value = topk_aggressors::netlist::Circuit> {
     (0u64..200, 6usize..20, 4usize..16).prop_map(|(seed, gates, couplings)| {
         generate(&GeneratorConfig::new(gates, couplings).with_seed(seed))
             .expect("generator succeeds")
     })
-}
-
-/// A random noise envelope: a three-corner pulse smeared over a random
-/// arrival window — the exact curve shape the corridor prover bounds.
-fn envelope() -> impl Strategy<Value = Envelope> {
-    (-5.0f64..5.0, 0.1f64..10.0, 0.1f64..10.0, 0.0f64..0.8, 0.0f64..100.0, 0.0f64..50.0).prop_map(
-        |(start, rise, fall, peak, eat, width)| {
-            let pulse = NoisePulse::new(start, start + rise, peak, start + rise + fall);
-            Envelope::from_window(&pulse, eat, eat + width)
-        },
-    )
 }
 
 proptest! {
@@ -102,39 +90,5 @@ proptest! {
         let b = TimingReport::run(
             &back, &LinearDelayModel::new(), &StaConfig::default()).unwrap();
         prop_assert!((a.circuit_delay() - b.circuit_delay()).abs() < 1e-9);
-    }
-
-    /// The corridor abstract domain is sound on random curves:
-    /// `lower <= exact <= upper` pointwise for the exact embedding, the
-    /// box abstraction, and every transfer function the prover composes
-    /// (add, sub_clamped, widen, clip).
-    #[test]
-    fn corridor_bounds_contain_exact_curves(a in envelope(), b in envelope(), delta in 0.0f64..40.0, clip_lo in -20.0f64..120.0, clip_w in 1.0f64..80.0) {
-        let iv = {
-            let h = a.span().hull(b.span());
-            TimeInterval::new(h.lo() - 60.0, h.hi() + 60.0)
-        };
-        prop_assert!(Corridor::from_exact(a.as_pwl()).contains(a.as_pwl(), iv));
-        prop_assert!(Corridor::box_bound(a.peak(), a.span()).contains(a.as_pwl(), iv));
-
-        let exact_sum = a.as_pwl().add_simplified(b.as_pwl(), 0.0);
-        let sum = Corridor::box_bound(a.peak(), a.span()).add(&Corridor::from_exact(b.as_pwl()));
-        prop_assert!(sum.contains(&exact_sum, iv), "lower <= exact sum <= upper must hold");
-
-        let exact_diff = a.as_pwl().sub_clamped_simplified(b.as_pwl(), 0.0);
-        let diff = Corridor::box_bound(a.peak(), a.span())
-            .sub_clamped(&Corridor::box_bound(b.peak(), b.span()));
-        prop_assert!(diff.contains(&exact_diff, iv), "corridor difference must contain exact");
-
-        let widened = Corridor::from_exact(a.as_pwl()).widen(delta);
-        prop_assert!(widened.contains(a.as_pwl(), iv), "widening must keep the original curve");
-
-        let clip = TimeInterval::new(clip_lo, clip_lo + clip_w);
-        let clipped_exact = a.clipped(clip);
-        let clipped = Corridor::from_exact(a.as_pwl()).clip(clip);
-        prop_assert!(clipped.contains(clipped_exact.as_pwl(), iv));
-        if clipped.is_provably_zero() {
-            prop_assert!(clipped_exact.is_zero(), "corridor refuted a non-zero envelope");
-        }
     }
 }
