@@ -94,12 +94,18 @@ check_golden "$smoke_i1" 699ec29ae02c4819
 check_golden "$smoke_i3" 9a427b95f2698671 --mode add
 check_golden "$smoke_i3" 7395765d4909fca6
 
-echo "== golden fingerprints (i5 seed 42, k 10, release build: where the tail cut fires most)"
-# A debug build of i5 elimination is too slow for the gate.
+echo "== golden fingerprints (i4 and i5 seed 42, k 10, release build: where the tail cut and the bound-ordered scoring fire most)"
+# A debug build of i4/i5 elimination is too slow for the gate. On i4
+# (1181 couplings) most elimination rounds admit more records than the
+# rank keeps, so only the ones that can make the cut are scored.
+smoke_i4="$(mktemp -t golden_i4.XXXXXX.ckt)"
 smoke_i5="$(mktemp -t golden_i5.XXXXXX.ckt)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i5"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5"' EXIT
+cargo run -q -p dna-cli --offline -- generate --bench i4 --seed 42 --o "$smoke_i4" >/dev/null
 cargo run -q -p dna-cli --offline -- generate --bench i5 --seed 42 --o "$smoke_i5" >/dev/null
 golden_cli=(cargo run --release -q -p dna-cli --offline --)
+check_golden "$smoke_i4" f588209196022904 --mode add
+check_golden "$smoke_i4" 0d47eb6288f9fc8f
 check_golden "$smoke_i5" 398a0e0ca2d9fd8c --mode add
 check_golden "$smoke_i5" 6c06a3a85eaa90d7
 
@@ -128,7 +134,7 @@ done
 
 echo "== batch whatif smoke (shared sweep identity + order independence)"
 smoke_batch="$(mktemp -t whatif_smoke.XXXXXX.batch)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i5" "$smoke_batch"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch"' EXIT
 printf -- '-0\n-1\n-0 -2\n' > "$smoke_batch"
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --batch "$smoke_batch" --audit)"
 echo "$out" | grep -q "audit: all 3 scenario(s) == from-scratch" \
@@ -149,7 +155,7 @@ cargo test --offline -q --test fault_injection >/dev/null
 
 echo "== session artifact round trip (save -> load -> audit, then corrupt -> fallback)"
 smoke_art="$(mktemp -t whatif_smoke.XXXXXX.dna)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i5" "$smoke_batch" "$smoke_art"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art"' EXIT
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --save "$smoke_art" >/dev/null
 # A clean artifact must resume AND still pass the bit-identity audit.
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --load "$smoke_art" --audit)"
@@ -164,7 +170,7 @@ echo "$out" | grep -q "audit: incremental == from-scratch" \
 
 echo "== serve smoke (daemon scenario over loopback == local whatif, clean shutdown)"
 serve_log="$(mktemp -t serve_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
 cargo build -q -p dna-cli --offline
 cargo run -q -p dna-cli --offline -- serve --port 0 > "$serve_log" &
 serve_pid=$!
@@ -196,7 +202,7 @@ local_fp="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --bat
 
 echo "== crash recovery smoke (abort mid-save via DNA_CRASH_POINT, recover, bit-compare)"
 crash_dir="$(mktemp -d -t crash_smoke.XXXXXX)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
+trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
 
 start_crash_daemon() { # $1 = state dir, $2 (optional) = --recover
   : > "$serve_log"

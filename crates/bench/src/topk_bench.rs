@@ -549,7 +549,7 @@ fn bench_damping(
         measured = Some((
             sem_out.structural_dirty_victims(),
             sem_out.proven_clean_victims(),
-            sem_out.certificates().len(),
+            sem_out.proven_clean().len(),
             identical,
         ));
     }

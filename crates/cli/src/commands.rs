@@ -523,7 +523,7 @@ fn cmd_whatif(opts: &Opts) -> Result<(), String> {
              closure coherent, {} proven-clean victim(s) audited, parallel sweep == serial \
              reference",
             circuit.num_nets(),
-            outcome.certificates().len(),
+            outcome.proven_clean().len(),
         );
     }
     Ok(())
@@ -539,7 +539,7 @@ fn audit_dirty_set(
     outcome: &WhatIfOutcome,
 ) -> Diagnostics {
     let mut covered = outcome.dirty_flags().to_vec();
-    for v in outcome.certificates() {
+    for v in outcome.proven_clean() {
         covered[v.index()] = true;
     }
     lint_dirty_closure(circuit, before, after, &covered)

@@ -501,7 +501,7 @@ mod tests {
                     assert_eq!(got.unmasked_dirty_victims(), seq.unmasked_dirty_victims());
                     assert_eq!(got.structural_dirty_victims(), seq.structural_dirty_victims());
                     assert_eq!(got.proven_clean_victims(), seq.proven_clean_victims());
-                    assert_eq!(got.certificates(), seq.certificates());
+                    assert_eq!(got.proven_clean(), seq.proven_clean());
                 }
             }
         }

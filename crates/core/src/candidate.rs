@@ -1,11 +1,13 @@
 //! Candidate aggressor sets rendered at one victim net.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
 use dna_waveform::Envelope;
 
 use crate::aggressor::union_eq;
-use crate::dominance::{self, DominanceDirection};
+use crate::dominance::{self, rank_cap, DominanceDirection};
 use crate::{CouplingSet, TopKError};
 
 /// One entry of an irredundant list: a set of couplings together with its
@@ -110,12 +112,13 @@ pub(crate) fn checked_delay_noise(delay_noise: f64) -> Result<f64, TopKError> {
 }
 
 /// One admitted candidate before ranking: the exact delay noise of
-/// `member ⊕ atom`, the key of that set ([`CouplingSet::key`]), and where
-/// its parts live. `member` indexes the victim's I-lists as
-/// `(cardinality, index)` — `None` is the empty set, so the record is the
-/// atom alone (addition) or the victim's total minus the atom
-/// (elimination) — and `atom` indexes the mode's atom pool. Only the
-/// records that survive [`rank`](Scored::rank) are built into a
+/// `member ⊕ atom` (NaN while an elimination record is not yet scored,
+/// see [`rank_bounded`](Scored::rank_bounded)), the key of that set
+/// ([`CouplingSet::key`]), and where its parts live. `member` indexes the
+/// victim's I-lists as `(cardinality, index)` — `None` is the empty set,
+/// so the record is the atom alone (addition) or the victim's total minus
+/// the atom (elimination) — and `atom` indexes the mode's atom pool. Only
+/// the records that survive [`rank`](Scored::rank) are built into a
 /// [`Candidate`], with their union and envelope.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Scored {
@@ -148,9 +151,129 @@ impl Scored {
         dominance::rank(records, |s| s.dn, |s| s.key, same_set, direction, beam)
     }
 
+    /// [`rank`](Self::rank) of one elimination round's records, scoring
+    /// only those that can make the cut: `score` gives a record's delay
+    /// noise, `bound` a lower bound on it. Each record's `dn` is set to
+    /// its score, or left NaN when it was never scored.
+    ///
+    /// While the round admits no more records than `rank` keeps
+    /// ([`rank_cap`]), or without a beam, every record is scored.
+    /// Otherwise records are scored in ascending bound order (a NaN bound
+    /// first, so it never excludes a record), and the scoring stops once
+    /// `cap` distinct keys each have a score strictly below the next
+    /// bound: every unscored record scores at least that bound, so `rank`
+    /// fills its cap before it reaches one. Distinct keys are distinct
+    /// sets; a key collision only merges sets, which keeps the scoring
+    /// going longer. `rank` then runs over the scored records in
+    /// admission order: it walks the same records, in the same order, as
+    /// it would over all of them.
+    ///
+    /// Debug builds also score the skipped records, and assert every
+    /// bound and that ranking them all keeps the same survivors.
+    ///
+    /// # Errors
+    ///
+    /// The first error `score` returns.
+    pub(crate) fn rank_bounded<'a>(
+        records: &mut [Scored],
+        lists: &'a [Vec<Candidate>],
+        atom_set: impl Fn(usize) -> &'a CouplingSet,
+        beam: Option<usize>,
+        mut bound: impl FnMut(&Scored) -> f64,
+        mut score: impl FnMut(&Scored) -> Result<f64, TopKError>,
+    ) -> Result<Vec<u32>, TopKError> {
+        let direction = DominanceDirection::SmallerIsBetter;
+        let cap = rank_cap(beam);
+        if records.len() <= cap {
+            for r in records.iter_mut() {
+                r.dn = score(r)?;
+            }
+            return Ok(Self::rank(records, lists, atom_set, direction, beam));
+        }
+        // Ascending `(bound, index)`, a NaN bound as `−∞`, popped lazily:
+        // most records are never reached.
+        let mut by_bound: BinaryHeap<Reverse<(OrdF64, u32)>> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let b = bound(r);
+                Reverse((OrdF64(if b.is_nan() { f64::NEG_INFINITY } else { b }), i as u32))
+            })
+            .collect();
+        // Scores not yet below the next bound, lowest first, and the keys
+        // that have one below it.
+        let mut pending: BinaryHeap<Reverse<(OrdF64, u64)>> = BinaryHeap::new();
+        let mut counted: HashSet<u64> = HashSet::new();
+        let mut scored: Vec<u32> = Vec::new();
+        while let Some(Reverse((_, i))) = by_bound.pop() {
+            let r = &mut records[i as usize];
+            r.dn = score(r)?;
+            scored.push(i);
+            pending.push(Reverse((OrdF64(r.dn), r.key)));
+            let next = by_bound.peek().map_or(f64::INFINITY, |Reverse((b, _))| b.0);
+            while let Some(&Reverse((OrdF64(dn), key))) = pending.peek() {
+                if dn >= next {
+                    break;
+                }
+                pending.pop();
+                counted.insert(key);
+            }
+            if counted.len() >= cap {
+                break;
+            }
+        }
+        // Rank the scored records in admission order, so that ties break
+        // as they would among all records.
+        scored.sort_unstable();
+        let subset: Vec<Scored> = scored.iter().map(|&i| records[i as usize]).collect();
+        let kept: Vec<u32> = Self::rank(&subset, lists, &atom_set, direction, beam)
+            .into_iter()
+            .map(|k| scored[k as usize])
+            .collect();
+        #[cfg(debug_assertions)]
+        {
+            let mut all = records.to_vec();
+            let mut complete = true;
+            for r in &mut all {
+                let b = bound(r);
+                if r.dn.is_nan() {
+                    match score(r) {
+                        Ok(dn) => r.dn = dn,
+                        Err(_) => complete = false,
+                    }
+                }
+                let sound = b.is_nan() || r.dn.is_nan() || b <= r.dn;
+                assert!(sound, "bound {b} above the score {} of {r:?}", r.dn);
+            }
+            if complete {
+                let want = Self::rank(&all, lists, &atom_set, direction, beam);
+                assert_eq!(kept, want, "bound-ordered scoring changed the ranked survivors");
+            }
+        }
+        Ok(kept)
+    }
+
     /// The member `(cardinality, index)` as I-list indices.
     pub(crate) fn member_index(&self) -> Option<(usize, usize)> {
         self.member.map(|(j, m)| (j as usize, m as usize))
+    }
+}
+
+/// An `f64` ordered by `total_cmp`, for [`Scored::rank_bounded`]'s heaps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OrdF64(f64);
+
+impl Eq for OrdF64 {}
+
+impl PartialOrd for OrdF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrdF64 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -176,6 +299,140 @@ mod tests {
         assert_eq!(c.envelope(), &env);
         assert_eq!(c.delay_noise(), 1.5);
         assert!(c.to_string().contains("cc7"));
+    }
+
+    /// One wide round for [`Scored::rank_bounded`]: per record `(set id,
+    /// key, score, bound)`. Each record's member is its own empty-set
+    /// candidate, so the record's set is the singleton of its set id.
+    /// Returns the bounded ranking, the ranking of every record scored,
+    /// and how many records the bounded ranking scored.
+    fn bounded_vs_full(
+        spec: &[(u32, u64, f64, f64)],
+        beam: Option<usize>,
+    ) -> (Vec<u32>, Vec<u32>, usize) {
+        let member = Candidate::new(CouplingSet::new(), Envelope::zero(), 0.0);
+        let lists = vec![vec![member; spec.len()]];
+        let max_id = spec.iter().map(|r| r.0).max().unwrap_or(0);
+        let sets: Vec<CouplingSet> =
+            (0..=max_id).map(|id| CouplingSet::singleton(CouplingId::new(id))).collect();
+        let mut records: Vec<Scored> = spec
+            .iter()
+            .enumerate()
+            .map(|(r, &(id, key, _, _))| Scored {
+                dn: f64::NAN,
+                key,
+                member: Some((0, r as u32)),
+                atom: id,
+            })
+            .collect();
+        let row = |s: &Scored| spec[s.member.unwrap().1 as usize];
+        let bounded = Scored::rank_bounded(
+            &mut records,
+            &lists,
+            |a| &sets[a],
+            beam,
+            |s| row(s).3,
+            |s| Ok(row(s).2),
+        )
+        .unwrap();
+        let mut scored = 0;
+        for r in &records {
+            if !r.dn.is_nan() {
+                assert_eq!(r.dn, row(r).2, "a scored record holds its score");
+                scored += 1;
+            }
+        }
+        let all: Vec<Scored> = records.iter().map(|r| Scored { dn: row(r).2, ..*r }).collect();
+        let direction = DominanceDirection::SmallerIsBetter;
+        let full = Scored::rank(&all, &lists, |a| &sets[a], direction, beam);
+        (bounded, full, scored)
+    }
+
+    /// `(set id, the set's own key, score, bound)`.
+    fn rec(id: u32, score: f64, bound: f64) -> (u32, u64, f64, f64) {
+        (id, CouplingSet::singleton(CouplingId::new(id)).key(), score, bound)
+    }
+
+    /// Beam width 1: `rank` keeps `max(4, 64) = 64` sets.
+    const BEAM: Option<usize> = Some(1);
+
+    #[test]
+    fn bounded_ranking_matches_scoring_everything() {
+        let check = |name: &str, spec: &[(u32, u64, f64, f64)], beam, scored: usize| {
+            let (bounded, full, got) = bounded_vs_full(spec, beam);
+            assert_eq!(bounded, full, "{name}: survivors differ from scoring everything");
+            assert_eq!(got, scored, "{name}: scored records");
+        };
+
+        // n <= cap: everything is scored, bounds unread (here: wrong).
+        let few: Vec<_> = (0..64).map(|i| rec(i, f64::from(i % 7), 1e9)).collect();
+        check("n = cap", &few, BEAM, 64);
+        // No beam: no cut, everything is scored.
+        let many: Vec<_> = (0..200).map(|i| rec(i, f64::from(i), f64::from(i))).collect();
+        check("no beam", &many, None, 200);
+        // A clear cut: 64 sets score 1, the other 100 are bounded at 10.
+        let cut: Vec<_> =
+            (0..164).map(|i| if i < 64 { rec(i, 1.0, 0.0) } else { rec(i, 10.0, 10.0) }).collect();
+        check("clear cut", &cut, BEAM, 64);
+
+        // n = cap + 1 with a tie at the cut: record 0 and record 64 both
+        // score 100, and record 0 wins the tie by admission order. The
+        // 64th distinct score equals the next bound (100), which is no
+        // reason to stop: record 0 must be scored.
+        let mut tie = vec![rec(0, 100.0, 100.0)];
+        tie.extend((1..64).map(|i| rec(i, f64::from(i), 0.0)));
+        tie.push(rec(64, 100.0, 0.0));
+        check("tie at the cut", &tie, BEAM, 65);
+
+        // Duplicate sets count once: ten routes to set 0 plus 60 sets
+        // score below 3, which is only 61 distinct sets — set 61
+        // (bounded at 3) must still be scored and kept.
+        let mut dup: Vec<_> = (0..10).map(|_| rec(0, 1.0, 0.0)).collect();
+        dup.extend((1..=60).map(|i| rec(i, 2.0, 0.0)));
+        dup.push(rec(61, 3.0, 3.0));
+        dup.extend((62..82).map(|i| rec(i, 50.0, 50.0)));
+        check("duplicate sets", &dup, BEAM, dup.len());
+        let (bounded, _, _) = bounded_vs_full(&dup, BEAM);
+        assert!(bounded.contains(&70), "set 61 makes the cut");
+
+        // Forced key collisions: 40 different sets share one key, so the
+        // stop rule sees them as one and keeps scoring; `rank` still
+        // tells them apart.
+        let mut collide: Vec<_> = (0..40).map(|i| (i, 7, 1.0, 0.0)).collect();
+        collide.extend((40..70).map(|i| rec(i, 2.0, 0.0)));
+        collide.extend((70..100).map(|i| rec(i, 10.0, 10.0)));
+        check("key collisions", &collide, BEAM, collide.len());
+
+        // A NaN bound never excludes its record, however late it sorts.
+        let mut nan: Vec<_> = (0..64).map(|i| rec(i, 5.0, 0.0)).collect();
+        nan.extend((64..84).map(|i| rec(i, 9.0, 9.0)));
+        nan.push(rec(84, 1.0, f64::NAN));
+        check("NaN bound", &nan, BEAM, 65);
+        let (bounded, _, _) = bounded_vs_full(&nan, BEAM);
+        assert_eq!(bounded[0], 84, "the NaN-bounded record scores best");
+    }
+
+    #[test]
+    fn bounded_ranking_passes_scoring_errors_through() {
+        let member = Candidate::new(CouplingSet::new(), Envelope::zero(), 0.0);
+        let lists = vec![vec![member]];
+        let sets: Vec<CouplingSet> =
+            (0..100).map(|id| CouplingSet::singleton(CouplingId::new(id))).collect();
+        let mut records: Vec<Scored> = (0..100)
+            .map(|a| Scored { dn: f64::NAN, key: sets[a].key(), member: None, atom: a as u32 })
+            .collect();
+        let err = Scored::rank_bounded(
+            &mut records,
+            &lists,
+            |a| &sets[a],
+            BEAM,
+            |_| 0.0,
+            |_| checked_delay_noise(f64::NAN),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, TopKError::NonFiniteDelayNoise { delay_noise } if delay_noise.is_nan())
+        );
     }
 
     #[test]

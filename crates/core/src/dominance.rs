@@ -109,7 +109,7 @@ pub(crate) fn rank<T>(
         by_score.then(i.cmp(&j))
     });
 
-    let cap = beam.map_or(usize::MAX, |width| width.saturating_mul(4).max(64));
+    let cap = rank_cap(beam);
     let mut kept: Vec<u32> = Vec::with_capacity(order.len().min(cap));
     // Key -> the latest kept record with that key; `chain[k]` links kept
     // record `k` to the previous one with the same key.
@@ -139,6 +139,12 @@ pub(crate) fn rank<T>(
         }
     }
     kept
+}
+
+/// How many distinct sets [`rank`] keeps: `max(4·width, 64)` with a
+/// beam, all of them without.
+pub(crate) fn rank_cap(beam: Option<usize>) -> usize {
+    beam.map_or(usize::MAX, |width| width.saturating_mul(4).max(64))
 }
 
 /// End of a [`rank`] key chain.

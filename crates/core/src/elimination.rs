@@ -8,15 +8,19 @@
 //! left after subtracting what they eliminate, and dominance prefers
 //! smaller residuals.
 //!
-//! Candidates are admitted, scored and ranked exactly as on the addition
-//! side; the score streams the residual's delay noise
+//! Candidates are admitted, scored and ranked as on the addition side;
+//! the score streams the residual's delay noise
 //! ([`Envelope::saturating_sub_delay_noise`]), and only the ranking
 //! survivors get their residual built, through the scratch-arena
-//! subtraction kernel.
+//! subtraction kernel. A round that admits more records than the
+//! ranking keeps scores them in the order of a lower bound read off each
+//! member's [`CrossingProfile`] and stops once no unscored record can
+//! make the cut ([`Scored::rank_bounded`], DESIGN §18.8).
 
 use std::collections::HashSet;
 
 use dna_netlist::NetId;
+use dna_waveform::superposition::CrossingProfile;
 use dna_waveform::Envelope;
 
 use crate::addition::{EnumerationOutcome, SinkOption};
@@ -223,31 +227,24 @@ fn victim_lists(
     lists.push(vec![Candidate::try_new(CouplingSet::new(), total.clone(), total_dn)?]);
     member_keys.push(vec![0]);
     let mut scored: Vec<Scored> = Vec::new();
+    // Crossing profiles of the members, built the first time a wide
+    // round bounds one of their records; `None` (the total) is `(0, 0)`.
+    let victim = &p.victim_tr[vi];
+    let mut profiles: Vec<Vec<Option<CrossingProfile>>> = vec![vec![None]];
     for i in 1..=k {
         scored.clear();
-        // Scores `member ⊖ atom` (`total ⊖ atom` when `member` is `None`)
-        // unless the budget is spent. Nothing is built: the residual's
-        // delay noise is streamed from the two operand envelopes.
-        let mut admit = |member: Option<(usize, usize)>,
-                         a: usize,
-                         scored: &mut Vec<Scored>|
-         -> Result<(), TopKError> {
+        // Admits `member ⊖ atom` (`total ⊖ atom` when `member` is `None`)
+        // unless the budget is spent; `rank_bounded` scores it.
+        let mut admit = |member: Option<(usize, usize)>, a: usize, scored: &mut Vec<Scored>| {
             if generated >= allowance {
                 truncated = true;
-                return Ok(());
+                return;
             }
             generated += 1;
-            let atom = &atoms[a];
-            let (member_env, member_key) = match member {
-                None => (&total, 0),
-                Some((j, m)) => (lists[j][m].envelope(), member_keys[j][m]),
-            };
-            let dn = p.saturating_sub_delay_noise_at(v, member_env, &atom.removal);
-            let dn = checked_delay_noise(p.faults.corrupt_delay_noise(v, dn))?;
-            let key = member_key.wrapping_add(atom.key);
+            let member_key = member.map_or(0, |(j, m)| member_keys[j][m]);
+            let key = member_key.wrapping_add(atoms[a].key);
             let member = member.map(|(j, m)| (j as u32, m as u32));
-            scored.push(Scored { dn, key, member, atom: a as u32 });
-            Ok(())
+            scored.push(Scored { dn: f64::NAN, key, member, atom: a as u32 });
         };
 
         // Extend I_{i-1} with one primary removal.
@@ -256,7 +253,7 @@ fn victim_lists(
                 if atom.set.len() != 1 || s.set().intersects(&atom.set) {
                     continue;
                 }
-                admit(Some((i - 1, m)), a, &mut scored)?;
+                admit(Some((i - 1, m)), a, &mut scored);
             }
         }
         // Atoms standalone (exact cardinality) or, for multi-coupling
@@ -269,22 +266,37 @@ fn victim_lists(
             }
             let j = i - c;
             if j == 0 {
-                admit(None, a, &mut scored)?;
+                admit(None, a, &mut scored);
             } else if c > 1 {
                 for (m, s) in lists[j].iter().enumerate().take(breadth) {
                     if s.set().intersects(&atom.set) {
                         continue;
                     }
-                    admit(Some((j, m)), a, &mut scored)?;
+                    admit(Some((j, m)), a, &mut scored);
                 }
             }
         }
 
-        // Rank the scores, then build only the survivors' sets and
-        // residuals (through the scratch arena) for the dominance pass.
+        // Score and rank the records, then build only the survivors' sets
+        // and residuals (through the scratch arena) for the dominance
+        // pass. Nothing is built to score: the residual's delay noise is
+        // streamed from the two operand envelopes.
         let direction = DominanceDirection::SmallerIsBetter;
         let beam = p.config.max_list_width;
-        let order = Scored::rank(&scored, &lists, |a| &atoms[a].set, direction, beam);
+        let bound = |s: &Scored| {
+            let (j, m) = s.member_index().unwrap_or((0, 0));
+            profiles[j][m]
+                .get_or_insert_with(|| CrossingProfile::new(victim, lists[j][m].envelope()))
+                .sub_delay_noise_bound(atoms[s.atom as usize].removal.peak())
+        };
+        let score = |s: &Scored| {
+            let member_env = s.member_index().map_or(&total, |(j, m)| lists[j][m].envelope());
+            let removal = &atoms[s.atom as usize].removal;
+            let dn = p.saturating_sub_delay_noise_at(v, member_env, removal);
+            checked_delay_noise(p.faults.corrupt_delay_noise(v, dn))
+        };
+        let order =
+            Scored::rank_bounded(&mut scored, &lists, |a| &atoms[a].set, beam, bound, score)?;
         let ranked: Vec<Candidate> = order
             .iter()
             .map(|&r| {
@@ -305,6 +317,7 @@ fn victim_lists(
         peak_list_width = peak_list_width.max(pruned.len());
         pruned.sort_by(|a, b| a.delay_noise().total_cmp(&b.delay_noise()));
         member_keys.push(pruned.iter().map(|c| c.set().key()).collect());
+        profiles.push(vec![None; pruned.len()]);
         lists.push(pruned);
     }
     let curtailment = if truncated { Curtailment::Truncated } else { Curtailment::None };

@@ -197,7 +197,7 @@ impl WhatIfOutcome {
 
     /// How many structurally dirty victims the damping prover proved
     /// clean on this apply (and the sweep therefore served from cache) —
-    /// the length of [`certificates`](Self::certificates). Zero under
+    /// the length of [`proven_clean`](Self::proven_clean). Zero under
     /// [`Damping::Structural`].
     #[must_use]
     pub fn proven_clean_victims(&self) -> usize {
@@ -220,7 +220,7 @@ impl WhatIfOutcome {
     /// [`Oracle`](crate::Oracle), which diffs every victim of the session
     /// against a from-scratch run.
     #[must_use]
-    pub fn certificates(&self) -> &[NetId] {
+    pub fn proven_clean(&self) -> &[NetId] {
         &self.proven_clean
     }
 

@@ -183,7 +183,7 @@ pub fn lint_result(
 ///
 /// A semantically damped session re-sweeps less than this closure: pass
 /// `dirty ∪ proven-clean` (the victims in
-/// [`WhatIfOutcome::certificates`](dna_topk::WhatIfOutcome::certificates))
+/// [`WhatIfOutcome::proven_clean`](dna_topk::WhatIfOutcome::proven_clean))
 /// so every skip is accounted for here, and audit the proven-clean
 /// victims themselves against the [`Oracle`](dna_topk::Oracle) (`L061`).
 #[must_use]

@@ -406,16 +406,16 @@ fn l035_damped_closure_counts_proven_clean_victims() {
     let before = session.mask().clone();
     let outcome = session.apply(&MaskDelta::remove(&[CouplingId::new(0)])).unwrap();
     let after = session.mask().clone();
-    assert_eq!(outcome.certificates().len(), outcome.proven_clean_victims());
+    assert_eq!(outcome.proven_clean().len(), outcome.proven_clean_victims());
 
     let mut covered = outcome.dirty_flags().to_vec();
-    for v in outcome.certificates() {
+    for v in outcome.proven_clean() {
         covered[v.index()] = true;
     }
     let diags = lint_dirty_closure(&circuit, &before, &after, &covered);
     assert!(diags.is_empty(), "{}", diags.render_text());
 
-    if let Some(first) = outcome.certificates().first() {
+    if let Some(first) = outcome.proven_clean().first() {
         covered[first.index()] = false;
         let diags = lint_dirty_closure(&circuit, &before, &after, &covered);
         assert!(diags.has(Rule::SessionCacheIncoherent), "{}", diags.render_text());

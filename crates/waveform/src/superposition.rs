@@ -282,6 +282,79 @@ impl PointSink for CrossingTracker<'_> {
     }
 }
 
+/// A lower bound on the delay noise of every residual `max(m - a, 0)` of
+/// one member envelope `m`, read off `m` alone: the elimination
+/// enumeration scores its records in the order of this bound and stops
+/// once no unscored record can make the rank cut.
+///
+/// The profile holds `m`'s noisy victim waveform in the form the crossing
+/// tracker reads it (`c - m` against 0.5 for a rising victim, `-(c + m)`
+/// against −0.5 for a falling one), sampled at the merged breakpoints of
+/// the clean ramp and `m`, with the suffix minima of the samples. For an
+/// atom of peak `A`, the residual's waveform lies at most `A` above the
+/// member's, so where the member's waveform last sits at or below
+/// `level - A - GUARD` the residual's still sits below the level: its
+/// final crossing comes no earlier (DESIGN §18.8 has the proof, with the
+/// floor, the zero-envelope rule and the infinite crossings).
+#[derive(Debug, Clone)]
+pub struct CrossingProfile {
+    /// The member's noisy waveform samples, in time order.
+    samples: Vec<(f64, f64)>,
+    /// `suffix_min[i]`: the least sample value at or after `i` — a
+    /// non-decreasing list, so a binary search finds the last sample at
+    /// or below a level.
+    suffix_min: Vec<f64>,
+    /// 0.5 or −0.5, the tracker's level for the victim's edge.
+    level: f64,
+    t50: f64,
+    /// Whether the member's tail settles above `level + GUARD` (so every
+    /// residual's tail settles above the level) and no sample is NaN.
+    settled: bool,
+}
+
+impl CrossingProfile {
+    /// Builds the profile of `member` on `victim`.
+    #[must_use]
+    pub fn new(victim: &Transition, member: &Envelope) -> Self {
+        let sign = if victim.edge() == Edge::Falling { -1.0 } else { 1.0 };
+        let level = 0.5 * sign;
+        let samples: Vec<(f64, f64)> =
+            noisy_waveform(victim, member).points().iter().map(|&(t, v)| (t, sign * v)).collect();
+        let tail = samples.last().map_or(f64::NAN, |p| p.1);
+        let mut settled = tail > level + GUARD;
+        let mut suffix_min = vec![0.0; samples.len()];
+        let mut running = f64::INFINITY;
+        for (min, &(_, v)) in suffix_min.iter_mut().zip(&samples).rev() {
+            settled &= !v.is_nan();
+            running = running.min(v);
+            *min = running;
+        }
+        Self { samples, suffix_min, level, t50: victim.t50(), settled }
+    }
+
+    /// A lower bound on `delay_noise(victim, &member.saturating_sub(atom))`
+    /// for every non-negative `atom` whose peak is at most `atom_peak`:
+    /// the member waveform's final crossing of `level - atom_peak -
+    /// GUARD`, minus `t50`, floored at zero. Zero when the member's tail
+    /// does not settle above `level + GUARD` (which covers a level
+    /// reached only on the last sample or its constant extension), when
+    /// no sample reaches the lowered level, and for a NaN `atom_peak`.
+    #[must_use]
+    pub fn sub_delay_noise_bound(&self, atom_peak: f64) -> f64 {
+        if !self.settled {
+            return 0.0;
+        }
+        let level = self.level - atom_peak - GUARD;
+        let after = self.suffix_min.partition_point(|&m| m <= level);
+        match (after.checked_sub(1), self.samples.get(after)) {
+            (Some(last), Some(&next)) => {
+                (upward_crossing(self.samples[last], next, level) - self.t50).max(0.0)
+            }
+            _ => 0.0,
+        }
+    }
+}
+
 /// Worst-case delay noise: the shift of the victim's 50 % crossing caused
 /// by the envelope, floored at zero.
 ///

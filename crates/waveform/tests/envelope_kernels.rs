@@ -14,6 +14,9 @@
 //! * the tail cut (the tracker stops once the final crossing is decided)
 //!   moves no bit, at the `0.5 - GUARD` release boundary, on tails that
 //!   never decay and on near-zero streams;
+//! * the crossing-profile bound never exceeds the residual delay noise
+//!   it bounds, on plateaus at the lowered level, near-collinear dents
+//!   the residual simplifies away, and tails that never decay;
 //! * the linear `Pwl::ge_over` walk gives the same verdict as
 //!   evaluating both curves at every breakpoint by binary search;
 //! * the segment cursor's `t == t0` shortcut keeps the interpolated
@@ -22,6 +25,7 @@
 //! Every delay-noise reference here is cut-free: the materialized noisy
 //! waveform, scanned right to left by `last_time_at_or_below` / `_above`.
 
+use dna_waveform::superposition::{CrossingProfile, GUARD};
 use dna_waveform::{superposition, Edge, Envelope, NoisePulse, Pwl, TimeInterval, Transition, EPS};
 use proptest::prelude::*;
 
@@ -645,5 +649,146 @@ proptest! {
         }
         let verdict = check_bitwise(&victim, &member);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// The profile bound of `member ⊖ atom` against the fused score it
+/// bounds; the message names the case.
+fn check_profile_bound(
+    victim: &Transition,
+    member: &Envelope,
+    atom: &Envelope,
+) -> Result<(), String> {
+    let bound = CrossingProfile::new(victim, member).sub_delay_noise_bound(atom.peak());
+    let score = member.saturating_sub_delay_noise(atom, victim);
+    if bound <= score {
+        Ok(())
+    } else {
+        Err(format!(
+            "bound {bound} above the score {score} for {victim}: {} - {}",
+            member.as_pwl(),
+            atom.as_pwl()
+        ))
+    }
+}
+
+fn assert_profile_bound(victim: &Transition, member: &Envelope, atom: &Envelope) {
+    if let Err(msg) = check_profile_bound(victim, member, atom) {
+        panic!("{msg}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random members and atoms on every victim shape: a total minus one
+    /// of its own parts (the `total ⊖ atom` shape), minus a foreign
+    /// operand scaled up to three times (atom peaks well past 0.5), minus
+    /// itself (a zero residual) and minus nothing.
+    #[test]
+    fn crossing_profile_bounds_the_residual_delay_noise(
+        victim in victim_strategy(),
+        parts in prop::collection::vec(windowed_strategy(), 1..7),
+        pick in 0..6usize,
+        other in operand_strategy(),
+        scale in 0.0..3.0f64,
+    ) {
+        let total = Envelope::sum_all(parts.iter());
+        let part = &parts[pick % parts.len()];
+        let scaled = other.scaled(scale);
+        for member in [&total, &other] {
+            for atom in [part, &other, &scaled, member, &Envelope::zero()] {
+                let verdict = check_profile_bound(&victim, member, atom);
+                prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+            }
+        }
+    }
+}
+
+/// A flat-topped atom of peak `peak` over `[lo, hi]`.
+fn flat_atom(peak: f64, lo: f64, hi: f64) -> Envelope {
+    Envelope::from_curve(
+        &Pwl::new(vec![(lo - 1.0, 0.0), (lo, peak), (hi, peak), (hi + 1.0, 0.0)]).unwrap(),
+    )
+}
+
+/// A member whose noisy waveform holds a plateau at the lowered level
+/// `0.5 - A - GUARD` over `[20, 30]` (on either edge, once the ramp has
+/// settled), and one `GUARD` under it: an atom of peak `A` flat over the
+/// plateau leaves the residual just under 50 % there, so its crossing is
+/// no earlier than the plateau's right end, which the bound reads once
+/// the plateau is clearly under the level.
+#[test]
+fn crossing_profile_on_a_plateau_at_the_lowered_level() {
+    for a in [0.0, 0.1, 0.3, 0.6] {
+        for (lift, reads_plateau) in [(GUARD, false), (2.0 * GUARD, true)] {
+            let m = 0.5 + a + lift;
+            let member = Envelope::from_curve(
+                &Pwl::new(vec![(14.0, 0.0), (20.0, m), (30.0, m), (36.0, 0.0)]).unwrap(),
+            );
+            let atoms = [flat_atom(a, 18.0, 32.0), flat_atom(a, 0.0, 5.0), Envelope::zero()];
+            for victim in cut_victims() {
+                let bound = CrossingProfile::new(&victim, &member).sub_delay_noise_bound(a);
+                if reads_plateau {
+                    let end = 30.0 - victim.t50();
+                    assert!(bound >= end - 1e-9, "the plateau's end counts: {bound} < {end}");
+                }
+                for atom in atoms.iter().filter(|x| x.peak() <= a) {
+                    assert_profile_bound(&victim, &member, atom);
+                }
+            }
+        }
+    }
+}
+
+/// A near-collinear dent: the member's middle breakpoint (t = 25) sits
+/// `EPS / 2` above its neighbours' chord and exactly `A + EPS / 2` over
+/// 50 %. The residual `member - A` simplifies that breakpoint away, so
+/// its waveform crosses 50 % at 25 on the chord — while the member's
+/// own sample at 25 lies at `0.5 - A - EPS / 2`. Only the `GUARD` margin
+/// keeps the bound from reading that sample.
+#[test]
+fn crossing_profile_guard_covers_a_simplified_dent() {
+    let a = 0.2;
+    let dent = EPS / 2.0;
+    let member = Envelope::from_pwl_unchecked(
+        Pwl::new(vec![
+            (14.0, 0.0),
+            (20.0, 0.6 + a),
+            (25.0, 0.5 + a + dent),
+            (30.0, 0.4 + a),
+            (36.0, 0.0),
+        ])
+        .unwrap(),
+    );
+    let atom = flat_atom(a, 0.0, 50.0);
+    for edge in edges() {
+        let victim = Transition::new(0.0, 10.0, edge);
+        let score = member.saturating_sub_delay_noise(&atom, &victim);
+        assert!(
+            (score - (25.0 - victim.t50())).abs() < 1e-6,
+            "the residual crosses at 25: {score}"
+        );
+        assert_profile_bound(&victim, &member, &atom);
+    }
+}
+
+/// Tails that never settle above 50 %: the residual of an atom on the
+/// member's early dip keeps the unsettled tail, never crosses for good,
+/// and scores zero — the bound must too. A tail settled past the guard
+/// still gives a bound.
+#[test]
+fn crossing_profile_on_tails_that_never_decay() {
+    let atom = flat_atom(0.2, 11.0, 13.0);
+    for (tail, bounded) in [(0.55, false), (0.5, false), (0.7, false), (0.2, true)] {
+        let member = Envelope::from_pwl_unchecked(
+            Pwl::new(vec![(8.0, 0.0), (12.0, 0.8), (14.0, tail), (40.0, tail)]).unwrap(),
+        );
+        for edge in edges() {
+            let victim = Transition::new(0.0, 10.0, edge);
+            let bound = CrossingProfile::new(&victim, &member).sub_delay_noise_bound(atom.peak());
+            assert_eq!(bound > 0.0, bounded, "tail {tail}: bound {bound}");
+            assert_profile_bound(&victim, &member, &atom);
+        }
     }
 }

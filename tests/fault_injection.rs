@@ -342,7 +342,7 @@ fn forced_clean_certificate_fails_the_audit_spot_check() {
                 victim.index()
             );
             assert!(
-                forged_out.certificates().contains(&victim),
+                forged_out.proven_clean().contains(&victim),
                 "the forced skip must be reported as proven clean"
             );
             // The reference runs on the forging engine itself: the hook

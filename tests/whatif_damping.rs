@@ -1,9 +1,9 @@
 //! The semantic-damping contract: a what-if apply under
-//! [`Damping::Semantic`] (corridor prover on) is **f64-bit-identical** to
+//! [`Damping::Semantic`] (damping prover on) is **f64-bit-identical** to
 //! the same apply under [`Damping::Structural`] (prover off) and to a
 //! from-scratch run under the resulting mask — at any thread count, in
-//! both modes — while every victim the prover skips carries a clean
-//! certificate.
+//! both modes — and every victim the prover skips is reported among the
+//! outcome's proven-clean victims.
 //!
 //! Companion of `whatif_incremental.rs`: the same fingerprint discipline,
 //! applied across the damping axis instead of the thread axis.
@@ -58,16 +58,16 @@ fn assert_damping_identity(
         );
 
         // Bookkeeping: the prover only ever subtracts from the structural
-        // closure, one certificate per subtraction; the structural run
-        // must not certify anything.
+        // closure, one proven-clean victim per subtraction; the structural
+        // run must not prove anything clean.
         assert_eq!(
             sem_out.recomputed_victims() + sem_out.proven_clean_victims(),
             sem_out.structural_dirty_victims(),
             "{name}/{mode:?}/t{threads}: damping bookkeeping must add up"
         );
-        assert_eq!(sem_out.certificates().len(), sem_out.proven_clean_victims());
+        assert_eq!(sem_out.proven_clean().len(), sem_out.proven_clean_victims());
         assert_eq!(str_out.proven_clean_victims(), 0);
-        assert!(str_out.certificates().is_empty());
+        assert!(str_out.proven_clean().is_empty());
         assert_eq!(str_out.recomputed_victims(), str_out.structural_dirty_victims());
         assert!(sem_out.recomputed_victims() <= str_out.recomputed_victims());
         proven += sem_out.proven_clean_victims();
@@ -84,7 +84,7 @@ fn i1_damping_identity_all_threads_and_modes() {
             proven += assert_damping_identity("i1", &circuit, mode, 5, threads);
         }
     }
-    assert!(proven > 0, "the corridor prover must certify at least one victim on i1");
+    assert!(proven > 0, "the damping prover must prove at least one victim clean on i1");
 }
 
 /// All-equal coupling caps force near-tie candidate orderings — the
@@ -119,12 +119,12 @@ fn i10_damping_identity_full_suite() {
             proven += assert_damping_identity("i10", &circuit, mode, 10, threads);
         }
     }
-    assert!(proven > 0, "the corridor prover must certify victims on i10");
+    assert!(proven > 0, "the damping prover must prove victims clean on i10");
 }
 
 /// Semantic fingerprints are not persisted, so a resumed session's first
 /// apply has nothing to refine against: it must sweep the structural
-/// closure (no proven-clean victims, no certificates) and re-capture the
+/// closure (no proven-clean victims) and re-capture the
 /// fingerprint, after which the next apply damps exactly as a session
 /// that never stopped. Every result stays bit-identical to a
 /// from-scratch run.
@@ -148,7 +148,7 @@ fn resumed_session_recaptures_semantic_state_on_first_apply() {
         assert_eq!(got.result().fingerprint(), scratch.fingerprint(), "step {step}: resumed");
         if step == 0 {
             assert_eq!(got.proven_clean_victims(), 0, "no fingerprint survives a resume");
-            assert!(got.certificates().is_empty());
+            assert!(got.proven_clean().is_empty());
             assert_eq!(got.recomputed_victims(), got.structural_dirty_victims());
         } else {
             assert!(want.proven_clean_victims() > 0, "the fresh session damps this delta");
@@ -157,7 +157,7 @@ fn resumed_session_recaptures_semantic_state_on_first_apply() {
                 want.proven_clean_victims(),
                 "the re-captured fingerprint damps like a never-stopped session"
             );
-            assert_eq!(got.certificates(), want.certificates());
+            assert_eq!(got.proven_clean(), want.proven_clean());
         }
     }
 }
