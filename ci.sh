@@ -35,6 +35,19 @@ if grep -rn --include='*.rs' -e 'derive_clean_witness' -e 'CleanCertificate' -e 
   echo "second audit reference found: audit damped sessions with Oracle::check_session"; exit 1
 fi
 
+echo "== one benchmark (no second timing harness)"
+# perfbench (declared in BENCHMARK.json) is the repository's one
+# benchmark; the paper's tables and figures are the dna-bench binaries.
+# A JSON bench report, its checker or a cargo-bench shim beside them
+# would be a second harness to keep honest.
+if grep -rn -e 'topk_bench' -e 'bench_topk' -e 'BENCH_topk' -e 'criterion_group' -e 'dna-criterion' \
+  crates src tests; then
+  echo "second timing harness found: measure with perfbench, reproduce the paper with dna-bench binaries"; exit 1
+fi
+if grep -n '^\[\[bench\]\]' crates/*/Cargo.toml; then
+  echo "[[bench]] target found: measure with perfbench, reproduce the paper with dna-bench binaries"; exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -47,14 +60,9 @@ cargo test --workspace --offline -q
 echo "== perfbench self-test (every workload's correctness replay, tiny inputs)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== bench smoke (serial vs parallel identity + report schema)"
-smoke_json="$(mktemp -t bench_smoke.XXXXXX.json)"
-smoke_ckt="$(mktemp -t whatif_smoke.XXXXXX.ckt)"
-trap 'rm -f "$smoke_json" "$smoke_ckt"' EXIT
-cargo run -q -p dna-cli --offline -- bench --quick --k 2 --json --out "$smoke_json" >/dev/null
-cargo run -q -p dna-cli --offline -- bench --check "$smoke_json"
-
 echo "== whatif smoke (incremental session identity + dirty-closure audit)"
+smoke_ckt="$(mktemp -t whatif_smoke.XXXXXX.ckt)"
+trap 'rm -f "$smoke_ckt"' EXIT
 cargo run -q -p dna-cli --offline -- generate --gates 40 --couplings 30 --seed 9 --o "$smoke_ckt"
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --audit >/dev/null
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --mode add --k 3 --audit >/dev/null
@@ -68,7 +76,7 @@ cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --damping semanti
 
 echo "== deep lint oracle check (i1)"
 smoke_i1="$(mktemp -t lint_i1.XXXXXX.ckt)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i1 --seed 42 --o "$smoke_i1" >/dev/null
 cargo run -q -p dna-cli --offline -- lint "$smoke_i1" --deep >/dev/null
 
@@ -76,7 +84,7 @@ echo "== golden fingerprints (i1 and i3 seed 42, k 10: no numeric kernel drifted
 # Pinned what-if identity fingerprints of both modes. Every optimization
 # must leave them unchanged; a change here means an output bit moved.
 smoke_i3="$(mktemp -t golden_i3.XXXXXX.ckt)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i3 --seed 42 --o "$smoke_i3" >/dev/null
 golden_cli=(cargo run -q -p dna-cli --offline --)
 check_golden() { # $1 = circuit, $2 = pinned fingerprint, rest = extra whatif flags
@@ -100,7 +108,7 @@ echo "== golden fingerprints (i4 and i5 seed 42, k 10, release build: where the 
 # rank keeps, so only the ones that can make the cut are scored.
 smoke_i4="$(mktemp -t golden_i4.XXXXXX.ckt)"
 smoke_i5="$(mktemp -t golden_i5.XXXXXX.ckt)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5"' EXIT
 cargo run -q -p dna-cli --offline -- generate --bench i4 --seed 42 --o "$smoke_i4" >/dev/null
 cargo run -q -p dna-cli --offline -- generate --bench i5 --seed 42 --o "$smoke_i5" >/dev/null
 golden_cli=(cargo run --release -q -p dna-cli --offline --)
@@ -134,7 +142,7 @@ done
 
 echo "== batch whatif smoke (shared sweep identity + order independence)"
 smoke_batch="$(mktemp -t whatif_smoke.XXXXXX.batch)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch"' EXIT
 printf -- '-0\n-1\n-0 -2\n' > "$smoke_batch"
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --batch "$smoke_batch" --audit)"
 echo "$out" | grep -q "audit: all 3 scenario(s) == from-scratch" \
@@ -155,7 +163,7 @@ cargo test --offline -q --test fault_injection >/dev/null
 
 echo "== session artifact round trip (save -> load -> audit, then corrupt -> fallback)"
 smoke_art="$(mktemp -t whatif_smoke.XXXXXX.dna)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art"' EXIT
 cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --save "$smoke_art" >/dev/null
 # A clean artifact must resume AND still pass the bit-identity audit.
 out="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --load "$smoke_art" --audit)"
@@ -170,7 +178,7 @@ echo "$out" | grep -q "audit: incremental == from-scratch" \
 
 echo "== serve smoke (daemon scenario over loopback == local whatif, clean shutdown)"
 serve_log="$(mktemp -t serve_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"' EXIT
 cargo build -q -p dna-cli --offline
 cargo run -q -p dna-cli --offline -- serve --port 0 > "$serve_log" &
 serve_pid=$!
@@ -202,7 +210,7 @@ local_fp="$(cargo run -q -p dna-cli --offline -- whatif "$smoke_ckt" --k 3 --bat
 
 echo "== crash recovery smoke (abort mid-save via DNA_CRASH_POINT, recover, bit-compare)"
 crash_dir="$(mktemp -d -t crash_smoke.XXXXXX)"
-trap 'rm -f "$smoke_json" "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
+trap 'rm -f "$smoke_ckt" "$smoke_i1" "$smoke_i3" "$smoke_i4" "$smoke_i5" "$smoke_batch" "$smoke_art" "$serve_log"; rm -rf "$crash_dir"' EXIT
 
 start_crash_daemon() { # $1 = state dir, $2 (optional) = --recover
   : > "$serve_log"

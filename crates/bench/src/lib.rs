@@ -10,9 +10,10 @@
 //! | `table2b`   | Table 2(b) — top-k elimination sets, i1–i10 |
 //! | `figure10`  | Fig. 10 — addition/elimination convergence, k = 1..75 |
 //! | `figure4`   | Fig. 4 — non-monotonicity demonstration |
+//! | `ablation`  | runtime with each of the paper's techniques switched off |
 //!
-//! Criterion benches (`cargo bench -p dna-bench`) cover runtime scaling
-//! and the ablation of the paper's two key techniques.
+//! Speed claims about the engine come from the repository benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`), not from these binaries.
 
 // Accepted `clippy::pedantic` baseline. The CI_FULL pedantic triage in
 // `ci.sh` is non-gating; this allowlist keeps its output limited to new
@@ -38,8 +39,6 @@
 use std::fmt::Write as _;
 
 use dna_netlist::{suite, Circuit, NetlistError};
-
-pub mod topk_bench;
 
 /// Default RNG seed used by every experiment so results are reproducible.
 pub const DEFAULT_SEED: u64 = 42;

@@ -2,7 +2,6 @@
 
 use std::fs;
 
-use dna_bench::topk_bench;
 use dna_lint::{
     lint_chain, lint_circuit, lint_config, lint_dirty_closure, lint_divergence, lint_result,
     lint_timing, Diagnostics,
@@ -64,9 +63,6 @@ commands:
   paths     <file.ckt> [-k N]             top-k critical paths
   glitch    <file.ckt> [--margin 0.4]     functional noise check
   lint      <file.ckt> [--json] [--deep]  verify IR and analysis invariants
-  bench     [--json] [--out FILE] [--circuits i1,i5,i10] [--k N]
-            [--samples N] [--seed S] [--quick] [--check FILE]
-                                          serial-vs-parallel top-k benchmark
   serve     [--port N] [--capacity N] [--max-queue N]
             [--victim-budget-cap N] [--global-budget-cap N]
             [--deadline-cap-ms MS]        loopback what-if daemon: holds hot
@@ -139,11 +135,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         Some("paths") => (cmd_paths, Some(1), &["k"]),
         Some("glitch") => (cmd_glitch, Some(1), &["margin"]),
         Some("lint") => (cmd_lint, Some(1), &["json", "deep"]),
-        Some("bench") => (
-            cmd_bench,
-            Some(0),
-            &["json", "out", "circuits", "k", "samples", "seed", "quick", "check"],
-        ),
         Some("serve") => (
             crate::serve_cmd::cmd_serve,
             Some(0),
@@ -963,55 +954,6 @@ fn deep_lint(engine: &TopKAnalysis<'_>) -> Result<Diagnostics, String> {
     Ok(diags)
 }
 
-fn cmd_bench(opts: &Opts) -> Result<(), String> {
-    // Audit mode: validate an existing report (used by the CI smoke run).
-    if let Some(path) = opts.flag("check") {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let notes = topk_bench::validate_json_notes(&text).map_err(|e| format!("`{path}`: {e}"))?;
-        // A skipped gate passes validation but is never silent: every
-        // skip is printed with the reason the report recorded.
-        for note in &notes {
-            println!("gate: {note}");
-        }
-        println!(
-            "{path}: well-formed {} report ({} gate(s) skipped)",
-            topk_bench::SCHEMA,
-            notes.len()
-        );
-        return Ok(());
-    }
-
-    let mut spec = topk_bench::BenchSpec::default();
-    if opts.has("quick") {
-        spec.circuits = vec!["i1".into()];
-        spec.k = spec.k.min(3);
-    }
-    if let Some(list) = opts.flag("circuits") {
-        spec.circuits = list.split(',').map(str::to_owned).collect();
-    }
-    spec.k = opts.num("k", spec.k)?;
-    spec.samples = opts.num("samples", spec.samples)?;
-    spec.seed = opts.num("seed", spec.seed)?;
-
-    let report = topk_bench::run(&spec)?;
-    print!("{}", report.render_table());
-    if opts.has("json") {
-        let path = opts.flag("out").unwrap_or("BENCH_topk.json");
-        fs::write(path, report.to_json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote {path} (host_threads = {})", report.host_threads);
-    }
-    if report.entries.iter().any(|e| !e.identical_to_serial) {
-        return Err("a parallel run diverged from its serial reference".into());
-    }
-    if report.batch.iter().any(|e| !e.identical_to_sequential) {
-        return Err("a batch scenario diverged from its sequential reference".into());
-    }
-    if report.versioned_store.iter().any(|e| !e.identical_to_full) {
-        return Err("a chain-tip replay diverged from its live session".into());
-    }
-    Ok(())
-}
-
 fn render_lint(diags: &Diagnostics, json: bool) {
     if json {
         println!("{}", diags.render_json());
@@ -1031,6 +973,8 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(dispatch(&argv(&["frobnicate"])).is_err());
+        // The timing harness is perfbench; `dna bench` is not a command.
+        assert!(dispatch(&argv(&["bench"])).unwrap_err().starts_with("unknown command `bench`"));
     }
 
     #[test]

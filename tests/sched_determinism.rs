@@ -11,6 +11,8 @@
 //! oracle must catch. Schedule perturbation over random task graphs is
 //! unit-tested next to the scheduler (`sched.rs`).
 
+use std::time::Instant;
+
 use proptest::prelude::*;
 use topk_aggressors::lint::lint_divergence;
 use topk_aggressors::netlist::generator::{generate, GeneratorConfig};
@@ -201,6 +203,57 @@ fn corrupted_result_slot_is_caught_by_the_replay_audit() {
         }
     }
     assert!(caught, "at least one corrupted slot must diverge from the serial reference");
+}
+
+/// Fastest of three runs, in milliseconds, with the last run's result.
+fn timed(circuit: &Circuit, mode: Mode, config: TopKConfig) -> (f64, TopKResult) {
+    let mut best = f64::INFINITY;
+    let mut result = None;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let r = run(circuit, mode, 10, config);
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        result = Some(r);
+    }
+    (best, result.expect("three runs"))
+}
+
+/// The parallel sweep must pay for itself where a host can show it:
+/// `threads: 0` runs i5 (seed 42, k 10, validation off) faster than the
+/// serial reference in both modes, bit-identically. The gate is armed
+/// only on a host with at least 4 threads and where the serial reference
+/// takes at least 500 ms; otherwise it says why it is skipped and
+/// asserts nothing about speed. Timing is meaningless in a debug build,
+/// so the test is opt-in: `cargo test --release -- --ignored` (CI_FULL).
+#[test]
+#[ignore = "release-only timing gate; run with --ignored (CI_FULL)"]
+fn auto_threads_beat_serial_on_i5() {
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if host < 4 {
+        println!("speedup gate: skipped ({host}-thread host cannot express the parallelism; gate needs 4)");
+        return;
+    }
+    let circuit = suite::benchmark("i5", 42).expect("known benchmark");
+    for mode in [Mode::Addition, Mode::Elimination] {
+        let (serial_ms, serial) = timed(&circuit, mode, unbudgeted(1));
+        if serial_ms < 500.0 {
+            println!(
+                "speedup gate {}: skipped (serial reference {serial_ms:.0} ms is under the \
+                 500 ms floor)",
+                mode.name()
+            );
+            continue;
+        }
+        let (auto_ms, auto) = timed(&circuit, mode, unbudgeted(0));
+        assert_eq!(serial.fingerprint(), auto.fingerprint(), "{} threads=0", mode.name());
+        let speedup = serial_ms / auto_ms;
+        println!("speedup gate {}: armed, {speedup:.2}x over serial", mode.name());
+        assert!(
+            speedup > 1.0,
+            "{}: threads=0 took {auto_ms:.0} ms, serial {serial_ms:.0} ms on a {host}-thread host",
+            mode.name()
+        );
+    }
 }
 
 fn tiny_circuit() -> impl Strategy<Value = Circuit> {
