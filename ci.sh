@@ -48,6 +48,19 @@ if grep -n '^\[\[bench\]\]' crates/*/Cargo.toml; then
   echo "[[bench]] target found: measure with perfbench, reproduce the paper with dna-bench binaries"; exit 1
 fi
 
+echo "== one allocation path (no scratch arena, no thread-local engine state)"
+# A materialized envelope is a plain allocation (Envelope::sum,
+# Envelope::saturating_sub, clone); a buffer-recycling twin of those
+# kernels, or per-thread engine state a scheduler must harvest, would be
+# a second path to keep bit-identical.
+if grep -rn -e 'take_buf' -e 'give_buf' -e 'reclaim_points' -e 'sum_into' -e 'saturating_sub_into' \
+  -e 'simplified_into' -e 'ArenaStats' -e 'mod arena' crates src tests; then
+  echo "second allocation path found: build envelopes with sum / saturating_sub / clone"; exit 1
+fi
+if grep -rn 'thread_local!' crates/core/src; then
+  echo "thread-local engine state found: keep per-run state in the run, not the thread"; exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

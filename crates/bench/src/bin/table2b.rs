@@ -21,10 +21,11 @@ fn main() {
     // `--peeled` is specific to this binary; strip it before shared parsing.
     let peeled = std::env::args().any(|a| a == "--peeled");
     let filtered: Vec<String> = std::env::args().filter(|a| a != "--peeled").collect();
-    // Re-inject filtered args for HarnessArgs::parse via a sub-process-free
-    // trick: HarnessArgs reads std::env::args, so emulate by temporary
-    // variable. Simplest: parse the shared flags ourselves.
-    let args = parse_shared(&filtered[1..]);
+    let args = HarnessArgs::parse_from(
+        &filtered[1..],
+        &["i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9", "i10"],
+        50,
+    );
 
     let ks: Vec<usize> =
         [5usize, 10, 20, 30, 40, 50].into_iter().filter(|&k| k <= args.kmax).collect();
@@ -82,42 +83,4 @@ fn main() {
     println!(
         "delays in ns; expected shape: all agg (k=0) >= k-columns (falling with k) >= noiseless"
     );
-}
-
-/// Shared-flag parsing over a pre-filtered argument list.
-fn parse_shared(argv: &[String]) -> HarnessArgs {
-    let mut out = HarnessArgs {
-        circuits: ["i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9", "i10"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect(),
-        kmax: 50,
-        seed: dna_bench::DEFAULT_SEED,
-        quick: false,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--circuits" => {
-                i += 1;
-                out.circuits = argv[i].split(',').map(str::to_owned).collect();
-            }
-            "--kmax" => {
-                i += 1;
-                out.kmax = argv[i].parse().expect("--kmax needs an integer");
-            }
-            "--seed" => {
-                i += 1;
-                out.seed = argv[i].parse().expect("--seed needs an integer");
-            }
-            "--quick" => {
-                out.quick = true;
-                out.circuits = vec!["i1".into(), "i2".into(), "i3".into()];
-                out.kmax = out.kmax.min(10);
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    out
 }

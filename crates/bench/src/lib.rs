@@ -243,4 +243,16 @@ mod tests {
         let bad = HarnessArgs { circuits: vec!["nope".into()], ..args };
         assert!(bad.load_circuits().is_err());
     }
+
+    #[test]
+    #[should_panic(expected = "--kmax needs an integer")]
+    fn trailing_kmax_is_a_usage_error() {
+        let _ = HarnessArgs::parse_from(&["--kmax".into()], &["i1"], 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "--circuits needs a value")]
+    fn trailing_circuits_is_a_usage_error() {
+        let _ = HarnessArgs::parse_from(&["--circuits".into()], &["i1"], 50);
+    }
 }

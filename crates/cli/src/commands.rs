@@ -251,13 +251,11 @@ fn report_scheduler(config: &TopKConfig, result: &TopKResult) {
     }
     println!(
         "scheduler: {} worker(s) (resolved from --threads {}), {} task(s), \
-         longest task {:.0}% of busy time, arena {} buffer(s) reused ({} bytes)",
+         longest task {:.0}% of busy time",
         s.threads(),
         config.threads,
         s.tasks(),
         s.tail_task_share() * 100.0,
-        s.arena_reused(),
-        s.arena_bytes_reused(),
     );
 }
 

@@ -17,9 +17,8 @@
 //! ([`Envelope::sum_delay_noise`]) — and recorded as a small
 //! [`Scored`] record. Ranking ([`Scored::rank`]: best-first order,
 //! dedupe by set, pre-truncation) picks the survivors, and only they get
-//! their union and envelope built, through the scratch-arena sum kernel
-//! (`arena.rs`), for the dominance pass. No candidate is dropped on a
-//! bound.
+//! their union and envelope built ([`Envelope::sum`]) for the dominance
+//! pass. No candidate is dropped on a bound.
 
 use std::collections::HashSet;
 
@@ -30,7 +29,7 @@ use crate::candidate::{checked_delay_noise, Scored};
 use crate::dominance::{prune, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
-use crate::{arena, Candidate, CouplingSet, TopKError};
+use crate::{Candidate, CouplingSet, TopKError};
 
 /// How many of the best fanin candidates combine with lower-cardinality
 /// sets (beyond plain primary extension). Keeps the cross-product bounded
@@ -287,7 +286,7 @@ fn victim_lists(
         }
 
         // Rank the scores, then build only the survivors' sets and
-        // envelopes (through the scratch arena) for the dominance pass.
+        // envelopes for the dominance pass.
         let direction = DominanceDirection::BiggerIsBetter;
         let beam = p.config.max_list_width;
         let order = Scored::rank(&scored, &lists, |a| &atoms[a].set, direction, beam);
@@ -297,20 +296,17 @@ fn victim_lists(
                 let s = &scored[r as usize];
                 let atom = &atoms[s.atom as usize];
                 let (set, env) = match s.member_index() {
-                    None => (atom.set.clone(), atom.envelope.clone_into(arena::take_buf())),
+                    None => (atom.set.clone(), atom.envelope.clone()),
                     Some((j, m)) => {
                         let member = &lists[j][m];
-                        let env = member.envelope().sum_into(&atom.envelope, arena::take_buf());
-                        (member.set().union(&atom.set), env)
+                        (member.set().union(&atom.set), member.envelope().sum(&atom.envelope))
                     }
                 };
                 debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
                 Candidate::new(set, env, s.dn)
             })
             .collect();
-        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam, |c| {
-            arena::give_buf(c.into_envelope().reclaim_points());
-        });
+        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam);
         peak_list_width = peak_list_width.max(pruned.len());
         // Sort by delay noise so downstream consumers (pseudo atoms,
         // combos) can take the best few deterministically.

@@ -88,13 +88,6 @@ impl Candidate {
     pub fn delay_noise(&self) -> f64 {
         self.delay_noise
     }
-
-    /// Consumes the candidate, yielding its envelope — the scratch arena
-    /// reclaims discarded candidates' breakpoint buffers through here.
-    #[must_use]
-    pub fn into_envelope(self) -> Envelope {
-        self.envelope
-    }
 }
 
 /// `delay_noise` itself when it is a finite, non-negative number — the

@@ -59,7 +59,7 @@ pub fn irredundant(
     let mut slots: Vec<Option<Candidate>> = candidates.into_iter().map(Some).collect();
     let ranked =
         order.iter().map(|&i| slots[i as usize].take().expect("rank returns distinct indices"));
-    prune(ranked.collect(), dominance_interval, direction, use_dominance, beam, |_| {})
+    prune(ranked.collect(), dominance_interval, direction, use_dominance, beam)
 }
 
 /// Steps 1–3 of [`irredundant`] over any records with a score and a
@@ -172,17 +172,13 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Steps 4–5 of [`irredundant`] on candidates already ranked by [`rank`],
-/// handing every dropped candidate to `discard` — the enumeration
-/// recycles their envelope breakpoint buffers through the per-worker
-/// scratch arena.
+/// Steps 4–5 of [`irredundant`] on candidates already ranked by [`rank`].
 pub(crate) fn prune(
     mut candidates: Vec<Candidate>,
     dominance_interval: TimeInterval,
     direction: DominanceDirection,
     use_dominance: bool,
     beam: Option<usize>,
-    mut discard: impl FnMut(Candidate),
 ) -> Vec<Candidate> {
     // 4. Dominance pruning, exploiting the ordering invariant: an
     // envelope that encapsulates another produces at least as much delay
@@ -194,8 +190,7 @@ pub(crate) fn prune(
     // runs only on plausible pairs.
     if use_dominance && candidates.len() > 1 {
         let mut kept: Vec<Candidate> = Vec::with_capacity(candidates.len().min(64));
-        let mut iter = candidates.into_iter();
-        'next: for cand in iter.by_ref() {
+        'next: for cand in candidates {
             for winner in &kept {
                 let (big, small) = match direction {
                     DominanceDirection::BiggerIsBetter => (winner, &cand),
@@ -205,7 +200,6 @@ pub(crate) fn prune(
                     big.envelope().may_encapsulate(small.envelope(), dominance_interval)
                         && big.envelope().encapsulates(small.envelope(), dominance_interval);
                 if dominated {
-                    discard(cand);
                     continue 'next;
                 }
             }
@@ -219,19 +213,12 @@ pub(crate) fn prune(
                 }
             }
         }
-        for cand in iter {
-            discard(cand);
-        }
         candidates = kept;
     }
 
     // 5. Beam cap (already sorted best-first).
     if let Some(width) = beam {
-        if candidates.len() > width {
-            for c in candidates.drain(width..) {
-                discard(c);
-            }
-        }
+        candidates.truncate(width);
     }
     debug_assert!(
         !use_dominance || find_dominated_pair(&candidates, dominance_interval, direction).is_none(),

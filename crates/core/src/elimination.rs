@@ -11,11 +11,11 @@
 //! Candidates are admitted, scored and ranked as on the addition side;
 //! the score streams the residual's delay noise
 //! ([`Envelope::saturating_sub_delay_noise`]), and only the ranking
-//! survivors get their residual built, through the scratch-arena
-//! subtraction kernel. A round that admits more records than the
-//! ranking keeps scores them in the order of a lower bound read off each
-//! member's [`CrossingProfile`] and stops once no unscored record can
-//! make the cut ([`Scored::rank_bounded`], DESIGN §18.8).
+//! survivors get their residual built ([`Envelope::saturating_sub`]).
+//! A round that admits more records than the ranking keeps scores them
+//! in the order of a lower bound read off each member's
+//! [`CrossingProfile`] and stops once no unscored record can make the
+//! cut ([`Scored::rank_bounded`], DESIGN §18.8).
 
 use std::collections::HashSet;
 
@@ -28,7 +28,7 @@ use crate::candidate::{checked_delay_noise, Scored};
 use crate::dominance::{prune, DominanceDirection};
 use crate::engine::{Curtailment, NetLists, Prepared, SweepTotals, VictimCounters, VictimLists};
 use crate::sched::Slots;
-use crate::{arena, Candidate, CouplingSet, TopKError};
+use crate::{Candidate, CouplingSet, TopKError};
 
 /// Mirror of the addition-side combination breadth.
 const COMBO_BREADTH: usize = 4;
@@ -278,9 +278,9 @@ fn victim_lists(
         }
 
         // Score and rank the records, then build only the survivors' sets
-        // and residuals (through the scratch arena) for the dominance
-        // pass. Nothing is built to score: the residual's delay noise is
-        // streamed from the two operand envelopes.
+        // and residuals for the dominance pass. Nothing is built to
+        // score: the residual's delay noise is streamed from the two
+        // operand envelopes.
         let direction = DominanceDirection::SmallerIsBetter;
         let beam = p.config.max_list_width;
         let bound = |s: &Scored| {
@@ -307,13 +307,10 @@ fn victim_lists(
                     Some((j, m)) => (lists[j][m].set().union(&atom.set), lists[j][m].envelope()),
                 };
                 debug_assert_eq!(set.len(), i, "admitted unions are disjoint-exact");
-                let env = member_env.saturating_sub_into(&atom.removal, arena::take_buf());
-                Candidate::new(set, env, s.dn)
+                Candidate::new(set, member_env.saturating_sub(&atom.removal), s.dn)
             })
             .collect();
-        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam, |c| {
-            arena::give_buf(c.into_envelope().reclaim_points());
-        });
+        let mut pruned = prune(ranked, iv, direction, p.config.dominance_pruning, beam);
         peak_list_width = peak_list_width.max(pruned.len());
         pruned.sort_by(|a, b| a.delay_noise().total_cmp(&b.delay_noise()));
         member_keys.push(pruned.iter().map(|c| c.set().key()).collect());

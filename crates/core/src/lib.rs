@@ -63,7 +63,6 @@
 
 mod addition;
 mod aggressor;
-mod arena;
 mod batch;
 mod bounds;
 mod candidate;

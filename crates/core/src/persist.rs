@@ -686,15 +686,11 @@ fn scan_chain(bytes: &[u8]) -> Result<ChainScanOutcome<'_>, ArtifactError> {
     check_file_header(bytes)?;
     let mut records: Vec<RawRecord<'_>> = Vec::new();
     let mut pos = FILE_HEADER_LEN;
-    let mut prev_hash = 0u64;
-    let mut prev_gen = 0u64;
     let mut damage = None;
     while pos < bytes.len() {
-        let parsed = parse_record(bytes, pos, records.is_empty(), prev_hash, prev_gen);
-        match parsed {
+        let prev = records.last().map(|r| (r.link_hash, r.generation));
+        match parse_record(bytes, pos, prev) {
             Ok(rec) => {
-                prev_hash = rec.link_hash;
-                prev_gen = rec.generation;
                 pos = rec.offset + RECORD_HEADER_LEN + rec.payload.len();
                 records.push(rec);
             }
@@ -707,12 +703,61 @@ fn scan_chain(bytes: &[u8]) -> Result<ChainScanOutcome<'_>, ArtifactError> {
     Ok(ChainScanOutcome { records, valid_len: pos, damage })
 }
 
+/// One decoded record header: the fixed-size frame before each payload.
+struct RecordHeader {
+    tag: u8,
+    generation: u64,
+    prev_hash: u64,
+    payload_len: u64,
+    crc: u32,
+    /// FNV-1a of the header bytes — what the next record links to.
+    link_hash: u64,
+}
+
+impl RecordHeader {
+    fn decode(head: &[u8; RECORD_HEADER_LEN]) -> Self {
+        let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        RecordHeader {
+            tag: head[0],
+            generation: u64_at(1),
+            prev_hash: u64_at(9),
+            payload_len: u64_at(17),
+            crc: u32::from_le_bytes(head[25..29].try_into().expect("4 bytes")),
+            link_hash: fnv1a64(head),
+        }
+    }
+
+    /// The chain-order rules: the base (`prev` is `None`) is a checkpoint
+    /// with a zero predecessor hash; every later record is a delta that
+    /// links to `prev = (link hash, generation)` of the record before it
+    /// and carries the next generation.
+    fn check_order(&self, prev: Option<(u64, u64)>) -> Result<(), ArtifactError> {
+        let generation = self.generation;
+        let broken = |what: String| Err(ArtifactError::ChainBroken { generation, what });
+        match prev {
+            None if self.tag != TAG_CHECKPOINT => broken(BROKEN_FIRST.into()),
+            None if self.prev_hash != 0 => broken(BROKEN_BASE_PREV.into()),
+            None => Ok(()),
+            Some(_) if self.tag != TAG_DELTA => {
+                broken(format!("{BROKEN_MID_CHECKPOINT} (compaction rewrites the whole chain)"))
+            }
+            Some((hash, _)) if self.prev_hash != hash => {
+                broken(format!("{BROKEN_LINK} (spliced or misdirected append)"))
+            }
+            Some((_, prev_gen)) if generation != prev_gen.wrapping_add(1) => {
+                broken(format!("{BROKEN_GENERATION} ({prev_gen} then {generation})"))
+            }
+            Some(_) => Ok(()),
+        }
+    }
+}
+
+/// Parses and verifies the record at `pos`: framing (tag, length, CRC),
+/// then [`RecordHeader::check_order`] against the previous record.
 fn parse_record(
     bytes: &[u8],
     pos: usize,
-    is_first: bool,
-    prev_hash: u64,
-    prev_gen: u64,
+    prev: Option<(u64, u64)>,
 ) -> Result<RawRecord<'_>, ArtifactError> {
     if bytes.len() - pos < RECORD_HEADER_LEN {
         return Err(ArtifactError::Truncated {
@@ -722,15 +767,12 @@ fn parse_record(
     }
     let head: &[u8; RECORD_HEADER_LEN] =
         bytes[pos..pos + RECORD_HEADER_LEN].try_into().expect("record header slice");
-    let tag = head[0];
-    let generation = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
-    let rec_prev = u64::from_le_bytes(head[9..17].try_into().expect("8 bytes"));
-    let payload_len_u64 = u64::from_le_bytes(head[17..25].try_into().expect("8 bytes"));
-    let stored_crc = u32::from_le_bytes(head[25..29].try_into().expect("4 bytes"));
+    let header = RecordHeader::decode(head);
+    let tag = header.tag;
     if tag != TAG_CHECKPOINT && tag != TAG_DELTA {
         return Err(ArtifactError::Malformed { what: format!("unknown record tag {tag}") });
     }
-    let payload_len = usize::try_from(payload_len_u64)
+    let payload_len = usize::try_from(header.payload_len)
         .map_err(|_| ArtifactError::Malformed { what: "record payload length overflows".into() })?;
     let start = pos + RECORD_HEADER_LEN;
     let end = start.checked_add(payload_len).filter(|&e| e <= bytes.len()).ok_or(
@@ -738,37 +780,12 @@ fn parse_record(
     )?;
     let payload = &bytes[start..end];
     let computed = crc32_multi(&[&head[..CRC_COVERED_HEADER], payload]);
-    if computed != stored_crc {
-        return Err(ArtifactError::ChecksumMismatch { stored: stored_crc, computed });
+    if computed != header.crc {
+        return Err(ArtifactError::ChecksumMismatch { stored: header.crc, computed });
     }
-    if is_first {
-        if tag != TAG_CHECKPOINT {
-            return Err(ArtifactError::ChainBroken { generation, what: BROKEN_FIRST.into() });
-        }
-        if rec_prev != 0 {
-            return Err(ArtifactError::ChainBroken { generation, what: BROKEN_BASE_PREV.into() });
-        }
-    } else {
-        if tag != TAG_DELTA {
-            return Err(ArtifactError::ChainBroken {
-                generation,
-                what: format!("{BROKEN_MID_CHECKPOINT} (compaction rewrites the whole chain)"),
-            });
-        }
-        if rec_prev != prev_hash {
-            return Err(ArtifactError::ChainBroken {
-                generation,
-                what: format!("{BROKEN_LINK} (spliced or misdirected append)"),
-            });
-        }
-        if generation != prev_gen.wrapping_add(1) {
-            return Err(ArtifactError::ChainBroken {
-                generation,
-                what: format!("{BROKEN_GENERATION} ({prev_gen} then {generation})"),
-            });
-        }
-    }
-    Ok(RawRecord { tag, generation, link_hash: fnv1a64(head), offset: pos, payload })
+    header.check_order(prev)?;
+    let (generation, link_hash) = (header.generation, header.link_hash);
+    Ok(RawRecord { tag, generation, link_hash, offset: pos, payload })
 }
 
 fn anchor_of(records: &[RawRecord<'_>], valid_len: usize) -> Option<ChainAnchor> {
@@ -1299,48 +1316,28 @@ fn file_tip(path: &Path) -> Option<ChainAnchor> {
     let file_len = f.metadata().ok()?.len();
     let mut header = [0u8; FILE_HEADER_LEN];
     f.read_exact(&mut header).ok()?;
-    if &header[..8] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(header[8..12].try_into().ok()?) != ARTIFACT_VERSION {
-        return None;
-    }
+    check_file_header(&header).ok()?;
     let mut pos = FILE_HEADER_LEN as u64;
-    let mut prev_hash = 0u64;
-    let mut prev_gen = 0u64;
-    let mut records = 0usize;
-    let mut tip = None;
+    let mut tip: Option<ChainAnchor> = None;
     while pos < file_len {
         if file_len - pos < RECORD_HEADER_LEN as u64 {
             return None;
         }
         let mut head = [0u8; RECORD_HEADER_LEN];
         f.read_exact(&mut head).ok()?;
-        let tag = head[0];
-        let generation = u64::from_le_bytes(head[1..9].try_into().ok()?);
-        let rec_prev = u64::from_le_bytes(head[9..17].try_into().ok()?);
-        let payload_len = u64::from_le_bytes(head[17..25].try_into().ok()?);
-        let first = records == 0;
-        let tag_ok = if first { tag == TAG_CHECKPOINT } else { tag == TAG_DELTA };
-        let link_ok = if first { rec_prev == 0 } else { rec_prev == prev_hash };
-        let gen_ok = first || generation == prev_gen.wrapping_add(1);
-        if !tag_ok || !link_ok || !gen_ok {
-            return None;
-        }
+        let rec = RecordHeader::decode(&head);
+        rec.check_order(tip.map(|t| (t.tip_hash, t.generation))).ok()?;
         pos += RECORD_HEADER_LEN as u64;
-        if file_len - pos < payload_len {
+        if file_len - pos < rec.payload_len {
             return None;
         }
-        f.seek(SeekFrom::Current(i64::try_from(payload_len).ok()?)).ok()?;
-        pos += payload_len;
-        prev_hash = fnv1a64(&head);
-        prev_gen = generation;
-        records += 1;
+        f.seek(SeekFrom::Current(i64::try_from(rec.payload_len).ok()?)).ok()?;
+        pos += rec.payload_len;
         tip = Some(ChainAnchor {
-            generation,
-            tip_hash: prev_hash,
+            generation: rec.generation,
+            tip_hash: rec.link_hash,
             file_len: pos,
-            delta_records: records - 1,
+            delta_records: tip.map_or(0, |t| t.delta_records + 1),
         });
     }
     tip
@@ -1511,8 +1508,9 @@ pub fn truncate_chain_file(path: &Path, valid_bytes: u64) -> Result<(), TopKErro
 // Chain inspection (CLI `--history`, lint L07x)
 // ---------------------------------------------------------------------
 
-/// Reads the chain tip from in-memory bytes (header walk, no payload
-/// CRCs). `None` when the bytes are not a structurally valid chain.
+/// Reads the chain tip from in-memory bytes, verifying every record's
+/// framing, CRC and chain order. `None` when the bytes are not a valid
+/// chain.
 #[must_use]
 pub fn chain_tip(bytes: &[u8]) -> Option<ChainAnchor> {
     let scan = scan_chain(bytes).ok()?;
@@ -1810,5 +1808,51 @@ mod tests {
         rotten[n - 3] ^= 0xFF;
         let summary = chain_summary(&rotten).unwrap();
         assert!(matches!(summary.faults[..], [ChainFault::Corrupt { .. }]), "{:?}", summary.faults);
+    }
+
+    /// `file_tip` (record headers read from disk, payloads seeked over)
+    /// and `chain_tip` (the in-memory scan) apply the same chain-order
+    /// rules: on every chain below they agree, and only the healthy one
+    /// has a tip. A CRC-only corruption is out of scope: `file_tip` does
+    /// not check payload CRCs by design, so such a chain has a tip on disk
+    /// and none in memory.
+    #[test]
+    fn file_tip_agrees_with_chain_tip() {
+        const SPLICE: u8 = 0xFF;
+        // `(tag, generation)` per record, each linked to the one before;
+        // a `SPLICE` tag writes a delta with a wrong predecessor hash.
+        let chain = |records: &[(u8, u64)]| {
+            let mut out = Vec::new();
+            out.extend_from_slice(MAGIC);
+            out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+            let mut link = 0;
+            for &(tag, generation) in records {
+                let (tag, prev) = if tag == SPLICE { (TAG_DELTA, link ^ 1) } else { (tag, link) };
+                link = append_record(&mut out, tag, generation, prev, b"payload");
+            }
+            out
+        };
+        let (cp, d) = (TAG_CHECKPOINT, TAG_DELTA);
+        let healthy = chain(&[(cp, 4), (d, 5), (d, 6)]);
+        let last_record = RECORD_HEADER_LEN + b"payload".len();
+        let cases: [(&str, Vec<u8>); 7] = [
+            ("healthy 3-record chain", healthy.clone()),
+            ("spliced link", chain(&[(cp, 4), (d, 5), (SPLICE, 6)])),
+            ("generation gap", chain(&[(cp, 4), (d, 5), (d, 7)])),
+            ("checkpoint mid-chain", chain(&[(cp, 4), (cp, 5), (d, 6)])),
+            ("delta as the base", chain(&[(d, 4), (d, 5), (d, 6)])),
+            ("torn header", healthy[..healthy.len() - last_record + 10].to_vec()),
+            ("torn payload", healthy[..healthy.len() - 3].to_vec()),
+        ];
+        let path = std::env::temp_dir().join(format!("dna-file-tip-{}.dna", std::process::id()));
+        for (name, bytes) in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            let on_disk = file_tip(&path);
+            assert_eq!(on_disk, chain_tip(bytes), "{name}: file_tip and chain_tip disagree");
+            assert_eq!(on_disk.is_some(), *name == cases[0].0, "{name}: {on_disk:?}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let tip = chain_tip(&healthy).unwrap();
+        assert_eq!((tip.generation, tip.delta_records), (6, 2));
     }
 }

@@ -52,7 +52,7 @@ use dna_netlist::NetId;
 
 use crate::engine::{panic_message, NetLists};
 use crate::result::FaultPhase;
-use crate::{arena, TopKConfig, TopKError};
+use crate::{TopKConfig, TopKError};
 
 /// One schedulable unit: a victim (or scenario × victim) enumeration.
 ///
@@ -80,9 +80,6 @@ pub struct SchedStats {
     pub(crate) min_busy_ns: u64,
     pub(crate) busy_ns: u64,
     pub(crate) tail_task_ns: u64,
-    pub(crate) arena_reused: u64,
-    pub(crate) arena_fresh: u64,
-    pub(crate) arena_bytes_reused: u64,
 }
 
 impl SchedStats {
@@ -133,25 +130,13 @@ impl SchedStats {
         self.tail_task_ns
     }
 
-    /// Envelope scratch buffers served from the per-worker arena free
-    /// lists instead of fresh allocations (the crate's scratch arena).
-    #[must_use]
-    pub fn arena_reused(&self) -> u64 {
-        self.arena_reused
-    }
-
-    /// Envelope scratch buffers that had to be freshly allocated (free
-    /// list empty — the warm-up cost of each worker's pool).
-    #[must_use]
-    pub fn arena_fresh(&self) -> u64 {
-        self.arena_fresh
-    }
-
-    /// Capacity bytes of the reused buffers — heap traffic the arena
-    /// absorbed that the eager allocator would have paid per push.
+    /// Retired slot, always 0. It counted the envelope buffer bytes a
+    /// per-worker scratch arena recycled before materialized envelopes
+    /// went back to plain allocation. Kept because existing readers of
+    /// the scheduler counters still ask for it.
     #[must_use]
     pub fn arena_bytes_reused(&self) -> u64 {
-        self.arena_bytes_reused
+        0
     }
 
     /// Share of total busy time spent in the single longest task, in
@@ -183,9 +168,6 @@ impl SchedStats {
         self.min_busy_ns = self.min_busy_ns.min(other.min_busy_ns);
         self.busy_ns += other.busy_ns;
         self.tail_task_ns = self.tail_task_ns.max(other.tail_task_ns);
-        self.arena_reused += other.arena_reused;
-        self.arena_fresh += other.arena_fresh;
-        self.arena_bytes_reused += other.arena_bytes_reused;
     }
 }
 
@@ -386,7 +368,6 @@ where
                 })
                 .collect::<Vec<T>>()
         }));
-        let arena = arena::drain_stats();
         let stats = SchedStats {
             threads: 1,
             tasks: n,
@@ -394,9 +375,6 @@ where
             min_busy_ns: busy,
             busy_ns: busy,
             tail_task_ns: tail,
-            arena_reused: arena.reused,
-            arena_fresh: arena.fresh,
-            arena_bytes_reused: arena.bytes_reused,
         };
         return Ok((out.map_err(escaped)?, stats));
     }
@@ -413,7 +391,7 @@ where
     });
     let wake = Condvar::new();
 
-    type WorkerPart<T> = (Vec<(usize, T)>, u64, u64, arena::ArenaStats);
+    type WorkerPart<T> = (Vec<(usize, T)>, u64, u64);
     let run_worker = || -> Result<WorkerPart<T>, TopKError> {
         let mut done: Vec<(usize, T)> = Vec::new();
         let mut busy = 0u64;
@@ -466,9 +444,7 @@ where
             }
         }
         drop(ready);
-        // Worker epilogue: harvest the thread-local arena counters while
-        // still on the worker thread (they are invisible after the join).
-        Ok((done, busy, tail, arena::drain_stats()))
+        Ok((done, busy, tail))
     };
 
     let parts: Vec<WorkerPart<T>> = std::thread::scope(|s| {
@@ -484,15 +460,11 @@ where
     let mut min_busy = u64::MAX;
     let mut busy_total = 0u64;
     let mut tail = 0u64;
-    let mut arena_total = arena::ArenaStats::default();
-    for (done, busy, worker_tail, arena_part) in parts {
+    for (done, busy, worker_tail) in parts {
         max_busy = max_busy.max(busy);
         min_busy = min_busy.min(busy);
         busy_total = busy_total.saturating_add(busy);
         tail = tail.max(worker_tail);
-        arena_total.reused += arena_part.reused;
-        arena_total.fresh += arena_part.fresh;
-        arena_total.bytes_reused += arena_part.bytes_reused;
         for (t, value) in done {
             debug_assert!(slots[t].is_none(), "task {t} executed twice");
             slots[t] = Some(value);
@@ -520,9 +492,6 @@ where
         min_busy_ns: if min_busy == u64::MAX { 0 } else { min_busy },
         busy_ns: busy_total,
         tail_task_ns: tail,
-        arena_reused: arena_total.reused,
-        arena_fresh: arena_total.fresh,
-        arena_bytes_reused: arena_total.bytes_reused,
     };
     Ok((out, stats))
 }
@@ -779,9 +748,6 @@ mod tests {
             min_busy_ns: 40,
             busy_ns: 250,
             tail_task_ns: 60,
-            arena_reused: 7,
-            arena_fresh: 2,
-            arena_bytes_reused: 1024,
         };
         let b = SchedStats {
             threads: 2,
@@ -790,9 +756,6 @@ mod tests {
             min_busy_ns: 10,
             busy_ns: 320,
             tail_task_ns: 200,
-            arena_reused: 5,
-            arena_fresh: 1,
-            arena_bytes_reused: 512,
         };
         let mut ab = a;
         ab.merge(&b);
@@ -802,9 +765,6 @@ mod tests {
         assert_eq!(ab.tasks(), 15);
         assert_eq!(ab.max_busy_ns(), 300);
         assert_eq!(ab.min_busy_ns(), 10);
-        assert_eq!(ab.arena_reused(), 12);
-        assert_eq!(ab.arena_fresh(), 3);
-        assert_eq!(ab.arena_bytes_reused(), 1536);
         let mut with_empty = a;
         with_empty.merge(&SchedStats::default());
         assert_eq!(with_empty, a, "an empty sweep merges as identity");

@@ -328,23 +328,6 @@ impl Envelope {
         Envelope::from_raw(self.curve.add_simplified(&other.curve, EPS))
     }
 
-    /// [`sum`](Self::sum) writing the result's breakpoints into the
-    /// recycled `buf` — the scratch-arena variant of the enumeration hot
-    /// loop, bit-identical to the allocating path (which shares its
-    /// kernel, [`Pwl::add_simplified_into`]). Returns the buffer unused
-    /// when a zero-envelope short-circuit copies one operand instead, so
-    /// the caller's arena keeps it.
-    #[must_use]
-    pub fn sum_into(&self, other: &Envelope, buf: Vec<(f64, f64)>) -> Envelope {
-        if self.is_zero() {
-            return other.clone_into(buf);
-        }
-        if other.is_zero() {
-            return self.clone_into(buf);
-        }
-        Envelope::from_raw(self.curve.add_simplified_into(&other.curve, EPS, buf))
-    }
-
     /// Delay noise of [`sum`](Self::sum) on `victim`, without building
     /// the sum: bit for bit `superposition::delay_noise(victim,
     /// &self.sum(other))`. The fused add-simplify pass streams each
@@ -366,30 +349,6 @@ impl Envelope {
         superposition::streamed_delay_noise(victim, release, |tracker| {
             self.curve.add_simplified_to(&other.curve, EPS, tracker);
         })
-    }
-
-    /// A copy of this envelope whose breakpoints live in the recycled
-    /// `buf`. The cached bounds are copied verbatim (not
-    /// recomputed), so the result is indistinguishable from
-    /// [`Clone::clone`] — bit-identity demands it, since the cached
-    /// fields feed the `may_encapsulate` prefilter.
-    #[must_use]
-    pub fn clone_into(&self, buf: Vec<(f64, f64)>) -> Envelope {
-        Envelope {
-            curve: self.curve.clone_into(buf),
-            peak: self.peak,
-            peak_time: self.peak_time,
-            support_lo: self.support_lo,
-            support_hi: self.support_hi,
-            release: self.release,
-        }
-    }
-
-    /// Consumes the envelope, returning its breakpoint buffer for
-    /// recycling through a scratch arena.
-    #[must_use]
-    pub fn reclaim_points(self) -> Vec<(f64, f64)> {
-        self.curve.into_points()
     }
 
     /// Combined envelope of an arbitrary collection, owned or borrowed —
@@ -416,18 +375,6 @@ impl Envelope {
             return self.clone();
         }
         Envelope::from_raw(self.curve.sub_clamped_simplified(&other.curve, EPS))
-    }
-
-    /// [`saturating_sub`](Self::saturating_sub) writing the result's
-    /// breakpoints into the recycled `buf`; bit-identical to the
-    /// allocating path (shared kernel, cached fields copied verbatim on
-    /// the short-circuit).
-    #[must_use]
-    pub fn saturating_sub_into(&self, other: &Envelope, buf: Vec<(f64, f64)>) -> Envelope {
-        if other.is_zero() {
-            return self.clone_into(buf);
-        }
-        Envelope::from_raw(self.curve.sub_clamped_simplified_into(&other.curve, EPS, buf))
     }
 
     /// Delay noise of [`saturating_sub`](Self::saturating_sub) on

@@ -387,19 +387,8 @@ impl Pwl {
     /// per run.
     #[must_use]
     pub fn add_simplified(&self, other: &Pwl, tol: f64) -> Pwl {
-        self.add_simplified_into(other, tol, Vec::new())
-    }
-
-    /// [`add_simplified`](Self::add_simplified) writing its breakpoints
-    /// into `buf` (cleared first) instead of a fresh allocation — the
-    /// scratch-arena variant of the enumeration hot loop. The output is
-    /// **bit-identical** to the allocating variant by construction: the
-    /// allocating variant delegates here, so there is exactly one code
-    /// path producing the point stream.
-    #[must_use]
-    pub fn add_simplified_into(&self, other: &Pwl, tol: f64, buf: Vec<(f64, f64)>) -> Pwl {
-        let buf = Self::sink_buffer(buf, self.points.len() + other.points.len());
-        Pwl::from_builder(self.add_simplified_to(other, tol, buf))
+        let sink = Vec::with_capacity(self.points.len() + other.points.len());
+        Pwl::from_builder(self.add_simplified_to(other, tol, sink))
     }
 
     /// The breakpoint stream of [`add_simplified`](Self::add_simplified),
@@ -426,16 +415,8 @@ impl Pwl {
     /// insert them.
     #[must_use]
     pub fn sub_clamped_simplified(&self, other: &Pwl, tol: f64) -> Pwl {
-        self.sub_clamped_simplified_into(other, tol, Vec::new())
-    }
-
-    /// [`sub_clamped_simplified`](Self::sub_clamped_simplified) writing
-    /// its breakpoints into `buf` (cleared first); bit-identical to the
-    /// allocating variant, which delegates here.
-    #[must_use]
-    pub fn sub_clamped_simplified_into(&self, other: &Pwl, tol: f64, buf: Vec<(f64, f64)>) -> Pwl {
-        let buf = Self::sink_buffer(buf, self.points.len() + other.points.len());
-        Pwl::from_builder(self.sub_clamped_simplified_to(other, tol, buf))
+        let sink = Vec::with_capacity(self.points.len() + other.points.len());
+        Pwl::from_builder(self.sub_clamped_simplified_to(other, tol, sink))
     }
 
     /// The breakpoint stream of
@@ -469,15 +450,6 @@ impl Pwl {
             !out.sink.done()
         });
         out.finish()
-    }
-
-    /// A recycled buffer readied as a point sink: cleared and grown to
-    /// `capacity`. Its old contents never influence the output, so
-    /// recycled and fresh buffers produce identical points.
-    fn sink_buffer(mut buf: Vec<(f64, f64)>, capacity: usize) -> Vec<(f64, f64)> {
-        buf.clear();
-        buf.reserve(capacity);
-        buf
     }
 
     /// Wraps a builder's output buffer.
@@ -530,23 +502,6 @@ impl Pwl {
             }
         }
         holds(interval.hi())
-    }
-
-    /// Consumes the curve, returning its breakpoint buffer for recycling
-    /// through a scratch arena.
-    #[must_use]
-    pub fn into_points(self) -> Vec<(f64, f64)> {
-        self.points
-    }
-
-    /// A copy of this curve whose points live in the recycled `buf`
-    /// (cleared first) — the arena-lean equivalent of [`Clone::clone`],
-    /// producing identical breakpoints.
-    #[must_use]
-    pub fn clone_into(&self, mut buf: Vec<(f64, f64)>) -> Pwl {
-        buf.clear();
-        buf.extend_from_slice(&self.points);
-        Pwl { points: buf }
     }
 }
 
